@@ -22,7 +22,7 @@ from .cost import (
     score,
     tree_cost_naive,
 )
-from .fastcost import BACKEND, HAVE_KERNEL, subtree_leaf_counts, tree_cost_fast
+from .fastcost import BACKEND, subtree_leaf_counts, tree_cost_fast
 from .trees import (
     QuartetTopology,
     Tree,
@@ -44,7 +44,6 @@ __all__ = [
     "DistanceCostFunction",
     "DistanceMatrix",
     "ExplicitCostFunction",
-    "HAVE_KERNEL",
     "QuartetTopology",
     "ScoreBounds",
     "Tree",

@@ -13,13 +13,19 @@ embedded at its per-quartet minimal cost. That certificate compares floats
 computed identically on both sides, so it is immune to the summation-order
 noise that makes ``C_T == m`` unreliable; conversely a non-certified tree is
 never reported as 1.0 even when rounding pushes the quotient to 1.
+
+Distance-backed passes over all quartets (``bounds``, ``tree_cost_naive``,
+``is_min_perfect``) run slab by slab, one slab per largest label
+(``trees.quartet_slabs``), in colex rank order: memory stays at one slab,
+and the order of every float addition is fixed by n alone, so large-n sums
+are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,7 +36,8 @@ from .trees import (
     embedded_topology_indices,
     enumerate_quartets,
     hop_distances,
-    quartet_index_arrays,
+    pick_embedded,
+    quartet_pair_sums,
     topology_from_index,
 )
 
@@ -51,8 +58,6 @@ __all__ = [
     "tree_cost_naive",
 ]
 
-_BLOCK = 1 << 20  # fixed quartet block size keeps large-n reductions deterministic
-
 ONE_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
@@ -64,23 +69,6 @@ def quartet_rank(a: int, b: int, c: int, d: int) -> int:
     """Colex rank of the sorted quartet a<b<c<d among all 4-subsets."""
     a, b, c, d = sorted((a, b, c, d))
     return a + math.comb(b, 2) + math.comb(c, 3) + math.comb(d, 4)
-
-
-def _iter_quartet_blocks(n: int) -> Iterator[tuple[np.ndarray, ...]]:
-    q = math.comb(n, 4)
-    if q <= _BLOCK or n <= 64:
-        yield quartet_index_arrays(n)
-        return
-    buf = np.empty((4, _BLOCK), dtype=np.int32)
-    fill = 0
-    for quartet in enumerate_quartets(n):
-        buf[:, fill] = quartet
-        fill += 1
-        if fill == _BLOCK:
-            yield tuple(buf[k, :fill].copy() for k in range(4))
-            fill = 0
-    if fill:
-        yield tuple(buf[k, :fill].copy() for k in range(4))
 
 
 # ---------------------------------------------------------------------- #
@@ -275,20 +263,10 @@ def tree_cost_naive(tree_or_adj, cf: CostFunction, n: int | None = None) -> floa
     if isinstance(cf, ExplicitCostFunction):
         idx = embedded_topology_indices(adj, n)
         return float(cf.costs[np.arange(len(idx)), idx].sum())
-    d = cf.dm.d
-    L = hop_distances(adj, n)
+    hop = quartet_pair_sums(hop_distances(adj, n), n)
     total = 0.0
-    for a, b, c, d4 in _iter_quartet_blocks(n):
-        s0 = L[a, b] + L[c, d4]
-        s1 = L[a, c] + L[b, d4]
-        s2 = L[a, d4] + L[b, c]
-        c0 = d[a, b] + d[c, d4]
-        c1 = d[a, c] + d[b, d4]
-        c2 = d[a, d4] + d[b, c]
-        picked = np.where(
-            s0 < s1, np.where(s0 < s2, c0, c2), np.where(s1 < s2, c1, c2)
-        )
-        total += float(picked.sum())
+    for hop_sums, costs in zip(hop, quartet_pair_sums(cf.dm.d, n)):
+        total += float(pick_embedded(hop_sums, costs).sum())
     return total
 
 
@@ -296,13 +274,9 @@ def bounds(cf: CostFunction) -> ScoreBounds:
     """Summed per-quartet minima and maxima of the three topology costs."""
     if isinstance(cf, ExplicitCostFunction):
         return ScoreBounds(float(cf.costs.min(axis=1).sum()), float(cf.costs.max(axis=1).sum()))
-    d = cf.dm.d
     lo = 0.0
     hi = 0.0
-    for a, b, c, d4 in _iter_quartet_blocks(cf.n):
-        c0 = d[a, b] + d[c, d4]
-        c1 = d[a, c] + d[b, d4]
-        c2 = d[a, d4] + d[b, c]
+    for c0, c1, c2 in quartet_pair_sums(cf.dm.d, cf.n):
         lo += float(np.minimum(np.minimum(c0, c1), c2).sum())
         hi += float(np.maximum(np.maximum(c0, c1), c2).sum())
     return ScoreBounds(lo, hi)
@@ -318,18 +292,9 @@ def is_min_perfect(tree_or_adj, cf: CostFunction, n: int | None = None) -> bool:
         idx = embedded_topology_indices(adj, n)
         picked = cf.costs[np.arange(len(idx)), idx]
         return bool(np.all(picked == cf.costs.min(axis=1)))
-    d = cf.dm.d
-    L = hop_distances(adj, n)
-    for a, b, c, d4 in _iter_quartet_blocks(n):
-        s0 = L[a, b] + L[c, d4]
-        s1 = L[a, c] + L[b, d4]
-        s2 = L[a, d4] + L[b, c]
-        c0 = d[a, b] + d[c, d4]
-        c1 = d[a, c] + d[b, d4]
-        c2 = d[a, d4] + d[b, c]
-        picked = np.where(
-            s0 < s1, np.where(s0 < s2, c0, c2), np.where(s1 < s2, c1, c2)
-        )
+    hop = quartet_pair_sums(hop_distances(adj, n), n)
+    for hop_sums, (c0, c1, c2) in zip(hop, quartet_pair_sums(cf.dm.d, n)):
+        picked = pick_embedded(hop_sums, (c0, c1, c2))
         if not np.all(picked == np.minimum(np.minimum(c0, c1), c2)):
             return False
     return True

@@ -1,43 +1,42 @@
-"""Fast O(n^3) tree-cost evaluation for distance-backed cost functions.
+"""O(n^2) tree-cost evaluation for distance-backed cost functions.
 
-Decomposes C_T over internal nodes: at node p with incident edges e1,e2,e3
-and subtree leaf counts n1,n2,n3, each edge contributes C(n_i,2) times the
-summed distances between leaf pairs crossing the other two subtrees; the
-node totals sum to the tree cost. This is the search's hot kernel.
+With C(uv|wx) = d(u,v) + d(w,x), every leaf pair (u,v) contributes d(u,v)
+once for each pair {w,x} with uv|wx embedded, so
 
-Two interchangeable backends implement it: a compiled extension
-(``quartet._kernel``) and a pure-Python mirror (``quartet._pure``). The
-compiled one is selected at import when available; set QUARTET_PURE=1 to
-force the fallback. Both produce bit-identical values (see _pure docstring),
-so backend choice never changes search trajectories.
+    C_T = sum_{u<v} d(u,v) * W(u,v),
+
+where W(u,v) counts those pairs. Each internal node p on the u-v path
+contributes C(h_p, 2) of them, h_p being the number of leaves behind p's
+off-path neighbour. Writing G(p) = sum_k C(n_k(p), 2) over p's three
+neighbour directions and H(e) = C(s,2) + C(n-s,2) for an internal edge that
+splits s leaves from n-s, C(h_p,2) = G(p) minus the C(.,2) of the two path
+directions, so W is an integer tree metric: doubled, an internal edge (a,b)
+weighs G(a) + G(b) - 2 H(e) and a leaf edge at p weighs G(p). One rooted
+walk gives each node its doubled depth D; then 2 W(u,v) = D(u) + D(v) -
+2 D(lca(u,v)). The leaves below each node form a contiguous range in walk
+order, so the lca depths fill one block per pair of sibling subtrees: n
+blocks that tile the leaf pairs, O(n^2) work in all.
+
+Determinism: W holds exact integers, and the final reduction multiplies d
+by W over the upper triangle of the leaf-pair matrix in label order and
+sums the products in numpy's fixed pairwise order. The result therefore depends on the
+labelled tree alone, never on internal node numbering or walk order, so
+isomorphic trees score bit-identically; it does not depend on the thread
+count either, as a multithreaded BLAS dot product would.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 
 import numpy as np
 
 from .trees import Tree
 
-try:  # pragma: no cover - depends on build environment
-    from . import _kernel
-except ImportError:  # pragma: no cover
-    _kernel = None
-
-from . import _pure
-
-if _kernel is not None and not os.environ.get("QUARTET_PURE"):
-    _impl = _kernel
-else:
-    _impl = _pure
-
-HAVE_KERNEL = _kernel is not None
-BACKEND = _impl.BACKEND
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",
-    "HAVE_KERNEL",
     "cost_distance_from_adj",
     "subtree_leaf_counts",
     "tree_cost_fast",
@@ -45,8 +44,84 @@ __all__ = [
 
 
 def cost_distance_from_adj(adj: np.ndarray, n: int, d: np.ndarray) -> float:
-    """Backend entry point on raw arrays (the search inner loop)."""
-    return _impl.cost_distance(adj, n, d)
+    """C_T on raw arrays (the search inner loop): ``adj`` is the (2n-2, 3)
+    adjacency, ``d`` the (n, n) distance matrix."""
+    rows = adj.tolist()
+    m = 2 * n - 2
+    root = n
+    # Walk the internal nodes from ``root``. A leaf takes the next walk-order
+    # position when its parent is expanded, so the leaves below node v fill
+    # positions lo[v] : lo[v] + size[v].
+    parent = [-1] * m
+    parent[root] = root
+    size = [1] * n + [0] * (n - 2)
+    lo = [0] * m
+    pre = []
+    stack = [root]
+    leaves = 0
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        lo[v] = leaves
+        for w in rows[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                if w < n:
+                    lo[w] = leaves
+                    leaves += 1
+                    size[v] += 1
+                else:
+                    stack.append(w)
+    g = [0] * m  # G(p), first over the child directions only
+    for v in reversed(pre[1:]):
+        s = size[v]
+        size[parent[v]] += s
+        g[parent[v]] += s * (s - 1) // 2
+    dep = [0] * m  # doubled depth D
+    # D(lca) over walk positions, each leaf pair in one of its two
+    # orientations; float64 holds these integers exactly
+    lca = np.zeros((n, n))
+    for v in pre:
+        pv = parent[v]
+        sv = size[v]
+        s = n - sv
+        g[v] += s * (s - 1) // 2
+        if v != root:
+            dep[v] = dep[pv] + g[pv] + g[v] - sv * (sv - 1) - s * (s - 1)
+        a, b, c = rows[v]
+        if a == pv:
+            a = c
+        elif b == pv:
+            b = c
+        a0, a1 = lo[a], lo[a] + size[a]
+        b0, b1 = lo[b], lo[b] + size[b]
+        lca[a0:a1, b0:b1] = dep[v]
+        if v == root:
+            c0, c1 = lo[c], lo[c] + size[c]
+            lca[a0:a1, c0:c1] = dep[v]
+            lca[b0:b1, c0:c1] = dep[v]
+    leaf_dep = np.array([dep[parent[u]] + g[parent[u]] for u in range(n)], dtype=np.float64)
+    pos = np.array(lo[:n])
+    # To label order, in place where possible: each n x n temporary is a
+    # fresh allocation, which page-faults on every call once it is too large
+    # for the allocator to reuse (at n = 256, not at n = 128, under glibc).
+    # mode="wrap" lets take write straight into ``out`` ("raise" buffers it).
+    lca = lca + lca.T
+    lca.take(pos, 0).take(pos, 1, out=lca, mode="wrap")
+    lca *= -2.0
+    lca += leaf_dep[:, None]
+    lca += leaf_dep  # 2 W
+    lca *= _upper_triangle(n)
+    lca *= d
+    return 0.5 * float(lca.sum())
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_triangle(n: int) -> np.ndarray:
+    """1.0 on the pairs u < v, 0.0 elsewhere."""
+    mask = np.triu(np.ones((n, n)), 1)
+    mask.setflags(write=False)
+    return mask
 
 
 def tree_cost_fast(tree: Tree, dm) -> float:
@@ -57,7 +132,7 @@ def tree_cost_fast(tree: Tree, dm) -> float:
         raise ValueError(
             f"tree has {tree.n} leaves but distance matrix is {d.shape[0]}x{d.shape[1]}"
         )
-    return _impl.cost_distance(tree.adj_array, tree.n, d)
+    return cost_distance_from_adj(tree.adj_array, tree.n, d)
 
 
 def subtree_leaf_counts(tree: Tree, p: int) -> tuple[int, int, int]:

@@ -15,6 +15,7 @@ form used for fast equality and hashing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -428,24 +429,19 @@ def hop_distances(tree_or_adj, n: int | None = None) -> np.ndarray:
     else:
         adj = tree_or_adj
         assert n is not None
-    m = adj.shape[0]
-    out = np.zeros((n, n), dtype=np.int32)
-    dist = np.empty(m, dtype=np.int32)
+    rows = adj.tolist()
+    out = np.empty((n, n), dtype=np.int32)
     for src in range(n):
-        dist[:] = -1
+        dist = [-1] * len(rows)
         dist[src] = 0
         queue = [src]
-        while queue:
-            nxt = []
-            for v in queue:
-                dv = dist[v]
-                for w in adj[v]:
-                    w = int(w)
-                    if w >= 0 and dist[w] < 0:
-                        dist[w] = dv + 1
-                        nxt.append(w)
-            queue = nxt
-        out[src, :] = dist[:n]
+        for v in queue:
+            dv = dist[v] + 1
+            for w in rows[v]:
+                if w >= 0 and dist[w] < 0:
+                    dist[w] = dv
+                    queue.append(w)
+        out[src] = dist[:n]
     return out
 
 
@@ -489,34 +485,74 @@ def embedded_quartets(tree: Tree) -> frozenset[QuartetTopology]:
 
 def embedded_topology_indices(adj: np.ndarray, n: int) -> np.ndarray:
     """Per-quartet embedded topology index (0..2) in colex rank order."""
-    L = hop_distances(adj, n)
-    a, b, c, d = quartet_index_arrays(n)
-    s0 = L[a, b] + L[c, d]
-    s1 = L[a, c] + L[b, d]
-    s2 = L[a, d] + L[b, c]
-    return np.where(s0 < s1, np.where(s0 < s2, 0, 2), np.where(s1 < s2, 1, 2)).astype(
-        np.int8
+    return np.concatenate(
+        [
+            pick_embedded(sums, (0, 1, 2)).astype(np.int8)
+            for sums in quartet_pair_sums(hop_distances(adj, n), n)
+        ]
     )
 
 
-_QUARTET_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+def pick_embedded(hop_sums, choices) -> np.ndarray:
+    """Per quartet, the entry of ``choices`` (indexed by topology index) for
+    its embedded topology. ``hop_sums`` are the three pairings' hop-distance
+    sums from ``quartet_pair_sums``; by the four-point condition the embedded
+    pairing has the strictly smallest one (the other two are equal)."""
+    s0, s1, s2 = hop_sums
+    c0, c1, c2 = choices
+    return np.where(s0 < s1, np.where(s0 < s2, c0, c2), np.where(s1 < s2, c1, c2))
 
 
-def quartet_index_arrays(n: int):
-    """Label arrays (a, b, c, d) of all quartets in colex rank order."""
-    cached = _QUARTET_INDEX_CACHE.get(n)
-    if cached is None:
-        q = math.comb(n, 4)
-        arrs = tuple(np.empty(q, dtype=np.int32) for _ in range(4))
-        for rank, quartet in enumerate(enumerate_quartets(n)):
-            for k in range(4):
-                arrs[k][rank] = quartet[k]
-        for arr in arrs:
-            arr.setflags(write=False)
-        cached = arrs
-        if n <= 64:
-            _QUARTET_INDEX_CACHE[n] = cached
-    return cached
+def quartet_pair_sums(
+    M: np.ndarray, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per slab of ``quartet_slabs``, for each quartet (a, b, c, x) the sums
+    M[a,b] + M[c,x], M[a,c] + M[b,x] and M[a,x] + M[b,c] of the symmetric
+    matrix ``M`` over its pairings with topology index 0, 1 and 2.
+
+    Every slab is a prefix of the last one, so the within-triple entries are
+    gathered once, for the last slab, and sliced for the others."""
+    slabs = list(quartet_slabs(n))
+    a, b, c, _ = slabs[-1]
+    mab, mac, mbc = M[a, b], M[a, c], M[b, c]
+    for a, b, c, x in slabs:
+        k = len(a)
+        mx = M[x]
+        yield mab[:k] + mx.take(c), mac[:k] + mx.take(b), mx.take(a) + mbc[:k]
+
+
+def quartet_slabs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Yield, for x = 3..n-1, the quartets (a, b, c, x) with largest label x
+    as label arrays a < b < c (read-only views) and the int x.
+
+    Each slab lists its quartets in colex rank order, and the slabs follow
+    each other in that order, so concatenated they enumerate all C(n,4)
+    quartets exactly as ``enumerate_quartets`` does, one slab of memory at a
+    time."""
+    if n < 4:
+        raise ValueError(f"need at least 4 items, got n={n}")
+    a, b, c = _colex_triples(n - 1)
+    for x in range(3, n):
+        k = math.comb(x, 3)
+        yield a[:k], b[:k], c[:k], x
+
+
+@functools.lru_cache(maxsize=1)
+def _colex_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label arrays (a, b, c) of all 3-subsets a < b < c of 0..n-1 in colex
+    rank order a + C(b,2) + C(c,3), read-only; the triples of 0..k-1 are
+    their first C(k,3) rows."""
+    labels = np.arange(n, dtype=np.int64)
+    pair_starts = labels * (labels - 1) // 2  # C(b,2): rank of the first pair with top b
+    triple_starts = pair_starts * (labels - 2) // 3  # C(c,3)
+    pb = np.repeat(labels, labels)
+    pa = np.arange(len(pb)) - pair_starts[pb]
+    c = np.repeat(labels, pair_starts)
+    pair = np.arange(len(c)) - triple_starts[c]  # colex rank of (a, b)
+    out = tuple(arr.astype(np.int32) for arr in (pa[pair], pb[pair], c))
+    for arr in out:
+        arr.setflags(write=False)
+    return out  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------- #

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -272,3 +273,47 @@ def test_score_from_cost_clipping():
     assert score_from_cost(-1e-18, b, perfect=False) < 1.0
     assert score_from_cost(2.0, b, perfect=False) == 0.0
     assert score_from_cost(0.5, b, perfect=True) == 1.0
+
+
+def _floyd_warshall_leaf_hops(tree):
+    adj = tree.adj_array
+    m = tree.node_count
+    h = np.full((m, m), m, dtype=np.int64)
+    np.fill_diagonal(h, 0)
+    for v in range(m):
+        for w in adj[v]:
+            if w >= 0:
+                h[v, w] = 1
+    for k in range(m):
+        h = np.minimum(h, h[:, [k]] + h[[k], :])
+    return h[: tree.n, : tree.n]
+
+
+def test_slab_paths_past_old_cutoffs_match_combinations():
+    # n = 65 is past both the old quartet-cache limit (64) and the old
+    # block size (C(65,4) > 2^20 quartets); the quartets, hop distances and
+    # sums here are built independently of the slab machinery
+    rng = rng_for(65)
+    n = 65
+    planted = random_tree(n, rng)
+    d = (_floyd_warshall_leaf_hops(planted) + 1.0) / n
+    np.fill_diagonal(d, 0.0)
+    noise = np.triu(rng.random((n, n)) * 1e-3, 1)
+    d += noise + noise.T
+    cf = DistanceCostFunction(DistanceMatrix(d))
+    a, b, c, x = np.array(list(itertools.combinations(range(n), 4)), dtype=np.int64).T
+    costs = np.stack([d[a, b] + d[c, x], d[a, c] + d[b, x], d[a, x] + d[b, c]])
+    lo, hi = costs.min(axis=0), costs.max(axis=0)
+    got = bounds(cf)
+    assert got.m == pytest.approx(lo.sum(), rel=1e-9)
+    assert got.M == pytest.approx(hi.sum(), rel=1e-9)
+    perfect_seen = []
+    for t in (planted, random_tree(n, rng)):
+        h = _floyd_warshall_leaf_hops(t)
+        sums = np.stack([h[a, b] + h[c, x], h[a, c] + h[b, x], h[a, x] + h[b, c]])
+        picked = np.take_along_axis(costs, sums.argmin(axis=0)[None], 0)[0]
+        assert tree_cost_naive(t, cf) == pytest.approx(picked.sum(), rel=1e-9)
+        perfect = bool(np.all(picked == lo))
+        assert is_min_perfect(t, cf) == perfect
+        perfect_seen.append(perfect)
+    assert perfect_seen == [True, False]

@@ -4,16 +4,21 @@ import time
 import numpy as np
 import pytest
 
-from quartet import _pure
 from quartet.cost import DistanceCostFunction, DistanceMatrix, tree_cost_naive
 from quartet.fastcost import (
     BACKEND,
-    HAVE_KERNEL,
     cost_distance_from_adj,
     subtree_leaf_counts,
     tree_cost_fast,
 )
-from quartet.trees import QuartetTopology, Tree, embedded_quartets, random_tree
+from quartet.trees import (
+    QuartetTopology,
+    Tree,
+    embedded_quartets,
+    random_tree,
+    tree_from_newick,
+    tree_to_newick,
+)
 
 from conftest import random_symmetric_matrix, rng_for
 
@@ -47,18 +52,25 @@ def test_fast_matches_naive_oracle_1000_pairs():
         assert abs(fast - naive) / max(1.0, abs(naive)) <= 1e-9
 
 
-def test_backends_agree_bitwise(rng):
-    for _ in range(100):
-        n = int(rng.integers(4, 15))
+def test_pair_weight_counts_embedded_topologies(rng):
+    # with d the indicator of the leaf pair (u,v), C_T is the pair weight
+    # W(u,v): the number of pairs {w,x} for which uv|wx is embedded
+    for n in range(4, 11):
         t = random_tree(n, rng)
-        dm = random_symmetric_matrix(n, rng)
-        assert tree_cost_fast(t, dm) == _pure.cost_distance(t.adj_array, n, dm.d)
+        emb = embedded_quartets(t)
+        for u in range(n):
+            for v in range(u + 1, n):
+                d = np.zeros((n, n))
+                d[u, v] = d[v, u] = 1.0
+                count = sum((u, v) in (topo.pair_a, topo.pair_b) for topo in emb)
+                assert cost_distance_from_adj(t.adj_array, n, d) == count
 
 
 def test_cost_is_representation_invariant(rng):
-    # same labeled tree under permuted internal ids scores bit-identically
+    # the same labeled tree under permuted internal ids, or read back from
+    # its Newick text, scores bit-identically
     for _ in range(20):
-        n = int(rng.integers(5, 12))
+        n = int(rng.integers(5, 65))
         t = random_tree(n, rng)
         dm = random_symmetric_matrix(n, rng)
         perm = list(range(n)) + [n + int(x) for x in rng.permutation(n - 2)]
@@ -67,7 +79,9 @@ def test_cost_is_representation_invariant(rng):
             for v in range(t.node_count)
         }
         t2 = Tree.from_adjacency(mapping)
-        assert tree_cost_fast(t, dm) == tree_cost_fast(t2, dm)
+        names = [f"item{i}" for i in range(n)]
+        t3, _ = tree_from_newick(tree_to_newick(t, names), names)
+        assert tree_cost_fast(t, dm) == tree_cost_fast(t2, dm) == tree_cost_fast(t3, dm)
 
 
 def test_dimension_mismatch_rejected(rng):
@@ -162,26 +176,25 @@ def _splits_at(tree, p, u, v):
     return p in _bfs_path(tree.adj_array, u, v)
 
 
-def test_runtime_scaling_cubic():
-    # doubling n should multiply the scoring time by about 8
+def test_runtime_scaling_at_most_quadratic():
+    # the scorer is O(n^2): doubling n may multiply the scoring time by at
+    # most 2^2.3, the margin covering cache and allocation effects
     rng = rng_for(7)
     times = {}
-    for n in (64, 128):
+    for n in (128, 256):
         t = random_tree(n, rng)
         dm = random_symmetric_matrix(n, rng)
         adj = t.adj_array
-        reps = 5 if BACKEND == "pure" else 30
         best = math.inf
         for _ in range(7):
             t0 = time.perf_counter()
-            for _ in range(reps):
+            for _ in range(30):
                 cost_distance_from_adj(adj, n, dm.d)
-            best = min(best, (time.perf_counter() - t0) / reps)
+            best = min(best, (time.perf_counter() - t0) / 30)
         times[n] = best
-    exponent = math.log2(times[128] / times[64])
-    assert 2.6 <= exponent <= 3.4, times
+    exponent = math.log2(times[256] / times[128])
+    assert exponent <= 2.3, times
 
 
 def test_backend_reporting():
-    assert BACKEND in ("kernel", "pure")
-    assert isinstance(HAVE_KERNEL, bool)
+    assert BACKEND == "numpy"

@@ -12,6 +12,7 @@ from quartet.trees import (
     enumerate_quartets,
     hop_distances,
     is_consistent,
+    quartet_slabs,
     random_tree,
     topology_from_index,
     tree_from_newick,
@@ -59,6 +60,18 @@ def test_enumerate_counts():
 
 
 # ---------------------------------------------------------------- Tree type
+
+
+def test_quartet_slabs_concatenate_to_colex_enumeration():
+    for n in range(4, 13):
+        got = [
+            (int(a), int(b), int(c), x)
+            for sa, sb, sc, x in quartet_slabs(n)
+            for a, b, c in zip(sa, sb, sc)
+        ]
+        assert got == list(enumerate_quartets(n))
+    with pytest.raises(ValueError):
+        next(quartet_slabs(3))
 
 
 def test_tree_invariants_enforced():

@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -175,21 +174,10 @@ def run_reconstruction(
     config: SearchConfig | None = None,
     master_seed: int = 0,
     jsonl_path: str | Path | None = None,
-    threads: int = 1,
 ) -> list[TrialReport]:
-    """Run independent seeded trials; aggregation is by trial id, so thread
-    count never changes the reports (wall times aside)."""
-    ids = list(range(trials))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(
-                pool.map(
-                    lambda t: reconstruction_trial(n, num_mutations, config, master_seed, t),
-                    ids,
-                )
-            )
-    else:
-        reports = [reconstruction_trial(n, num_mutations, config, master_seed, t) for t in ids]
+    """Run independent trials, each seeded from (master_seed, trial id), in
+    trial-id order."""
+    reports = [reconstruction_trial(n, num_mutations, config, master_seed, t) for t in range(trials)]
     if jsonl_path is not None:
         with open(jsonl_path, "w", encoding="utf-8") as fh:
             for rep in reports:
@@ -232,19 +220,12 @@ def db_gain(r_other: float, r_ours: float) -> float:
 
 
 def collect_runs(
-    cf, runs: int, config: SearchConfig | None = None, master_seed: int = 0, threads: int = 1
+    cf, runs: int, config: SearchConfig | None = None, master_seed: int = 0
 ) -> list[SearchResult]:
     """Repeated independent searches of one instance for statistics."""
     config = config or SearchConfig()
     seeds = [int(s) for s in np.random.SeedSequence(master_seed).generate_state(runs, np.uint64)]
-
-    def one(i: int) -> SearchResult:
-        return search(cf, config, seed=seeds[i])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(runs)))
-    return [one(i) for i in range(runs)]
+    return [search(cf, config, seed=s) for s in seeds]
 
 
 def run_statistics(results: Sequence[SearchResult], bin_width: int | None = None) -> dict:

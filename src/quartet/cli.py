@@ -69,7 +69,6 @@ def _add_search_flags(p: argparse.ArgumentParser, runs_flag: str = "--runs") -> 
                    help="Metropolis temperature on raw costs (default (M-m)/C(n,4))")
     p.add_argument("--k-max", type=int, default=None,
                    help="cap on fat-tail mutation counts (default 1024)")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _config_from_args(args) -> SearchConfig:
@@ -92,7 +91,6 @@ def _config_from_args(args) -> SearchConfig:
         kw["metropolis_temperature"] = args.temperature
     if args.k_max is not None:
         kw["k_max"] = args.k_max
-    kw["threads"] = args.threads
     kw["seed"] = args.seed
     return SearchConfig(**kw)
 
@@ -177,6 +175,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_ncd(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     items = load_corpus(args.corpus, manifest=args.manifest)
     if len(items) < 4:
         raise ValueError(f"need at least 4 corpus files, got {len(items)}")
@@ -235,7 +235,7 @@ def _cmd_bench_artificial(args) -> int:
     mutations = args.mutations if args.mutations is not None else (200 if args.n <= 16 else 1000)
     reports = run_reconstruction(
         args.n, args.trials, mutations, config,
-        master_seed=args.seed, jsonl_path=out_dir / "trials.jsonl", threads=args.threads,
+        master_seed=args.seed, jsonl_path=out_dir / "trials.jsonl",
     )
     exact = sum(r.exact for r in reports)
     summary = {
@@ -272,7 +272,7 @@ def _cmd_bench_stats(args) -> int:
         config = replace(config, mode="hill_climb")
     if args.termination is None:
         config = replace(config, termination="agreement")
-    results = collect_runs(cf, args.runs, config, master_seed=args.seed, threads=args.threads)
+    results = collect_runs(cf, args.runs, config, master_seed=args.seed)
     stats = run_statistics(results, bin_width=args.bin_width)
     paths = write_statistics_csv(stats, out_dir)
     _write_manifest(out_dir, "bench stats", _config_json(config), args.seed, inputs,
@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--out-name", default=None, help="matrix filename (default matrix.<ext>)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads compressing pairs (default 1)")
     p.set_defaults(func=_cmd_ncd)
 
     p = sub.add_parser("score", help="score a Newick tree against a distance matrix")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import Tree, _bfs_path, _replace_neighbor, trees_equal
+from .trees import Tree, _bfs_path, _canonical_key, _replace_neighbor, trees_equal
 
 __all__ = [
     "DEFAULT_K_MAX",
@@ -363,6 +363,8 @@ def shifted_pmf(k, k_max: int | None = None) -> np.ndarray:
 def _k_cdf(k_max: int) -> np.ndarray:
     cdf = _CDF_CACHE.get(k_max)
     if cdf is None:
+        if k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {k_max}")
         k = np.arange(1, k_max + 1, dtype=np.float64)
         p = 1.0 / ((k + 2.0) * np.log(k + 2.0) ** 2) / shifted_pmf_normalizer()
         cdf = np.cumsum(p)
@@ -374,8 +376,6 @@ def _k_cdf(k_max: int) -> np.ndarray:
 
 def sample_k(rng: np.random.Generator, k_max: int = DEFAULT_K_MAX) -> int:
     """Draw a mutation count k >= 1 from the shifted fat-tail pmf."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     u = rng.random()
     return int(np.searchsorted(_k_cdf(k_max), u, side="right")) + 1
 
@@ -401,26 +401,6 @@ def _dict_adj(tree: Tree) -> dict[int, set[int]]:
     return {v: set(tree.neighbors(v)) for v in range(tree.node_count)}
 
 
-def _dict_path(adj: dict[int, set[int]], src: int, dst: int) -> list[int]:
-    prev = {src: -1}
-    queue = [src]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    if w == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(prev[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(w)
-        queue = nxt
-    raise ValueError(f"no path {src}..{dst}")
-
-
 def _apply_op_dict(adj: dict[int, set[int]], n: int, op) -> None:
     if op[0] == "leaf":
         _, u, v = op
@@ -433,52 +413,13 @@ def _apply_op_dict(adj: dict[int, set[int]], n: int, op) -> None:
         adj[v] = {pu}
         return
     _, u, w = op
-    path = _dict_path(adj, u, w)
+    path = _bfs_path(adj, u, w)
     assert len(path) >= 4, f"subtree swap needs distance >= 3, path {path}"
     x, y = path[1], path[-2]
     adj[u].discard(x); adj[x].discard(u)
     adj[y].discard(w); adj[w].discard(y)
     adj[u].add(y); adj[y].add(u)
     adj[w].add(x); adj[x].add(w)
-
-
-def _canon_dict(adj: dict[int, set[int]], n: int) -> str:
-    down: dict[tuple[int, int], str] = {}
-    pending = [(w, v) for v in adj for w in adj[v]]
-    while pending:
-        rest = []
-        for par, child in pending:
-            if child < n:
-                down[(par, child)] = str(child)
-                continue
-            parts = []
-            ok = True
-            for w in adj[child]:
-                if w == par:
-                    continue
-                enc = down.get((child, w))
-                if enc is None:
-                    ok = False
-                    break
-                parts.append(enc)
-            if ok:
-                down[(par, child)] = "(" + ",".join(sorted(parts)) + ")"
-            else:
-                rest.append((par, child))
-        if len(rest) == len(pending):  # pragma: no cover
-            raise RuntimeError("encoding did not progress")
-        pending = rest
-    best = None
-    for v in adj:
-        for w in adj[v]:
-            if w <= v:
-                continue
-            a, b = sorted((down[(w, v)], down[(v, w)]))
-            key = a + "|" + b
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    return best
 
 
 def _leaf_nbrs(adj, n, v):
@@ -493,11 +434,11 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
     """Emit ops transforming W into (a tree leaf-label-isomorphic to) T.
     Mutates W; T is never modified."""
     ops: list = []
-    if _canon_dict(W, n) == _canon_dict(T, n):
+    if _canonical_key(W, n) == _canonical_key(T, n):
         return ops
     leaves = sorted(v for v in W if v < n)
     if len(leaves) == 4:
-        target = _canon_dict(T, n)
+        target = _canonical_key(T, n)
         for i in range(4):
             for j in range(i + 1, 4):
                 u, v = leaves[i], leaves[j]
@@ -507,7 +448,7 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
                     continue
                 trial = {a: set(b) for a, b in W.items()}
                 _apply_op_dict(trial, n, ("leaf", u, v))
-                if _canon_dict(trial, n) == target:
+                if _canonical_key(trial, n) == target:
                     op = ("leaf", u, v)
                     _apply_op_dict(W, n, op)
                     return [op]
@@ -567,14 +508,14 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
     # path leaves through the glued-in node E, the physical cut edge is
     # E-slot rather than M-E, so the op is re-anchored at E.
     for op in _solve_path(Wg, Tg, n):
-        if op[0] == "subleaf" and op[1] == M and _dict_path(W, M, op[2])[1] == E:
+        if op[0] == "subleaf" and op[1] == M and _bfs_path(W, M, op[2])[1] == E:
             op = ("subleaf", E, op[2])
         _apply_op_dict(W, n, op)
         ops.append(op)
 
     # expansion fix-up: route the composite's extra node to l'-position
     zcur = next(w for w in W[M] if w not in (lhid, E))
-    pathml = _dict_path(W, M, lprime)
+    pathml = _bfs_path(W, M, lprime)
     if pathml[1] == E:
         if lprime in W[E]:
             other = next(w for w in W[E] if w not in (M, lprime))
@@ -602,7 +543,7 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
         _apply_op_dict(W, n, op)
         ops.append(op)
 
-    assert _canon_dict(W, n) == _canon_dict(T, n), "level did not reach its target"
+    assert _canonical_key(W, n) == _canonical_key(T, n), "level did not reach its target"
     return ops
 
 

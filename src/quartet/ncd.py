@@ -124,8 +124,9 @@ def ncd_matrix(
     Each unordered pair is measured in both concatenation orders and the
     smaller value kept, which makes the matrix exactly symmetric; the
     diagonal is forced to zero and any negative measurement is clamped to 0
-    with a warning. Pair compressions may run in ``workers`` threads; the
-    result does not depend on scheduling.
+    with a warning. With ``workers`` > 1 the pair compressions run in that
+    many threads (the codecs release the GIL); the result does not depend
+    on scheduling.
     """
     items = list(items)
     if len(items) < 4:

@@ -18,15 +18,15 @@ A tree certified perfect (every quartet at its minimal cost, S(T)=1) stops
 any mode immediately since no tree can cost less.
 
 Determinism: identical (cost function, config, seed) reproduce SearchResult
-bit for bit. Agreement rounds advance runs in run order; with ``threads>1``
-the per-round generations are precomputed in parallel from snapshots and
-committed in the same order, so thread counts do not change results.
+bit for bit. The search is single-threaded: each run draws from its own
+generator, seeded from the master seed, and agreement rounds advance the
+runs one generation each, in run order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 import numpy as np
@@ -88,7 +88,6 @@ class SearchConfig:
     scorer: str | None = None  # "naive" | "fast" | None -> auto
     mode: str = "metropolis"  # "hill_climb" | "metropolis"
     k_max: int = DEFAULT_K_MAX
-    threads: int = 1
     progress_path: str | Path | None = None
     trace_path: str | Path | None = None
 
@@ -107,8 +106,6 @@ class SearchConfig:
             raise ValueError("metropolis_temperature must be > 0")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.max_trees is not None and self.max_trees < 1:
             raise ValueError("max_trees must be >= 1")
 
@@ -186,20 +183,28 @@ def _pick_scorer(cf: CostFunction, choice: str | None) -> str:
     return choice
 
 
+def _temperature(config: SearchConfig, scorer: _Scorer) -> float:
+    """Metropolis temperature on raw costs: the configured one, else
+    (M-m)/C(n,4), else 1 when all trees cost the same."""
+    if config.metropolis_temperature is not None:
+        return config.metropolis_temperature
+    b = scorer.bounds
+    return (b.M - b.m) / math.comb(scorer.n, 4) if b.M > b.m else 1.0
+
+
 # ---------------------------------------------------------------------- #
 # Single run state
 # ---------------------------------------------------------------------- #
 
 
 class _Run:
-    def __init__(self, scorer: _Scorer, config: SearchConfig, seed: int, theta: float):
+    def __init__(self, scorer: _Scorer, config: SearchConfig, rng: np.random.Generator, theta: float):
         self.scorer = scorer
         self.cfg = config
         self.n = scorer.n
-        self.seed = seed
         self.theta = theta
         self.trial_length = config.trial_length or self.n
-        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.rng = rng
         self.examined = 0
         self.best_adj: np.ndarray | None = None
         self.best_cost = math.inf
@@ -213,45 +218,11 @@ class _Run:
         self.trace: list[MutationRecord] = []
         self.initial_tree: Tree | None = None
 
-    # -- state dance for deterministic parallel rounds ------------------- #
-
-    def snapshot(self) -> dict:
-        return {
-            "rng": self.rng.bit_generator.state,
-            "examined": self.examined,
-            "best_adj": None if self.best_adj is None else self.best_adj.copy(),
-            "best_cost": self.best_cost,
-            "perfect": self.perfect,
-            "improved": self.improved,
-            "initialized": self.initialized,
-            "key": self._key,
-            "n_acc": len(self.k_accepted),
-            "n_rej": len(self.k_rejected),
-            "n_trace": len(self.trace),
-            "initial_tree": self.initial_tree,
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.rng.bit_generator.state = snap["rng"]
-        self.examined = snap["examined"]
-        self.best_adj = None if snap["best_adj"] is None else snap["best_adj"].copy()
-        self.best_cost = snap["best_cost"]
-        self.perfect = snap["perfect"]
-        self.improved = snap["improved"]
-        self.initialized = snap["initialized"]
-        self._key = snap["key"]
-        del self.k_accepted[snap["n_acc"] :]
-        del self.k_rejected[snap["n_rej"] :]
-        del self.trace[snap["n_trace"] :]
-        self.initial_tree = snap["initial_tree"]
-
-    # -- generations ------------------------------------------------------ #
-
     def advance(self, budget: int | None) -> None:
         """One generation (or initialization) in place; sets self.improved."""
         self.improved = False
         if not self.initialized:
-            self._init_tree()
+            self.start(random_tree(self.n, self.rng))
             return
         if self.perfect:
             return
@@ -260,8 +231,8 @@ class _Run:
         else:
             self._gen_metropolis(budget)
 
-    def _init_tree(self) -> None:
-        tree = random_tree(self.n, self.rng)
+    def start(self, tree: Tree) -> None:
+        """Examine ``tree`` as the run's first best tree."""
         self.initial_tree = tree
         self.best_adj = tree.copy_adjacency()
         self._work = self.best_adj.copy()
@@ -269,9 +240,7 @@ class _Run:
         self.examined += 1
         self.improved = True
         self.initialized = True
-        self._key = None
-        if self.scorer.certify_perfect(self.best_adj, self.best_cost):
-            self.perfect = True
+        self.perfect = self.scorer.certify_perfect(self.best_adj, self.best_cost)
 
     def _gen_hill(self) -> None:
         k = sample_k(self.rng, self.cfg.k_max)
@@ -343,12 +312,6 @@ class _Run:
 # ---------------------------------------------------------------------- #
 
 
-class _Terminate(Exception):
-    def __init__(self, reason: str, winner: int):
-        self.reason = reason
-        self.winner = winner
-
-
 def search(
     cf: CostFunction, config: SearchConfig | None = None, rng: np.random.Generator | None = None, **overrides
 ) -> SearchResult:
@@ -358,10 +321,7 @@ def search(
     scorer = _Scorer(cf, which)
     n = cf.n
     b = scorer.bounds
-    q = math.comb(n, 4)
-    theta = config.metropolis_temperature
-    if theta is None:
-        theta = (b.M - b.m) / q if b.M > b.m else 1.0
+    theta = _temperature(config, scorer)
 
     r = 1
     if config.termination == "agreement":
@@ -372,30 +332,32 @@ def search(
         seeds = [int(rng.integers(1 << 63)) for _ in range(r)]
     else:
         seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(r, np.uint64)]
-    runs = [_Run(scorer, config, seeds[i], theta) for i in range(r)]
+    runs = [_Run(scorer, config, np.random.Generator(np.random.PCG64(s)), theta) for s in seeds]
 
     history: list[tuple[int, float]] = []
     progress = None
     if config.progress_path is not None:
         progress = open(config.progress_path, "a", encoding="utf-8")
+    total = last_improve = 0
+    gb, gb_cost = -1, math.inf
 
-    state = {"total": 0, "last_improve": 0, "gb": -1, "gb_cost": math.inf}
-
-    def commit_events(i: int) -> None:
+    def events(i: int) -> tuple[str, int] | None:
+        """Record run i's generation; the (reason, winner) that stops the
+        search, if any."""
+        nonlocal total, last_improve, gb, gb_cost
         run = runs[i]
-        state["total"] = sum(x.examined for x in runs)
+        total = sum(x.examined for x in runs)
         if run.improved:
-            state["last_improve"] = state["total"]
-            if run.best_cost < state["gb_cost"]:
-                state["gb"] = i
-                state["gb_cost"] = run.best_cost
+            last_improve = total
+            if run.best_cost < gb_cost:
+                gb, gb_cost = i, run.best_cost
                 perfect = run.perfect or scorer.certify_perfect(run.best_adj, run.best_cost)
                 s = scorer.score(run.best_cost, perfect)
-                history.append((state["total"], s))
+                history.append((total, s))
                 if progress is not None:
-                    progress.write(f"{state['total']}\t{s!r}\n")
+                    progress.write(f"{total}\t{s!r}\n")
         if run.perfect:
-            raise _Terminate("perfect_score", i)
+            return "perfect_score", i
         if (
             config.termination == "agreement"
             and run.improved
@@ -404,50 +366,24 @@ def search(
         ):
             key = run.best_key()
             if all(x.best_key() == key for x in runs):
-                raise _Terminate("agreement", i)
-        if config.max_trees is not None and state["total"] >= config.max_trees:
-            raise _Terminate("max_trees", state["gb"])
-        if state["total"] - state["last_improve"] >= config.patience:
-            raise _Terminate("patience", state["gb"])
+                return "agreement", i
+        if config.max_trees is not None and total >= config.max_trees:
+            return "max_trees", gb
+        if total - last_improve >= config.patience:
+            return "patience", gb
+        return None
 
-    reason, winner = None, None
-    pool = None
     try:
-        parallel = config.threads > 1 and r > 1 and config.max_trees is None
-        if parallel:
-            pool = ThreadPoolExecutor(max_workers=min(config.threads, r))
-        while True:
-            budget = None
-            if config.max_trees is not None:
-                budget = max(1, config.max_trees - state["total"])
-            if parallel:
-                snaps = [run.snapshot() for run in runs]
-                list(pool.map(lambda run: run.advance(None), runs))
-                posts = [run.snapshot() for run in runs]
-                for run, pre in zip(runs, snaps):
-                    run.restore(pre)
-                try:
-                    for i, run in enumerate(runs):
-                        run.restore(posts[i])
-                        commit_events(i)
-                except _Terminate as t:
-                    reason, winner = t.reason, t.winner
-                    break
-            else:
-                try:
-                    for i, run in enumerate(runs):
-                        run.advance(budget)
-                        commit_events(i)
-                        if config.max_trees is not None:
-                            budget = max(1, config.max_trees - state["total"])
-                except _Terminate as t:
-                    reason, winner = t.reason, t.winner
-                    break
+        for i, run in itertools.cycle(enumerate(runs)):
+            budget = None if config.max_trees is None else max(1, config.max_trees - total)
+            run.advance(budget)
+            stop = events(i)
+            if stop is not None:
+                break
     finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
         if progress is not None:
             progress.close()
+    reason, winner = stop
 
     win = runs[winner if winner >= 0 else 0]
     perfect = win.perfect or scorer.certify_perfect(win.best_adj, win.best_cost)
@@ -456,7 +392,7 @@ def search(
         best_tree=win.best_tree(),
         best_score=best_score,
         best_cost=win.best_cost,
-        trees_examined=state["total"],
+        trees_examined=total,
         history=history,
         per_run_seeds=seeds,
         terminated_by=reason,
@@ -500,30 +436,10 @@ def metropolis_trial(
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(config.seed))
     scorer = _Scorer(cf, _pick_scorer(cf, config.scorer))
-    b = scorer.bounds
-    theta = config.metropolis_temperature
-    if theta is None:
-        theta = (b.M - b.m) / math.comb(cf.n, 4) if b.M > b.m else 1.0
-    steps = config.trial_length or cf.n
-    cur = t0.copy_adjacency()
-    ccur = scorer.cost(cur)
-    best_cost = ccur
-    best = cur.copy()
-    for _ in range(steps):
-        rec = simple_mutation(cur, cf.n, rng)
-        cnew = scorer.cost(cur)
-        u = rng.random()
-        dc = cnew - ccur
-        if dc <= 0 or u < math.exp(-dc / theta):
-            ccur = cnew
-            if ccur < best_cost:
-                best_cost = ccur
-                np.copyto(best, cur)
-                if scorer.certify_perfect(cur, ccur):
-                    break
-        else:
-            apply_record(cur, rec.inverse())
-    return Tree(best, validate=True, _copy=False)
+    run = _Run(scorer, config, rng, _temperature(config, scorer))
+    run.start(t0)
+    run._gen_metropolis(None)
+    return run.best_tree()
 
 
 # ---------------------------------------------------------------------- #

@@ -247,7 +247,10 @@ class Tree:
         leaf-labeled trees (internal ids ignored).
         """
         if self._canon is None:
-            self._canon = _canonical_key_adj(self._adj, self.n)
+            rows = self._adj.tolist()
+            self._canon = _canonical_key(
+                {v: [w for w in row if w >= 0] for v, row in enumerate(rows)}, self.n
+            )
         return self._canon
 
     def __repr__(self) -> str:
@@ -264,57 +267,38 @@ def trees_equal(t1: Tree, t2: Tree) -> bool:
     return t1.canonical_key() == t2.canonical_key()
 
 
-def _canonical_key_adj(adj: np.ndarray, n: int) -> str:
-    m = 2 * n - 2
-    down: dict[tuple[int, int], str] = {}
-    # resolve directed edges bottom-up: (parent, child) ready once all of
-    # child's other directed edges are known
-    pending: list[tuple[int, int]] = []
-    for v in range(m):
-        for w in adj[v]:
-            if w >= 0:
-                pending.append((int(w), int(v)))  # (parent, child)
-    while pending:
-        rest = []
-        progressed = False
-        for par, child in pending:
-            if (par, child) in down:
-                continue
-            if child < n:
-                down[(par, child)] = str(child)
-                progressed = True
-                continue
-            parts = []
-            ok = True
-            for w in adj[child]:
-                w = int(w)
-                if w < 0 or w == par:
-                    continue
-                enc = down.get((child, w))
-                if enc is None:
-                    ok = False
-                    break
-                parts.append(enc)
-            if ok:
-                down[(par, child)] = "(" + ",".join(sorted(parts)) + ")"
-                progressed = True
-            else:
-                rest.append((par, child))
-        if not progressed and rest:  # pragma: no cover - guarded by validation
-            raise RuntimeError("cycle while encoding tree")
-        pending = rest
-    best = None
-    for v in range(m):
-        for w in adj[v]:
-            w = int(w)
-            if w < 0 or w <= v:
-                continue
-            a, b = sorted((down[(w, v)], down[(v, w)]))
-            key = a + "|" + b
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    return best
+def _canonical_key(adjacency: Mapping[int, Iterable[int]], n: int) -> str:
+    """Canonical key of the tree given as a {node: neighbours} mapping, in
+    which ids below n are leaves and other ids are arbitrary.
+
+    Each directed edge (p, v) gets the nested-parenthesis encoding of the
+    side of v seen from p: one walk from a leaf fills the edges pointing
+    away from it, leaves first, and a second pass in walk order fills the
+    edges pointing back. The key is the least "a|b" over all edges, with
+    a <= b the encodings of the edge's two sides.
+    """
+    root = next(v for v in adjacency if v < n)
+    parent = {root: -1}
+    order = [root]
+    for v in order:
+        for w in adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    enc: dict[tuple[int, int], str] = {}
+
+    def side(p: int, v: int) -> str:
+        if v < n:
+            return str(v)
+        return "(" + ",".join(sorted(enc[v, w] for w in adjacency[v] if w != p)) + ")"
+
+    for v in reversed(order[1:]):
+        enc[parent[v], v] = side(parent[v], v)
+    for v in order:
+        for w in adjacency[v]:
+            if w != parent[v]:
+                enc[w, v] = side(w, v)
+    return min("|".join(sorted((a, enc[w, v]))) for (v, w), a in enc.items() if v < w)
 
 
 # ---------------------------------------------------------------------- #

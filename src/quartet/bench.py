@@ -81,7 +81,7 @@ def generate_artificial(
     for _ in range(num_mutations):
         for _ in range(sample_k(rng)):
             simple_mutation(adj, n, rng)
-    planted = Tree(adj, validate=True, _copy=False)
+    planted = Tree(adj, validate=True)
     d = (hop_distances(planted).astype(np.float64) + 1.0) / n
     np.fill_diagonal(d, 0.0)
     return planted, DistanceMatrix(d)

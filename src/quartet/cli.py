@@ -60,7 +60,6 @@ def _add_search_flags(p: argparse.ArgumentParser, runs_flag: str = "--runs") -> 
                    help="examined trees without improvement before stopping (default 100000)")
     p.add_argument("--max-trees", type=int, default=None)
     p.add_argument("--mode", choices=["hill", "metropolis"], default=None)
-    p.add_argument("--scorer", choices=["naive", "fast"], default=None)
     p.add_argument(runs_flag, type=int, default=None, dest="runs_r",
                    help="override the agreement run count r")
     p.add_argument("--trial-length", type=int, default=None,
@@ -81,8 +80,6 @@ def _config_from_args(args) -> SearchConfig:
         kw["max_trees"] = args.max_trees
     if args.mode is not None:
         kw["mode"] = {"hill": "hill_climb", "metropolis": "metropolis"}[args.mode]
-    if args.scorer is not None:
-        kw["scorer"] = args.scorer
     if args.runs_r is not None:
         kw["runs_r"] = args.runs_r
     if args.trial_length is not None:

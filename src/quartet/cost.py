@@ -252,7 +252,8 @@ class ScoreBounds:
 
 
 def tree_cost_naive(tree_or_adj, cf: CostFunction, n: int | None = None) -> float:
-    """C_T summed over the tree's embedded topologies in quartet rank order.
+    """C_T summed over the tree's embedded topologies in quartet rank order,
+    for a ``Tree`` or neighbour rows (``Tree.copy_adjacency()``).
 
     The reference scorer: works for any cost function and is the oracle the
     decomposition scorer is checked against.
@@ -284,7 +285,8 @@ def bounds(cf: CostFunction) -> ScoreBounds:
 
 def is_min_perfect(tree_or_adj, cf: CostFunction, n: int | None = None) -> bool:
     """Exact certificate that every quartet is embedded at its minimal cost
-    (equivalently C_T = m, hence S(T) = 1)."""
+    (equivalently C_T = m, hence S(T) = 1), for a ``Tree`` or neighbour
+    rows."""
     adj, n = _adj_of(tree_or_adj, n)
     if n != cf.n:
         raise ValueError(f"tree has {n} leaves but cost function covers {cf.n}")
@@ -326,9 +328,10 @@ def score(tree: Tree, cf: CostFunction) -> float:
     return score_from_cost(cost, b, is_min_perfect(tree, cf))
 
 
-def _adj_of(tree_or_adj, n: int | None) -> tuple[np.ndarray, int]:
+def _adj_of(tree_or_adj, n: int | None) -> tuple[list[list[int]], int]:
+    """Neighbour rows and leaf count of a ``Tree``, or of rows as given."""
     if isinstance(tree_or_adj, Tree):
-        return tree_or_adj.adj_array, tree_or_adj.n
+        return tree_or_adj.copy_adjacency(), tree_or_adj.n
     if n is None:
-        n = (tree_or_adj.shape[0] + 2) // 2
+        n = (len(tree_or_adj) + 2) // 2
     return tree_or_adj, n

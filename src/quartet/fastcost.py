@@ -43,10 +43,10 @@ __all__ = [
 ]
 
 
-def cost_distance_from_adj(adj: np.ndarray, n: int, d: np.ndarray) -> float:
-    """C_T on raw arrays (the search inner loop): ``adj`` is the (2n-2, 3)
-    adjacency, ``d`` the (n, n) distance matrix."""
-    rows = adj.tolist()
+def cost_distance_from_adj(adj: list[list[int]], n: int, d: np.ndarray) -> float:
+    """C_T of the tree in the search's working state (the inner loop):
+    ``adj`` holds the 2n-2 neighbour rows of ``Tree.copy_adjacency()``, in
+    any slot order, and ``d`` is the (n, n) distance matrix."""
     m = 2 * n - 2
     root = n
     # Walk the internal nodes from ``root``. A leaf takes the next walk-order
@@ -63,7 +63,7 @@ def cost_distance_from_adj(adj: np.ndarray, n: int, d: np.ndarray) -> float:
         v = stack.pop()
         pre.append(v)
         lo[v] = leaves
-        for w in rows[v]:
+        for w in adj[v]:
             if parent[w] < 0:
                 parent[w] = v
                 if w < n:
@@ -88,7 +88,7 @@ def cost_distance_from_adj(adj: np.ndarray, n: int, d: np.ndarray) -> float:
         g[v] += s * (s - 1) // 2
         if v != root:
             dep[v] = dep[pv] + g[pv] + g[v] - sv * (sv - 1) - s * (s - 1)
-        a, b, c = rows[v]
+        a, b, c = adj[v]
         if a == pv:
             a = c
         elif b == pv:
@@ -132,7 +132,7 @@ def tree_cost_fast(tree: Tree, dm) -> float:
         raise ValueError(
             f"tree has {tree.n} leaves but distance matrix is {d.shape[0]}x{d.shape[1]}"
         )
-    return cost_distance_from_adj(tree.adj_array, tree.n, d)
+    return cost_distance_from_adj(tree.copy_adjacency(), tree.n, d)
 
 
 def subtree_leaf_counts(tree: Tree, p: int) -> tuple[int, int, int]:

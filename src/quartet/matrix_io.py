@@ -61,36 +61,28 @@ def _build(values: np.ndarray, names, line_hint: int | None = None) -> DistanceM
 
 
 def _parse_csv(text: str) -> DistanceMatrix:
-    rows = []
-    names = None
+    lines = []
     lineno = 0
-    first_data_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if not rows and names is None:
-            try:
-                [float(c) for c in cells]
-            except ValueError:
-                names = cells
-                continue
-        if first_data_line is None:
-            first_data_line = lineno
-        rows.append([_parse_float(c, lineno, i + 1) for i, c in enumerate(cells)])
-    if not rows:
+        if line and not line.startswith("#"):
+            lines.append((lineno, [c.strip() for c in line.split(",")]))
+    if not lines:
         raise MatrixParseError("no matrix rows found", lineno or None)
+    names = None
+    # Row 1 names the items only when one row per name follows it, so a typo
+    # in the first row of a headerless matrix is reported where it is.
+    if len(lines) == len(lines[0][1]) + 1:
+        try:
+            [float(c) for c in lines[0][1]]
+        except ValueError:
+            names = lines.pop(0)[1]
+    rows = [[_parse_float(c, ln, i + 1) for i, c in enumerate(cells)] for ln, cells in lines]
     n = len(rows)
-    for i, row in enumerate(rows):
+    for (ln, _), row in zip(lines, rows):
         if len(row) != n:
-            raise MatrixParseError(
-                f"row has {len(row)} values but the matrix has {n} rows",
-                (first_data_line or 1) + i,
-            )
-    if names is not None and len(names) != n:
-        raise MatrixParseError(f"header names {len(names)} != matrix size {n}", 1)
-    return _build(np.array(rows, dtype=np.float64), names, first_data_line)
+            raise MatrixParseError(f"row has {len(row)} values but the matrix has {n} rows", ln)
+    return _build(np.array(rows, dtype=np.float64), names, lines[0][0])
 
 
 def _format_csv(dm: DistanceMatrix) -> str:

@@ -84,36 +84,38 @@ class MutationRecord:
         ops = tuple(int(x) for x in parts[1:])
         if len(ops) != want[parts[0]]:
             raise ValueError(f"{parts[0]} needs {want[parts[0]]} operands: {line!r}")
+        if min(ops) < 0:  # -1 pads leaf rows, so it must not pass for a node
+            raise ValueError(f"negative node id in mutation record: {line!r}")
         return cls(parts[0], ops)
 
 
 # ---------------------------------------------------------------------- #
-# Array surgery
+# Surgery on neighbour rows (a list, or a {node: list} mapping)
 # ---------------------------------------------------------------------- #
 
 
-def _apply_leaf_swap(adj: np.ndarray, u: int, v: int) -> None:
-    pu, pv = int(adj[u, 0]), int(adj[v, 0])
+def _apply_leaf_swap(adj, u: int, v: int) -> None:
+    pu, pv = adj[u][0], adj[v][0]
     if pu == pv:
         raise ValueError(f"leaves {u} and {v} are siblings")
     _replace_neighbor(adj, pu, u, v)
     _replace_neighbor(adj, pv, v, u)
-    adj[u, 0] = pv
-    adj[v, 0] = pu
+    adj[u][0] = pv
+    adj[v][0] = pu
 
 
-def _apply_subtree_swap(adj: np.ndarray, u: int, x: int, y: int, w: int) -> None:
+def _apply_subtree_swap(adj, u: int, x: int, y: int, w: int) -> None:
     _replace_neighbor(adj, u, x, y)
     _replace_neighbor(adj, x, u, w)
     _replace_neighbor(adj, y, w, u)
     _replace_neighbor(adj, w, y, x)
 
 
-def _apply_transfer(adj: np.ndarray, s: int, a: int, b: int, c: int, e: int, f: int) -> None:
-    have = {int(q) for q in adj[a] if q >= 0}
+def _apply_transfer(adj, s: int, a: int, b: int, c: int, e: int, f: int) -> None:
+    have = {q for q in adj[a] if q >= 0}
     if have != {s, b, c}:
         raise ValueError(f"transfer record mismatch: node {a} has neighbors {sorted(have)}")
-    if f not in {int(q) for q in adj[e] if q >= 0}:
+    if f not in adj[e]:
         raise ValueError(f"transfer record mismatch: no edge {e}-{f}")
     _replace_neighbor(adj, b, a, c)
     _replace_neighbor(adj, c, a, b)
@@ -123,15 +125,15 @@ def _apply_transfer(adj: np.ndarray, s: int, a: int, b: int, c: int, e: int, f: 
     _replace_neighbor(adj, a, c, f)
 
 
-def apply_record(adj: np.ndarray, record: MutationRecord) -> None:
-    """Replay one record on a writable adjacency array, in place."""
+def apply_record(adj, record: MutationRecord) -> None:
+    """Replay one record in place on neighbour rows: the list from
+    ``Tree.copy_adjacency()`` or a {node: neighbours} mapping of lists.
+    A record that does not match the tree raises ValueError."""
     if record.kind == "leaf_interchange":
         _apply_leaf_swap(adj, *record.operands)
     elif record.kind == "subtree_interchange":
         u, x, y, w = record.operands
-        if x not in {int(q) for q in adj[u] if q >= 0} or w not in {
-            int(q) for q in adj[y] if q >= 0
-        }:
+        if x not in adj[u] or w not in adj[y]:
             raise ValueError(f"interchange record mismatch: {record.to_line()}")
         _apply_subtree_swap(adj, u, x, y, w)
     elif record.kind == "subtree_transfer":
@@ -145,11 +147,11 @@ def replay_records(tree: Tree, records) -> Tree:
     adj = tree.copy_adjacency()
     for rec in records:
         apply_record(adj, rec)
-    return Tree(adj, validate=True, _copy=False)
+    return Tree(adj, validate=True)
 
 
 # ---------------------------------------------------------------------- #
-# Random simple mutations (in-place on adjacency arrays)
+# Random simple mutations (in place on neighbour rows)
 # ---------------------------------------------------------------------- #
 
 
@@ -157,11 +159,11 @@ def _rand_leaf_interchange(adj, n, rng) -> MutationRecord | None:
     for _ in range(64):
         u = int(rng.integers(n))
         v = int(rng.integers(n))
-        if u != v and adj[u, 0] != adj[v, 0]:
+        if u != v and adj[u][0] != adj[v][0]:
             _apply_leaf_swap(adj, u, v)
             return MutationRecord("leaf_interchange", (u, v))
     pairs = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if adj[u, 0] != adj[v, 0]
+        (u, v) for u in range(n) for v in range(u + 1, n) if adj[u][0] != adj[v][0]
     ]
     if not pairs:
         return None
@@ -170,13 +172,13 @@ def _rand_leaf_interchange(adj, n, rng) -> MutationRecord | None:
     return MutationRecord("leaf_interchange", (u, v))
 
 
-def _near(rows, u, w) -> bool:
+def _near(adj, u, w) -> bool:
     """Path distance < 3: equal, adjacent, or sharing a neighbor."""
-    ru = rows[u]
+    ru = adj[u]
     if w in ru:
         return True
     for x in ru:
-        if x >= 0 and w in rows[x]:
+        if x >= 0 and w in adj[x]:
             return True
     return False
 
@@ -185,7 +187,6 @@ def _rand_subtree_interchange(adj, n, rng) -> MutationRecord | None:
     m = 2 * n - 2
     if n == 4:  # nothing is 3 steps from an internal node
         return None
-    rows = adj.tolist()
     for _ in range(64):
         u = int(rng.integers(m))
         w = int(rng.integers(m))
@@ -193,9 +194,9 @@ def _rand_subtree_interchange(adj, n, rng) -> MutationRecord | None:
             continue
         if u < n:  # keep the internal node in the u role
             u, w = w, u
-        if _near(rows, u, w):
+        if _near(adj, u, w):
             continue
-        path = _bfs_path(rows, u, w)
+        path = _bfs_path(adj, u, w)
         x, y = path[1], path[-2]
         _apply_subtree_swap(adj, u, x, y, w)
         return MutationRecord("subtree_interchange", (u, x, y, w))
@@ -204,18 +205,18 @@ def _rand_subtree_interchange(adj, n, rng) -> MutationRecord | None:
         for w in range(m):
             if w == u or (n <= w < u):
                 continue
-            if not _near(rows, u, w):
+            if not _near(adj, u, w):
                 cands.append((u, w))
     if not cands:
         return None
     u, w = cands[int(rng.integers(len(cands)))]
-    path = _bfs_path(rows, u, w)
+    path = _bfs_path(adj, u, w)
     x, y = path[1], path[-2]
     _apply_subtree_swap(adj, u, x, y, w)
     return MutationRecord("subtree_interchange", (u, x, y, w))
 
 
-def _transfer_candidates(rows, n, a, s):
+def _transfer_candidates(adj, n, a, s):
     """Edges available for reattachment after cutting a-s: both endpoints
     outside the detached component and distinct from the smoothed node a.
     Excludes the edge created by smoothing, so a transfer always changes
@@ -227,7 +228,7 @@ def _transfer_candidates(rows, n, a, s):
     while stack:
         v = stack.pop()
         if v >= n:
-            for w in rows[v]:
+            for w in adj[v]:
                 if w != a and not inside[w]:
                     inside[w] = True
                     stack.append(w)
@@ -235,7 +236,7 @@ def _transfer_candidates(rows, n, a, s):
     for v in range(m):
         if inside[v] or v == a:
             continue
-        for w in rows[v]:
+        for w in adj[v]:
             if w > v and w != a and not inside[w]:
                 edges.append((v, w))
     return edges
@@ -245,29 +246,27 @@ def _rand_subtree_transfer(adj, n, rng) -> MutationRecord | None:
     if n == 4:  # only recreates the same labeled tree
         return None
     m = 2 * n - 2
-    rows = adj.tolist()
     for _ in range(64):
         a = n + int(rng.integers(n - 2))
-        s = rows[a][int(rng.integers(3))]
-        edges = _transfer_candidates(rows, n, a, s)
+        s = adj[a][int(rng.integers(3))]
+        edges = _transfer_candidates(adj, n, a, s)
         if not edges:
             continue
         e, f = edges[int(rng.integers(len(edges)))]
-        b, c = sorted(q for q in rows[a] if q != s)
+        b, c = sorted(q for q in adj[a] if q != s)
         _apply_transfer(adj, s, a, b, c, e, f)
         return MutationRecord("subtree_transfer", (s, a, b, c, e, f))
     options = []
     for a in range(n, m):
-        for slot in range(3):
-            s = rows[a][slot]
-            edges = _transfer_candidates(rows, n, a, s)
+        for s in adj[a]:
+            edges = _transfer_candidates(adj, n, a, s)
             if edges:
                 options.append((a, s, edges))
     if not options:
         return None
     a, s, edges = options[int(rng.integers(len(options)))]
     e, f = edges[int(rng.integers(len(edges)))]
-    b, c = sorted(q for q in rows[a] if q != s)
+    b, c = sorted(q for q in adj[a] if q != s)
     _apply_transfer(adj, s, a, b, c, e, f)
     return MutationRecord("subtree_transfer", (s, a, b, c, e, f))
 
@@ -275,9 +274,11 @@ def _rand_subtree_transfer(adj, n, rng) -> MutationRecord | None:
 _RAND_BY_KIND = (_rand_leaf_interchange, _rand_subtree_interchange, _rand_subtree_transfer)
 
 
-def simple_mutation(adj: np.ndarray, n: int, rng: np.random.Generator) -> MutationRecord:
-    """One simple mutation in place, kind uniform over the three; ineligible
-    draws (possible only at small n) resample the kind."""
+def simple_mutation(adj: list[list[int]], n: int, rng: np.random.Generator) -> MutationRecord:
+    """One simple mutation in place on the neighbour rows ``adj`` (from
+    ``Tree.copy_adjacency()``) of a tree over n leaves, kind uniform over the
+    three; ineligible draws (possible only at small n) resample the kind.
+    Slot order within the rows may change."""
     while True:
         rec = _RAND_BY_KIND[int(rng.integers(3))](adj, n, rng)
         if rec is not None:
@@ -292,7 +293,7 @@ def _tree_op(tree: Tree, rng, fn) -> tuple[Tree, MutationRecord | None]:
     rec = fn(adj, tree.n, rng)
     if rec is None:
         return tree, None
-    return Tree(adj, validate=True, _copy=False), rec
+    return Tree(adj, validate=True), rec
 
 
 def leaf_interchange(tree: Tree, rng) -> tuple[Tree, MutationRecord | None]:
@@ -318,7 +319,7 @@ def k_mutation(tree: Tree, k: int, rng) -> tuple[Tree, list[MutationRecord]]:
         raise ValueError(f"k must be >= 1, got {k}")
     adj = tree.copy_adjacency()
     records = [simple_mutation(adj, tree.n, rng) for _ in range(k)]
-    return Tree(adj, validate=True, _copy=False), records
+    return Tree(adj, validate=True), records
 
 
 # ---------------------------------------------------------------------- #
@@ -394,32 +395,18 @@ def sample_k_batch(rng: np.random.Generator, size: int, k_max: int = DEFAULT_K_M
 # leaves; ("subleaf", u, w) swaps the subtree hanging at node u with leaf w
 # at path distance >= 3. Operands are resolved against the current tree when
 # the op is applied, which keeps one op meaningful both on a glued view and
-# on the corresponding full tree.
+# on the corresponding full tree. The construction works on {node: [neighbours]}
+# mappings, since gluing drops nodes.
 
 
-def _dict_adj(tree: Tree) -> dict[int, set[int]]:
-    return {v: set(tree.neighbors(v)) for v in range(tree.node_count)}
-
-
-def _apply_op_dict(adj: dict[int, set[int]], n: int, op) -> None:
+def _op_record(adj, op) -> MutationRecord:
+    """The simple mutation that carries out ``op`` on the tree ``adj``."""
     if op[0] == "leaf":
-        _, u, v = op
-        (pu,) = adj[u]
-        (pv,) = adj[v]
-        assert pu != pv, "leaf swap operands are siblings"
-        adj[pu].discard(u); adj[pu].add(v)
-        adj[pv].discard(v); adj[pv].add(u)
-        adj[u] = {pv}
-        adj[v] = {pu}
-        return
+        return MutationRecord("leaf_interchange", (op[1], op[2]))
     _, u, w = op
     path = _bfs_path(adj, u, w)
     assert len(path) >= 4, f"subtree swap needs distance >= 3, path {path}"
-    x, y = path[1], path[-2]
-    adj[u].discard(x); adj[x].discard(u)
-    adj[y].discard(w); adj[w].discard(y)
-    adj[u].add(y); adj[y].add(u)
-    adj[w].add(x); adj[x].add(w)
+    return MutationRecord("subtree_interchange", (u, path[1], path[-2], w))
 
 
 def _leaf_nbrs(adj, n, v):
@@ -430,10 +417,15 @@ def _end_internals(adj, n):
     return sorted(v for v in adj if v >= n and len(_leaf_nbrs(adj, n, v)) == 2)
 
 
-def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
+def _solve_path(W: dict[int, list[int]], T: dict[int, list[int]], n: int) -> list:
     """Emit ops transforming W into (a tree leaf-label-isomorphic to) T.
     Mutates W; T is never modified."""
     ops: list = []
+
+    def emit(op) -> None:
+        apply_record(W, _op_record(W, op))
+        ops.append(op)
+
     if _canonical_key(W, n) == _canonical_key(T, n):
         return ops
     leaves = sorted(v for v in W if v < n)
@@ -446,12 +438,11 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
                 (pv,) = W[v]
                 if pu == pv:
                     continue
-                trial = {a: set(b) for a, b in W.items()}
-                _apply_op_dict(trial, n, ("leaf", u, v))
+                trial = {a: list(b) for a, b in W.items()}
+                _apply_leaf_swap(trial, u, v)
                 if _canonical_key(trial, n) == target:
-                    op = ("leaf", u, v)
-                    _apply_op_dict(W, n, op)
-                    return [op]
+                    emit(("leaf", u, v))
+                    return ops
         raise AssertionError("distinct 4-leaf trees always differ by one swap")
 
     # normalize: an end internal node E whose internal neighbor M carries
@@ -467,17 +458,16 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
         ends = _end_internals(W, n)
         Y, U = ends[0], ends[1]
         a1, a2 = _leaf_nbrs(W, n, Y)
-        op = ("subleaf", U, a1)
-        _apply_op_dict(W, n, op)
-        ops.append(op)
+        emit(("subleaf", U, a1))
         M, E, lhid = Y, U, a2
 
     # glue {M, l, E} into a composite end node kept under M's id
-    Wg = {v: set(nb) for v, nb in W.items() if v not in (E, lhid)}
+    Wg = {v: list(nb) for v, nb in W.items() if v not in (E, lhid)}
     slots = [w for w in W[E] if w != M]
-    Wg[M] = (W[M] - {lhid, E}) | set(slots)
+    _replace_neighbor(Wg, M, lhid, slots[0])
+    _replace_neighbor(Wg, M, E, slots[1])
     for t in slots:
-        Wg[t] = (W[t] - {E}) | {M}
+        _replace_neighbor(Wg, t, E, M)
 
     # target-side contraction
     (N1,) = T[lhid]
@@ -486,20 +476,20 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
     if len(n1_leaves) == 2:
         lprime = next(x for x in n1_leaves if x != lhid)
         P = next(w for w in T[N1] if w not in (lhid, lprime))
-        Tg = {v: set(nb) for v, nb in T.items() if v not in (lhid, N1)}
-        Tg[lprime] = {P}
-        Tg[P] = (T[P] - {N1}) | {lprime}
+        Tg = {v: list(nb) for v, nb in T.items() if v not in (lhid, N1)}
+        Tg[lprime] = [P]
+        _replace_neighbor(Tg, P, N1, lprime)
     else:
         e1 = min(_end_internals(T, n), key=lambda v: min(_leaf_nbrs(T, n, v)))
         p_, q_ = _leaf_nbrs(T, n, e1)
         lprime = p_
         P = next(w for w in T[e1] if w >= n or w not in (p_, q_))
-        Tg = {v: set(nb) for v, nb in T.items() if v not in (q_, e1)}
-        Tg[lprime] = {P}
-        Tg[P] = (T[P] - {e1}) | {lprime}
+        Tg = {v: list(nb) for v, nb in T.items() if v not in (q_, e1)}
+        Tg[lprime] = [P]
+        _replace_neighbor(Tg, P, e1, lprime)
         # stand-in: label q_ takes l's place during the recursion
         (pl,) = Tg[lhid]
-        Tg[pl] = (Tg[pl] - {lhid}) | {q_}
+        _replace_neighbor(Tg, pl, lhid, q_)
         Tg[q_] = Tg.pop(lhid)
         fix_swap = (lhid, q_)
 
@@ -510,8 +500,7 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
     for op in _solve_path(Wg, Tg, n):
         if op[0] == "subleaf" and op[1] == M and _bfs_path(W, M, op[2])[1] == E:
             op = ("subleaf", E, op[2])
-        _apply_op_dict(W, n, op)
-        ops.append(op)
+        emit(op)
 
     # expansion fix-up: route the composite's extra node to l'-position
     zcur = next(w for w in W[M] if w not in (lhid, E))
@@ -519,29 +508,21 @@ def _solve_path(W: dict[int, set[int]], T: dict[int, set[int]], n: int) -> list:
     if pathml[1] == E:
         if lprime in W[E]:
             other = next(w for w in W[E] if w not in (M, lprime))
-            op = ("leaf" if other < n else "subleaf", other, lhid)
-            _apply_op_dict(W, n, op)
-            ops.append(op)
+            emit(("leaf" if other < n else "subleaf", other, lhid))
         else:
             for op in (("subleaf", M, lprime),
                        ("leaf" if zcur < n else "subleaf", zcur, lprime)):
-                _apply_op_dict(W, n, op)
-                ops.append(op)
+                emit(op)
     elif zcur != lprime:
         if len(pathml) == 3:  # l' hangs directly on M's third neighbor
-            op = ("subleaf", E, lprime)
-            _apply_op_dict(W, n, op)
-            ops.append(op)
+            emit(("subleaf", E, lprime))
         else:
             for op in (("subleaf", M, lprime), ("subleaf", E, lprime)):
-                _apply_op_dict(W, n, op)
-                ops.append(op)
+                emit(op)
     # zcur == lprime: composite already sits at l'-position
 
     if fix_swap is not None:
-        op = ("leaf", fix_swap[0], fix_swap[1])
-        _apply_op_dict(W, n, op)
-        ops.append(op)
+        emit(("leaf", *fix_swap))
 
     assert _canonical_key(W, n) == _canonical_key(T, n), "level did not reach its target"
     return ops
@@ -553,17 +534,14 @@ def mutation_path(t0: Tree, t1: Tree) -> list[MutationRecord]:
     n=4). Replaying them on t0 yields a tree equal to t1."""
     if t0.n != t1.n:
         raise ValueError(f"trees have different label sets (n={t0.n} vs n={t1.n})")
-    ops = _solve_path(_dict_adj(t0), _dict_adj(t1), t0.n)
+    W, T = ({v: list(t.neighbors(v)) for v in range(t.node_count)} for t in (t0, t1))
+    ops = _solve_path(W, T, t0.n)
     records = []
     adj = t0.copy_adjacency()
     for op in ops:
-        if op[0] == "leaf":
-            rec = MutationRecord("leaf_interchange", (op[1], op[2]))
-        else:
-            path = _bfs_path(adj, op[1], op[2])
-            rec = MutationRecord("subtree_interchange", (op[1], path[1], path[-2], op[2]))
+        rec = _op_record(adj, op)
         apply_record(adj, rec)
         records.append(rec)
-    if not trees_equal(Tree(adj, validate=True, _copy=False), t1):  # pragma: no cover
+    if not trees_equal(Tree(adj, validate=True), t1):  # pragma: no cover
         raise AssertionError("mutation path failed to reach the target tree")
     return records

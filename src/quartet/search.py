@@ -85,7 +85,6 @@ class SearchConfig:
     trial_length: int | None = None  # None -> n
     metropolis_temperature: float | None = None  # None -> (M-m)/C(n,4)
     seed: int = 0
-    scorer: str | None = None  # "naive" | "fast" | None -> auto
     mode: str = "metropolis"  # "hill_climb" | "metropolis"
     k_max: int = DEFAULT_K_MAX
     progress_path: str | Path | None = None
@@ -96,8 +95,6 @@ class SearchConfig:
             raise ValueError(f"unknown termination {self.termination!r}")
         if self.mode not in ("hill_climb", "metropolis"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.scorer not in (None, "naive", "fast"):
-            raise ValueError(f"unknown scorer {self.scorer!r}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.trial_length is not None and self.trial_length < 1:
@@ -123,7 +120,7 @@ class SearchResult:
     terminated_by: str  # perfect_score | agreement | patience | max_trees
     bounds: ScoreBounds
     mode: str
-    scorer: str
+    scorer: str  # "fast" for distance-backed costs, else "naive"
     backend: str = BACKEND
     k_accepted: list[int] = field(default_factory=list)
     k_rejected: list[int] = field(default_factory=list)
@@ -149,38 +146,30 @@ class SearchResult:
 
 
 class _Scorer:
-    """Uniform cost interface over adjacency arrays, plus the exactness
+    """Uniform cost interface over neighbour rows, plus the exactness
     certificate trigger (cost within rounding distance of the lower
-    bound)."""
+    bound). The kind of cost function picks the scorer: the O(n^2) one for
+    distance-backed costs, the naive one for explicit costs."""
 
-    def __init__(self, cf: CostFunction, which: str):
+    def __init__(self, cf: CostFunction):
         self.cf = cf
         self.n = cf.n
-        self.which = which
         self.bounds = cost_bounds(cf)
         b = self.bounds
         self.trigger = b.m + 1e-9 * (abs(b.m) + abs(b.M) + 1.0)
-        if which == "fast":
-            if not isinstance(cf, DistanceCostFunction):
-                raise ValueError("fast scorer needs a distance-backed cost function")
-            self._d = cf.dm.d
+        self._d = cf.dm.d if isinstance(cf, DistanceCostFunction) else None
+        self.which = "naive" if self._d is None else "fast"
 
-    def cost(self, adj: np.ndarray) -> float:
-        if self.which == "fast":
+    def cost(self, adj: list[list[int]]) -> float:
+        if self._d is not None:
             return cost_distance_from_adj(adj, self.n, self._d)
         return tree_cost_naive(adj, self.cf, self.n)
 
-    def certify_perfect(self, adj: np.ndarray, cost: float) -> bool:
+    def certify_perfect(self, adj: list[list[int]], cost: float) -> bool:
         return cost <= self.trigger and is_min_perfect(adj, self.cf, self.n)
 
     def score(self, cost: float, perfect: bool) -> float:
         return score_from_cost(cost, self.bounds, perfect)
-
-
-def _pick_scorer(cf: CostFunction, choice: str | None) -> str:
-    if choice is None:
-        return "fast" if isinstance(cf, DistanceCostFunction) else "naive"
-    return choice
 
 
 def _temperature(config: SearchConfig, scorer: _Scorer) -> float:
@@ -206,13 +195,12 @@ class _Run:
         self.trial_length = config.trial_length or self.n
         self.rng = rng
         self.examined = 0
-        self.best_adj: np.ndarray | None = None
+        self.best_adj: list[list[int]] = []
         self.best_cost = math.inf
         self.perfect = False
         self.improved = False
         self.initialized = False
         self._key: str | None = None
-        self._work: np.ndarray | None = None
         self.k_accepted: list[int] = []
         self.k_rejected: list[int] = []
         self.trace: list[MutationRecord] = []
@@ -235,7 +223,6 @@ class _Run:
         """Examine ``tree`` as the run's first best tree."""
         self.initial_tree = tree
         self.best_adj = tree.copy_adjacency()
-        self._work = self.best_adj.copy()
         self.best_cost = self.scorer.cost(self.best_adj)
         self.examined += 1
         self.improved = True
@@ -244,13 +231,12 @@ class _Run:
 
     def _gen_hill(self) -> None:
         k = sample_k(self.rng, self.cfg.k_max)
-        work = self._work
-        np.copyto(work, self.best_adj)
+        work = [row[:] for row in self.best_adj]
         recs = [simple_mutation(work, self.n, self.rng) for _ in range(k)]
         c = self.scorer.cost(work)
         self.examined += 1
         if c < self.best_cost:
-            np.copyto(self.best_adj, work)
+            self.best_adj = work
             self.best_cost = c
             self._key = None
             self.improved = True
@@ -262,11 +248,10 @@ class _Run:
             self.k_rejected.append(k)
 
     def _gen_metropolis(self, budget: int | None) -> None:
-        cur = self._work
-        np.copyto(cur, self.best_adj)
+        cur = [row[:] for row in self.best_adj]
         ccur = self.best_cost
         walk_cost = self.best_cost
-        walk_best = None
+        walk_best = self.best_adj
         recs: list[MutationRecord] = []
         best_prefix = 0
         steps = self.trial_length if budget is None else min(self.trial_length, budget)
@@ -281,10 +266,7 @@ class _Run:
                 recs.append(rec)
                 if ccur < walk_cost:
                     walk_cost = ccur
-                    if walk_best is None:
-                        walk_best = cur.copy()
-                    else:
-                        np.copyto(walk_best, cur)
+                    walk_best = [row[:] for row in cur]
                     best_prefix = len(recs)
                     if self.scorer.certify_perfect(cur, ccur):
                         self.perfect = True
@@ -292,7 +274,7 @@ class _Run:
             else:
                 apply_record(cur, rec.inverse())
         if walk_cost < self.best_cost:
-            np.copyto(self.best_adj, walk_best)
+            self.best_adj = walk_best
             self.best_cost = walk_cost
             self._key = None
             self.improved = True
@@ -317,8 +299,7 @@ def search(
 ) -> SearchResult:
     """Run the configured search on a cost function over cf.n items."""
     config = replace(config or SearchConfig(), **overrides)
-    which = _pick_scorer(cf, config.scorer)
-    scorer = _Scorer(cf, which)
+    scorer = _Scorer(cf)
     n = cf.n
     b = scorer.bounds
     theta = _temperature(config, scorer)
@@ -398,7 +379,7 @@ def search(
         terminated_by=reason,
         bounds=b,
         mode=config.mode,
-        scorer=which,
+        scorer=scorer.which,
         k_accepted=[k for run in runs for k in run.k_accepted],
         k_rejected=[k for run in runs for k in run.k_rejected],
     )
@@ -435,7 +416,7 @@ def metropolis_trial(
     config = config or SearchConfig()
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(config.seed))
-    scorer = _Scorer(cf, _pick_scorer(cf, config.scorer))
+    scorer = _Scorer(cf)
     run = _Run(scorer, config, rng, _temperature(config, scorer))
     run.start(t0)
     run._gen_metropolis(None)
@@ -494,4 +475,4 @@ def replay_trace(path) -> tuple[Tree, list[MutationRecord], Tree]:
     adj = initial.copy_adjacency()
     for rec in records:
         apply_record(adj, rec)
-    return initial, records, Tree(adj, validate=True, _copy=False)
+    return initial, records, Tree(adj, validate=True)

@@ -2,9 +2,18 @@
 
 A tree over n >= 4 items has n leaves labeled 0..n-1 (node ids equal labels)
 and n-2 unlabeled internal nodes with ids n..2n-3, every internal node of
-degree 3. The adjacency lives in a read-only (2n-2, 3) int32 array: leaf rows
-hold their single neighbor in column 0 (-1 elsewhere), internal rows hold
-their three neighbors sorted ascending.
+degree 3. The adjacency has two layouts, both with three slots per node: leaf
+rows hold their single neighbor in slot 0 (-1 elsewhere), internal rows their
+three neighbors.
+
+* Inside a ``Tree`` it is frozen storage, a read-only (2n-2, 3) int32 array
+  (``Tree.adj_array``) with each internal row sorted ascending.
+* The writable working state is a list of 2n-2 neighbour lists, the layout
+  of ``adj_array.tolist()``, from ``Tree.copy_adjacency()``. The moves, the
+  search, ``mutation_path`` and the scorers edit and walk these rows in
+  place, in whatever slot order the moves leave; ``Tree(rows)`` freezes them
+  again. Passes that compute on numbers (hop matrices, lca blocks, quartet
+  slabs) build numpy arrays from the rows.
 
 Quartet topologies are canonical pairings uv|wx of four distinct labels; a
 topology is embedded in a tree when the u-v and w-x paths share no vertex.
@@ -130,8 +139,8 @@ class Tree:
 
     __slots__ = ("n", "_adj", "_canon")
 
-    def __init__(self, adj: np.ndarray, *, validate: bool = True, _copy: bool = True):
-        adj = np.array(adj, dtype=np.int32, copy=_copy)
+    def __init__(self, adj, *, validate: bool = True):
+        adj = np.array(adj, dtype=np.int32)
         if adj.ndim != 2 or adj.shape[1] != 3 or adj.shape[0] % 2 != 0:
             raise ValueError(f"adjacency array has shape {adj.shape}, expected (2n-2, 3)")
         n = (adj.shape[0] + 2) // 2
@@ -152,7 +161,7 @@ class Tree:
         if m % 2 != 0 or m < 6:
             raise ValueError(f"a ternary tree needs 2n-2 >= 6 nodes, got {m}")
         n = (m + 2) // 2
-        adj = np.full((m, 3), -1, dtype=np.int32)
+        adj = [[-1, -1, -1] for _ in range(m)]
         for v, nbrs in adjacency.items():
             nbrs = sorted(int(x) for x in nbrs)
             if not 0 <= v < m:
@@ -163,26 +172,26 @@ class Tree:
                     f"node {v} has degree {len(nbrs)}, expected {want} "
                     f"({'leaf' if v < n else 'internal'})"
                 )
-            adj[v, : len(nbrs)] = nbrs
-        return cls(adj, validate=True, _copy=False)
+            adj[v][: len(nbrs)] = nbrs
+        return cls(adj, validate=True)
 
     def _validate(self) -> None:
-        n, adj = self.n, self._adj
+        n, rows = self.n, self._adj.tolist()
         if n < 4:
             raise ValueError(f"need at least 4 leaves, got n={n}")
         m = 2 * n - 2
         seen_edges = set()
-        for v in range(m):
-            nbrs = [int(x) for x in adj[v] if x >= 0]
+        for v, row in enumerate(rows):
+            nbrs = [x for x in row if x >= 0]
             want = 1 if v < n else 3
-            if len(nbrs) != want or (v < n and (adj[v, 1] != -1 or adj[v, 2] != -1)):
+            if len(nbrs) != want or (v < n and row[1:] != [-1, -1]):
                 raise ValueError(f"node {v} has degree {len(nbrs)}, expected {want}")
             if len(set(nbrs)) != len(nbrs):
                 raise ValueError(f"node {v} has a repeated neighbor")
             for w in nbrs:
                 if not 0 <= w < m or w == v:
                     raise ValueError(f"node {v} has invalid neighbor {w}")
-                if v not in [int(x) for x in adj[w] if x >= 0]:
+                if v not in rows[w]:
                     raise ValueError(f"edge {v}-{w} is not symmetric")
                 seen_edges.add((min(v, w), max(v, w)))
         if len(seen_edges) != m - 1:
@@ -191,10 +200,10 @@ class Tree:
         stack, seen = [0], {0}
         while stack:
             v = stack.pop()
-            for w in adj[v]:
-                if w >= 0 and int(w) not in seen:
-                    seen.add(int(w))
-                    stack.append(int(w))
+            for w in rows[v]:
+                if w >= 0 and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
         if len(seen) != m:
             raise ValueError("tree is not connected")
 
@@ -233,9 +242,10 @@ class Tree:
         """Read-only (2n-2, 3) int32 adjacency; -1 pads leaf rows."""
         return self._adj
 
-    def copy_adjacency(self) -> np.ndarray:
-        """Writable copy of the adjacency array (mutation working state)."""
-        return self._adj.copy()
+    def copy_adjacency(self) -> list[list[int]]:
+        """The writable working state: a fresh list of 2n-2 neighbour lists,
+        ``adj_array.tolist()`` (leaf rows ``[p, -1, -1]``)."""
+        return self._adj.tolist()
 
     # -- identity ----------------------------------------------------------
 
@@ -316,11 +326,11 @@ def random_tree(n: int, rng: np.random.Generator) -> Tree:
     if n < 4:
         raise ValueError(f"need at least 4 leaves, got n={n}")
     m = 2 * n - 2
-    adj = np.full((m, 3), -1, dtype=np.int32)
+    adj = [[-1, -1, -1] for _ in range(m)]
     center = n
     for leaf in range(3):
-        adj[leaf, 0] = center
-        adj[center, leaf] = leaf
+        adj[leaf][0] = center
+        adj[center][leaf] = leaf
     edges = [(0, center), (1, center), (2, center)]
     next_internal = n + 1
     for leaf in range(3, n):
@@ -329,13 +339,11 @@ def random_tree(n: int, rng: np.random.Generator) -> Tree:
         next_internal += 1
         _replace_neighbor(adj, u, v, w)
         _replace_neighbor(adj, v, u, w)
-        adj[w, 0] = u
-        adj[w, 1] = v
-        adj[w, 2] = leaf
-        adj[leaf, 0] = w
+        adj[w] = [u, v, leaf]
+        adj[leaf][0] = w
         edges.remove((u, v))
         edges.extend([(u, w), (v, w), (leaf, w)])
-    return Tree(adj, validate=False, _copy=False)
+    return Tree(adj, validate=False)
 
 
 def enumerate_all_trees(n: int) -> Iterator[Tree]:
@@ -347,34 +355,36 @@ def enumerate_all_trees(n: int) -> Iterator[Tree]:
     if n < 4:
         raise ValueError(f"need at least 4 leaves, got n={n}")
 
-    def grow(adj: np.ndarray, edges: list[tuple[int, int]], leaf: int, nxt: int):
+    def grow(adj: list[list[int]], edges: list[tuple[int, int]], leaf: int, nxt: int):
         if leaf == n:
-            yield Tree(adj, validate=False, _copy=True)
+            yield Tree(adj, validate=False)
             return
         for u, v in list(edges):
-            a = adj.copy()
+            a = [row[:] for row in adj]
             w = nxt
             _replace_neighbor(a, u, v, w)
             _replace_neighbor(a, v, u, w)
-            a[w, 0], a[w, 1], a[w, 2] = u, v, leaf
-            a[leaf, 0] = w
+            a[w] = [u, v, leaf]
+            a[leaf][0] = w
             e2 = [e for e in edges if e != (u, v)] + [(u, w), (v, w), (leaf, w)]
             yield from grow(a, e2, leaf + 1, nxt + 1)
 
     m = 2 * n - 2
-    adj0 = np.full((m, 3), -1, dtype=np.int32)
+    adj0 = [[-1, -1, -1] for _ in range(m)]
     for leaf in range(3):
-        adj0[leaf, 0] = n
-        adj0[n, leaf] = leaf
+        adj0[leaf][0] = n
+        adj0[n][leaf] = leaf
     yield from grow(adj0, [(0, n), (1, n), (2, n)], 3, n + 1)
 
 
-def _replace_neighbor(adj: np.ndarray, v: int, old: int, new: int) -> None:
-    for slot in range(3):
-        if adj[v, slot] == old:
-            adj[v, slot] = new
-            return
-    raise ValueError(f"node {v} has no neighbor {old}")
+def _replace_neighbor(adj, v: int, old: int, new: int) -> None:
+    """In neighbour rows ``adj`` (a list, or a {node: list} mapping), make
+    ``new`` take the slot of ``old`` in row v."""
+    row = adj[v]
+    try:
+        row[row.index(old)] = new
+    except ValueError:
+        raise ValueError(f"node {v} has no neighbor {old}") from None
 
 
 # ---------------------------------------------------------------------- #
@@ -383,16 +393,16 @@ def _replace_neighbor(adj: np.ndarray, v: int, old: int, new: int) -> None:
 
 
 def _bfs_path(adj, src: int, dst: int) -> list[int]:
-    """Vertex path src..dst inclusive (unique in a tree)."""
+    """Vertex path src..dst inclusive (unique in a tree) in neighbour rows
+    ``adj``, a list or a {node: neighbours} mapping."""
     if src == dst:
         return [src]
-    rows = adj.tolist() if hasattr(adj, "tolist") else adj
     prev = {src: -1}
     queue = [src]
     while queue:
         nxt = []
         for v in queue:
-            for w in rows[v]:
+            for w in adj[v]:
                 if w >= 0 and w not in prev:
                     prev[w] = v
                     if w == dst:
@@ -407,13 +417,13 @@ def _bfs_path(adj, src: int, dst: int) -> list[int]:
 
 
 def hop_distances(tree_or_adj, n: int | None = None) -> np.ndarray:
-    """Leaf-to-leaf path lengths in edges, as an (n, n) int32 matrix."""
+    """Leaf-to-leaf path lengths in edges, as an (n, n) int32 matrix, of a
+    ``Tree`` or of neighbour rows over n leaves."""
     if isinstance(tree_or_adj, Tree):
-        adj, n = tree_or_adj.adj_array, tree_or_adj.n
+        rows, n = tree_or_adj.copy_adjacency(), tree_or_adj.n
     else:
-        adj = tree_or_adj
+        rows = tree_or_adj
         assert n is not None
-    rows = adj.tolist()
     out = np.empty((n, n), dtype=np.int32)
     for src in range(n):
         dist = [-1] * len(rows)
@@ -435,7 +445,7 @@ def is_consistent(tree: Tree, topo: QuartetTopology) -> bool:
     for lbl in topo.labels:
         if not 0 <= lbl < tree.n:
             raise ValueError(f"label {lbl} not present in tree with n={tree.n}")
-    adj = tree.adj_array
+    adj = tree.copy_adjacency()
     u, v = topo.pair_a
     w, x = topo.pair_b
     path_uv = set(_bfs_path(adj, u, v))
@@ -467,8 +477,9 @@ def embedded_quartets(tree: Tree) -> frozenset[QuartetTopology]:
     return frozenset(out)
 
 
-def embedded_topology_indices(adj: np.ndarray, n: int) -> np.ndarray:
-    """Per-quartet embedded topology index (0..2) in colex rank order."""
+def embedded_topology_indices(adj, n: int) -> np.ndarray:
+    """Per-quartet embedded topology index (0..2) in colex rank order, for
+    neighbour rows over n leaves."""
     return np.concatenate(
         [
             pick_embedded(sums, (0, 1, 2)).astype(np.int8)
@@ -751,6 +762,6 @@ def _check_names(n: int, names: Sequence[str] | None) -> list[str]:
 
 
 def _quote_name(name: str) -> str:
-    if name and not any(ch in "(),:;'\"[] \t\n" for ch in name):
+    if name and not any(ch in "(),:;'\"[]" or ch.isspace() for ch in name):
         return name
     return "'" + name.replace("'", "''") + "'"

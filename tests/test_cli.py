@@ -78,6 +78,9 @@ def test_ncd_rejects_thread_count_below_one(tmp_path, capsys, threads):
         ["bench", "artificial", "--n", "6", "--trials", "1", "--threads", "2"],
         ["bench", "stats", "--runs", "1", "--threads", "2"],
         ["frobnicate"],
+        ["cluster", "m.csv", "--scorer", "naive"],
+        ["bench", "artificial", "--n", "6", "--trials", "1", "--scorer", "fast"],
+        ["bench", "stats", "--runs", "1", "--scorer", "naive"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -64,6 +64,11 @@ def test_parse_errors_carry_positions():
         parse_matrix("BEGIN DISTANCES;", "nexus")
 
 
+def test_csv_first_row_typo_is_not_a_header():
+    with pytest.raises(MatrixParseError, match="line 1, column 3"):
+        parse_matrix("0,1,x\n1,0,2\nx,2,0\n", "csv")
+
+
 def test_nexus_lower_triangle_and_comments():
     text = """#NEXUS
 [ distance block written by another tool ]

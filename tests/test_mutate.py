@@ -143,6 +143,14 @@ def test_record_text_round_trip(rng):
         MutationRecord.from_line("grow 1 2")
 
 
+def test_record_lines_reject_negative_node_ids():
+    # -1 pads leaf rows of the working state; a record must not name it
+    for line in ("leaf_interchange 0 -1", "subtree_interchange 5 -1 6 2",
+                 "subtree_transfer 0 5 -1 6 7 8"):
+        with pytest.raises(ValueError, match="negative node id"):
+            MutationRecord.from_line(line)
+
+
 def test_apply_record_rejects_stale_records(rng):
     t = random_tree(8, rng)
     adj = t.copy_adjacency()

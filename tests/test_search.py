@@ -6,6 +6,7 @@ import pytest
 from quartet.cost import (
     DistanceCostFunction,
     DistanceMatrix,
+    ExplicitCostFunction,
     cost_from_mqc,
     tree_cost_naive,
 )
@@ -18,7 +19,14 @@ from quartet.search import (
     search,
     select_r,
 )
-from quartet.trees import Tree, embedded_quartets, hop_distances, random_tree, trees_equal
+from quartet.trees import (
+    Tree,
+    embedded_quartets,
+    enumerate_quartets,
+    hop_distances,
+    random_tree,
+    trees_equal,
+)
 
 from conftest import (
     adversarial_five_costs,
@@ -101,22 +109,22 @@ def test_determinism_same_seed(rng):
 
 
 def test_scorer_trajectory_equivalence(rng):
-    # same seed, naive vs fast scoring: identical improvement trajectory
+    # same seed, a distance-backed search (fast scorer) and one on the same
+    # costs given explicitly (naive scorer): identical improvement trajectory
     dm = random_symmetric_matrix(8, rng)
-    cf = DistanceCostFunction(dm)
-    rn = search(cf, seed=13, scorer="naive", max_trees=3000)
-    rf = search(cf, seed=13, scorer="fast", max_trees=3000)
+    d = dm.d
+    rows = [
+        (d[a, b] + d[c, x], d[a, c] + d[b, x], d[a, x] + d[b, c])
+        for a, b, c, x in enumerate_quartets(8)
+    ]
+    rf = search(DistanceCostFunction(dm), seed=13, max_trees=3000)
+    rn = search(ExplicitCostFunction(8, np.array(rows)), seed=13, max_trees=3000)
+    assert (rf.scorer, rn.scorer) == ("fast", "naive")
     assert [t for t, _ in rn.history] == [t for t, _ in rf.history]
     assert trees_equal(rn.best_tree, rf.best_tree)
     assert rn.trees_examined == rf.trees_examined
     for (ta, sa), (tb, sb) in zip(rn.history, rf.history):
         assert sa == pytest.approx(sb, rel=1e-9)
-
-
-def test_fast_scorer_requires_distances():
-    cf = cost_from_mqc(5, [])
-    with pytest.raises(ValueError):
-        search(cf, scorer="fast")
 
 
 def test_early_exit_at_perfect_score(rng):
@@ -271,8 +279,6 @@ def test_config_validation():
         SearchConfig(patience=0)
     with pytest.raises(ValueError):
         SearchConfig(metropolis_temperature=-1.0)
-    with pytest.raises(ValueError):
-        SearchConfig(scorer="magic")
 
 
 def test_result_dict_shape(rng):

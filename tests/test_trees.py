@@ -82,7 +82,7 @@ def test_tree_invariants_enforced():
         Tree.from_adjacency({0: [4], 1: [4], 2: [4], 3: [4], 4: [0, 1, 2, 3], 5: []})
     # disconnected but degree-correct is impossible with 2n-3 edges; break symmetry instead
     adj = random_tree(5, rng_for(1)).copy_adjacency()
-    adj[0, 0] = 7 if adj[0, 0] != 7 else 6
+    adj[0][0] = 7 if adj[0][0] != 7 else 6
     with pytest.raises(ValueError):
         Tree(adj)
 

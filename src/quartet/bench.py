@@ -177,6 +177,8 @@ def run_reconstruction(
 ) -> list[TrialReport]:
     """Run independent trials, each seeded from (master_seed, trial id), in
     trial-id order."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     reports = [reconstruction_trial(n, num_mutations, config, master_seed, t) for t in range(trials)]
     if jsonl_path is not None:
         with open(jsonl_path, "w", encoding="utf-8") as fh:
@@ -223,6 +225,8 @@ def collect_runs(
     cf, runs: int, config: SearchConfig | None = None, master_seed: int = 0
 ) -> list[SearchResult]:
     """Repeated independent searches of one instance for statistics."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     config = config or SearchConfig()
     seeds = [int(s) for s in np.random.SeedSequence(master_seed).generate_state(runs, np.uint64)]
     return [search(cf, config, seed=s) for s in seeds]
@@ -237,6 +241,8 @@ def run_statistics(results: Sequence[SearchResult], bin_width: int | None = None
     """
     if not results:
         raise ValueError("need at least one run")
+    if bin_width is not None and bin_width < 1:
+        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
     examined = [r.trees_examined for r in results]
     if bin_width is None:
         bin_width = max(1, int(math.ceil(max(examined) / 25.0)))

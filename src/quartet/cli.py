@@ -67,7 +67,8 @@ def _add_search_flags(p: argparse.ArgumentParser, runs_flag: str = "--runs") -> 
     p.add_argument("--temperature", type=float, default=None,
                    help="Metropolis temperature on raw costs (default (M-m)/C(n,4))")
     p.add_argument("--k-max", type=int, default=None,
-                   help="cap on fat-tail mutation counts (default 1024)")
+                   help="cap on fat-tail mutation counts "
+                        "(default 5n-16, the most moves between any two trees)")
 
 
 def _config_from_args(args) -> SearchConfig:

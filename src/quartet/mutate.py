@@ -11,8 +11,11 @@ mutation yields a replayable, invertible MutationRecord.
 k-mutations compose k simple mutations with k drawn from the shifted fat
 tail pmf p(k) proportional to 1/((k+2) ln^2(k+2)); the heavy tail is what
 lets hill climbing escape local optima. Because that pmf has infinite mean,
-the sampler clamps draws at a configurable k_max (default 1024), which
-leaves P(k=j) exact for every j below the cap.
+the sampler clamps draws at a cap k_max, which leaves P(k=j) exact for every
+j below the cap and puts the tail mass on k_max itself. The sampler's own
+default cap is DEFAULT_K_MAX = 1024; the hill climber caps at
+max_path_moves(n) = 5n-16 instead, since no tree is more simple moves away
+than that.
 
 ``mutation_path`` constructs an explicit sequence of at most 5n-16 moves
 (only leaf swaps and subtree-to-leaf swaps) turning one tree into another,
@@ -35,6 +38,7 @@ __all__ = [
     "apply_record",
     "k_mutation",
     "leaf_interchange",
+    "max_path_moves",
     "mutation_path",
     "replay_records",
     "sample_k",
@@ -528,10 +532,16 @@ def _solve_path(W: dict[int, list[int]], T: dict[int, list[int]], n: int) -> lis
     return ops
 
 
+def max_path_moves(n: int) -> int:
+    """5n-16: no tree on n >= 4 leaves is more simple moves away from another
+    than this, the bound ``mutation_path`` meets."""
+    return 5 * n - 16
+
+
 def mutation_path(t0: Tree, t1: Tree) -> list[MutationRecord]:
     """Records transforming t0 into t1 using only leaf swaps and
-    subtree-to-leaf swaps; at most 5n-16 of them for n >= 5 (at most 4 for
-    n=4). Replaying them on t0 yields a tree equal to t1."""
+    subtree-to-leaf swaps; at most max_path_moves(n) = 5n-16 of them.
+    Replaying them on t0 yields a tree equal to t1."""
     if t0.n != t1.n:
         raise ValueError(f"trees have different label sets (n={t0.n} vs n={t1.n})")
     W, T = ({v: list(t.neighbors(v)) for v in range(t.node_count)} for t in (t0, t1))

@@ -5,6 +5,11 @@ replaces it only on strict improvement so the score history is monotone:
 
 * ``hill_climb``: each generation applies a k-mutation (k from the fat-tail
   pmf) to the best tree and keeps the mutant only when it scores better.
+  By default k is capped at 5n-16, the most simple moves between any two
+  trees (``mutate.max_path_moves``): a longer k-mutation reaches no tree a
+  shorter one cannot, it only costs more moves. This truncates the paper's
+  pmf, with the tail mass on 5n-16; every k from 1 to 5n-16 keeps positive
+  probability, so every tree stays reachable in one generation.
 * ``metropolis``: each generation is a walk of ``trial_length`` single
   mutations with a Metropolis accept/reject on the raw (unnormalized) tree
   cost, rolling back rejected steps; the best tree seen during the walk is
@@ -41,7 +46,7 @@ from .cost import (
     tree_cost_naive,
 )
 from .fastcost import BACKEND, cost_distance_from_adj
-from .mutate import DEFAULT_K_MAX, MutationRecord, apply_record, sample_k, simple_mutation
+from .mutate import MutationRecord, apply_record, max_path_moves, sample_k, simple_mutation
 from .trees import Tree, random_tree, tree_from_newick, tree_to_newick
 
 __all__ = [
@@ -76,7 +81,8 @@ def select_r(n: int) -> int:
 class SearchConfig:
     """Knobs for the tree search; defaults follow the method's standard
     settings (patience 100000 examined trees, Metropolis trial length n,
-    temperature (M-m)/C(n,4))."""
+    temperature (M-m)/C(n,4)), except that the hill climber's k-mutations
+    are capped at k_max = 5n-16 unless k_max is given."""
 
     termination: str = "simple"  # "simple" | "agreement"
     patience: int = 100_000
@@ -86,7 +92,7 @@ class SearchConfig:
     metropolis_temperature: float | None = None  # None -> (M-m)/C(n,4)
     seed: int = 0
     mode: str = "metropolis"  # "hill_climb" | "metropolis"
-    k_max: int = DEFAULT_K_MAX
+    k_max: int | None = None  # None -> 5n-16 (max_path_moves)
     progress_path: str | Path | None = None
     trace_path: str | Path | None = None
 
@@ -101,7 +107,7 @@ class SearchConfig:
             raise ValueError("trial_length must be >= 1")
         if self.metropolis_temperature is not None and not self.metropolis_temperature > 0:
             raise ValueError("metropolis_temperature must be > 0")
-        if self.k_max < 1:
+        if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.max_trees is not None and self.max_trees < 1:
             raise ValueError("max_trees must be >= 1")
@@ -193,6 +199,7 @@ class _Run:
         self.n = scorer.n
         self.theta = theta
         self.trial_length = config.trial_length or self.n
+        self.k_max = max_path_moves(self.n) if config.k_max is None else config.k_max
         self.rng = rng
         self.examined = 0
         self.best_adj: list[list[int]] = []
@@ -230,7 +237,7 @@ class _Run:
         self.perfect = self.scorer.certify_perfect(self.best_adj, self.best_cost)
 
     def _gen_hill(self) -> None:
-        k = sample_k(self.rng, self.cfg.k_max)
+        k = sample_k(self.rng, self.k_max)
         work = [row[:] for row in self.best_adj]
         recs = [simple_mutation(work, self.n, self.rng) for _ in range(k)]
         c = self.scorer.cost(work)

@@ -70,6 +70,27 @@ def test_ncd_rejects_thread_count_below_one(tmp_path, capsys, threads):
     assert not (out / "matrix.csv").exists()
 
 
+STATS = ["bench", "stats", "--n", "6", "--mutations", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([*STATS, "--runs", "2", "--bin-width", "0"], "bin_width must be >= 1"),
+        ([*STATS, "--runs", "2", "--bin-width", "-5"], "bin_width must be >= 1"),
+        ([*STATS, "--runs", "-1"], "runs must be >= 1"),
+        ([*STATS, "--runs", "0"], "runs must be >= 1"),
+        (["bench", "artificial", "--n", "6", "--trials", "0"], "trials must be >= 1"),
+        (["bench", "artificial", "--n", "6", "--trials", "-2"], "trials must be >= 1"),
+    ],
+)
+def test_bench_counts_below_one_exit_3(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--max-trees", "50", "--out-dir", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "trials.jsonl").exists() and not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -105,6 +126,20 @@ def test_cluster_outputs_are_reproducible(tmp_path):
     assert ra == rb
     assert ra["terminated_by"] in ("perfect_score", "agreement")
     assert "threads" not in ra["config"]
+
+
+@pytest.mark.parametrize("k_max", [None, 7])
+def test_cluster_records_hill_k_max(tmp_path, k_max):
+    matrix = planted_matrix(tmp_path / "m.csv")
+    out = tmp_path / "c"
+    extra = [] if k_max is None else ["--k-max", str(k_max)]
+    assert main(["cluster", str(matrix), "--out-dir", str(out), "--mode", "hill",
+                 "--max-trees", "200", *extra]) == 0
+    result = json.loads((out / "result.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert result["mode"] == "hill_climb"
+    assert result["config"]["k_max"] == k_max
+    assert manifest["config"]["k_max"] == k_max
 
 
 def read_header(path):

@@ -1,18 +1,24 @@
 """Property tests: the simple moves on the neighbour-list working state,
-record inversion, mutation paths, and the Newick and matrix text formats.
+record inversion, mutation paths, search trace replay, and the Newick and
+matrix text formats.
 
 Examples are derandomized, so every run checks the same cases."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartet.cost import DistanceMatrix
+from quartet.cost import DistanceCostFunction, DistanceMatrix
+from quartet.fastcost import tree_cost_fast
 from quartet.matrix_io import FORMATS, format_matrix, parse_matrix
 from quartet.mutate import apply_record, mutation_path, replay_records, simple_mutation
+from quartet.search import replay_trace, search
 from quartet.trees import Tree, random_tree, tree_from_newick, tree_to_newick, trees_equal
 
-from conftest import rng_for
+from conftest import random_symmetric_matrix, rng_for
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -43,6 +49,26 @@ def test_mutation_path_within_bound_and_reaches_target(n, seed):
     records = mutation_path(t0, t1)
     assert len(records) <= (4 if n == 4 else 5 * n - 16)
     assert trees_equal(replay_records(t0, records), t1)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    n=st.integers(5, 10),
+    seed=seeds,
+    mode=st.sampled_from(["hill_climb", "metropolis"]),
+    termination=st.sampled_from(["simple", "agreement"]),
+    max_trees=st.integers(1, 300),
+)
+def test_trace_replay_reaches_best_tree(n, seed, mode, termination, max_trees):
+    dm = random_symmetric_matrix(n, rng_for(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.log"
+        res = search(DistanceCostFunction(dm), seed=seed, mode=mode, termination=termination,
+                     max_trees=max_trees, trace_path=trace)
+        replayed = replay_trace(trace)[2]
+    assert trees_equal(replayed, res.best_tree)
+    cost = tree_cost_fast(replayed, dm)
+    assert abs(cost - res.best_cost) <= 1e-12 * abs(res.best_cost)
 
 
 leaf_names = st.text(min_size=1, max_size=6)

@@ -10,6 +10,7 @@ from quartet.cost import (
     cost_from_mqc,
     tree_cost_naive,
 )
+from quartet.mutate import max_path_moves
 from quartet.search import (
     SearchConfig,
     hill_climb,
@@ -85,6 +86,23 @@ def test_hill_climb_recovers_planted_mqc(rng):
     assert res.best_score == 1.0
     assert trees_equal(res.best_tree, planted)
     assert res.k_accepted and res.k_rejected  # hill mode logs k lengths
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_hill_climb_caps_k_at_path_bound_by_default(n):
+    if n == 5:
+        cf = adversarial_five_costs(0.1)  # never perfect, so the climb runs its budget
+    else:
+        cf = DistanceCostFunction(random_symmetric_matrix(n, rng_for(n)))
+    res = hill_climb(cf, seed=n, max_trees=1500)
+    ks = res.k_accepted + res.k_rejected
+    assert len(ks) == res.trees_examined - 1
+    assert max(ks) == max_path_moves(n) == 5 * n - 16
+
+
+def test_hill_climb_honours_explicit_k_max():
+    res = hill_climb(adversarial_five_costs(0.1), seed=5, max_trees=60, k_max=1024)
+    assert max(res.k_accepted + res.k_rejected) > max_path_moves(5)
 
 
 def test_history_strictly_increasing_and_monotone(rng):
@@ -279,6 +297,15 @@ def test_config_validation():
         SearchConfig(patience=0)
     with pytest.raises(ValueError):
         SearchConfig(metropolis_temperature=-1.0)
+
+
+def test_config_k_max_default_and_validation():
+    assert SearchConfig().k_max is None
+    assert SearchConfig(k_max=None).k_max is None
+    assert SearchConfig(k_max=1).k_max == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="k_max"):
+            SearchConfig(k_max=bad)
 
 
 def test_result_dict_shape(rng):

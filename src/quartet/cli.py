@@ -155,6 +155,7 @@ def _cmd_cluster(args) -> int:
         "seed": config.seed,
         "config": _config_json(config),
         **result.as_dict(),
+        "full_scores": result.full_scores,
         "newick": newick,
         "wall_time_s": wall,
     }
@@ -255,6 +256,11 @@ def _cmd_bench_artificial(args) -> int:
 
 
 def _cmd_bench_stats(args) -> int:
+    # checked here too, so that a bad value fails before the batch runs
+    if args.runs < 1:
+        raise ValueError(f"runs must be >= 1, got {args.runs}")
+    if args.bin_width is not None and args.bin_width < 1:
+        raise ValueError(f"bin_width must be >= 1, got {args.bin_width}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs: dict[str, str] = {}

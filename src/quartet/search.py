@@ -26,6 +26,21 @@ Determinism: identical (cost function, config, seed) reproduce SearchResult
 bit for bit. The search is single-threaded: each run draws from its own
 generator, seeded from the master seed, and agreement rounds advance the
 runs one generation each, in run order.
+
+Scoring Metropolis proposals. For a distance-backed cost, a walk step first
+computes the move's cost change Delta from a cache of the current tree
+(``fastcost.TreeCache``, rebuilt only when a proposal is accepted), with a
+bound tau on how far Delta can lie from the difference dc of the two full
+scores the acceptance test compares. The step makes its move and draws u
+exactly as a walk that scores every proposal does. It rolls the move back
+unscored only when lo = Delta - tau > 0 and u >= exp(-lo/theta) (1 + 2^-48):
+then dc >= lo > 0, so exp(-dc/theta) <= exp(-lo/theta) up to exp's rounding
+of under one ulp each, which the 2^-48 margin covers, and the full test
+(dc <= 0 or u < exp(-dc/theta)) would reject as well. Every other step runs
+the full scorer and that full test unchanged. So every decision, every
+accepted and best cost (all from the full scorer), the generator's stream
+and the rows' slot order are those of the walk that scores every proposal;
+only the work differs, counted in ``SearchResult.full_scores``.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ from .cost import (
     score_from_cost,
     tree_cost_naive,
 )
-from .fastcost import BACKEND, cost_distance_from_adj
+from .fastcost import BACKEND, DeltaCost, TreeCache, cost_distance_from_adj
 from .mutate import MutationRecord, apply_record, max_path_moves, sample_k, simple_mutation
 from .trees import Tree, random_tree, tree_from_newick, tree_to_newick
 
@@ -130,6 +145,7 @@ class SearchResult:
     backend: str = BACKEND
     k_accepted: list[int] = field(default_factory=list)
     k_rejected: list[int] = field(default_factory=list)
+    full_scores: int = 0  # trees scored by the full scorer
 
     def as_dict(self) -> dict:
         return {
@@ -165,6 +181,7 @@ class _Scorer:
         self.trigger = b.m + 1e-9 * (abs(b.m) + abs(b.M) + 1.0)
         self._d = cf.dm.d if isinstance(cf, DistanceCostFunction) else None
         self.which = "naive" if self._d is None else "fast"
+        self.delta_cost = None if self._d is None else DeltaCost(self._d)
 
     def cost(self, adj: list[list[int]]) -> float:
         if self._d is not None:
@@ -202,7 +219,9 @@ class _Run:
         self.k_max = max_path_moves(self.n) if config.k_max is None else config.k_max
         self.rng = rng
         self.examined = 0
+        self.full_scores = 0
         self.best_adj: list[list[int]] = []
+        self.best_cache: TreeCache | None = None
         self.best_cost = math.inf
         self.perfect = False
         self.improved = False
@@ -231,7 +250,9 @@ class _Run:
         self.initial_tree = tree
         self.best_adj = tree.copy_adjacency()
         self.best_cost = self.scorer.cost(self.best_adj)
+        self.best_cache = None
         self.examined += 1
+        self.full_scores += 1
         self.improved = True
         self.initialized = True
         self.perfect = self.scorer.certify_perfect(self.best_adj, self.best_cost)
@@ -242,6 +263,7 @@ class _Run:
         recs = [simple_mutation(work, self.n, self.rng) for _ in range(k)]
         c = self.scorer.cost(work)
         self.examined += 1
+        self.full_scores += 1
         if c < self.best_cost:
             self.best_adj = work
             self.best_cost = c
@@ -255,6 +277,10 @@ class _Run:
             self.k_rejected.append(k)
 
     def _gen_metropolis(self, budget: int | None) -> None:
+        dcost = self.scorer.delta_cost
+        if dcost is not None and self.best_cache is None:
+            self.best_cache = TreeCache(dcost, self.best_adj)
+        cache = walk_cache = self.best_cache
         cur = [row[:] for row in self.best_adj]
         ccur = self.best_cost
         walk_cost = self.best_cost
@@ -264,16 +290,28 @@ class _Run:
         steps = self.trial_length if budget is None else min(self.trial_length, budget)
         for _ in range(steps):
             rec = simple_mutation(cur, self.n, self.rng)
-            cnew = self.scorer.cost(cur)
             self.examined += 1
             u = self.rng.random()
+            if cache is not None:
+                # reject without the full scorer only where the full test
+                # below must reject too: dc >= lo > 0 and u >= exp(-dc/theta)
+                dl, tau = cache.delta(rec)
+                lo = dl - tau
+                if lo > 0 and u >= math.exp(-lo / self.theta) * (1 + 2**-48):
+                    apply_record(cur, rec.inverse())
+                    continue
+            cnew = self.scorer.cost(cur)
+            self.full_scores += 1
             dc = cnew - ccur
             if dc <= 0 or u < math.exp(-dc / self.theta):
                 ccur = cnew
                 recs.append(rec)
+                if dcost is not None:
+                    cache = TreeCache(dcost, cur)
                 if ccur < walk_cost:
                     walk_cost = ccur
                     walk_best = [row[:] for row in cur]
+                    walk_cache = cache
                     best_prefix = len(recs)
                     if self.scorer.certify_perfect(cur, ccur):
                         self.perfect = True
@@ -283,6 +321,7 @@ class _Run:
         if walk_cost < self.best_cost:
             self.best_adj = walk_best
             self.best_cost = walk_cost
+            self.best_cache = walk_cache
             self._key = None
             self.improved = True
             self.trace.extend(recs[:best_prefix])
@@ -389,6 +428,7 @@ def search(
         scorer=scorer.which,
         k_accepted=[k for run in runs for k in run.k_accepted],
         k_rejected=[k for run in runs for k in run.k_rejected],
+        full_scores=sum(run.full_scores for run in runs),
     )
     if config.trace_path is not None:
         _write_trace(config.trace_path, win)

@@ -92,6 +92,24 @@ def test_bench_counts_below_one_exit_3(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--runs", "2", "--bin-width", "0"], "bin_width must be >= 1"),
+        (["--runs", "0"], "runs must be >= 1"),
+    ],
+)
+def test_bench_stats_rejects_counts_before_generating(tmp_path, capsys, monkeypatch, argv, message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("instance generated before the counts were checked")
+
+    monkeypatch.setattr("quartet.cli.generate_artificial", must_not_run)
+    out = tmp_path / "out"
+    assert main([*STATS, *argv, "--max-trees", "50", "--out-dir", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "progress.csv").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["cluster", "m.csv", "--bogus"],
@@ -140,6 +158,14 @@ def test_cluster_records_hill_k_max(tmp_path, k_max):
     assert result["mode"] == "hill_climb"
     assert result["config"]["k_max"] == k_max
     assert manifest["config"]["k_max"] == k_max
+
+
+def test_cluster_result_counts_full_scores(tmp_path):
+    matrix = planted_matrix(tmp_path / "m.csv", n=16)
+    assert main(["cluster", str(matrix), "--out-dir", str(tmp_path / "c"), "--seed", "2"]) == 0
+    result = json.loads((tmp_path / "c" / "result.json").read_text())
+    assert result["terminated_by"] == "perfect_score"
+    assert 0 < result["full_scores"] < result["trees_examined"]
 
 
 def read_header(path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -161,6 +162,7 @@ def test_apply_record_rejects_stale_records(rng):
 # ------------------------------------------------------- fat-tail sampler
 
 
+@functools.cache
 def _oracle_normalizer():
     # partial sum plus exact integral tail (with half-term correction),
     # evaluated at two cutoffs to confirm convergence

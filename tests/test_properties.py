@@ -1,6 +1,6 @@
 """Property tests: the simple moves on the neighbour-list working state,
-record inversion, mutation paths, search trace replay, and the Newick and
-matrix text formats.
+record inversion, move deltas, mutation paths, search trace replay, and the
+Newick and matrix text formats.
 
 Examples are derandomized, so every run checks the same cases."""
 
@@ -8,15 +8,34 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartet.cost import DistanceCostFunction, DistanceMatrix
-from quartet.fastcost import tree_cost_fast
+from quartet.bench import caterpillar
+from quartet.cost import DistanceCostFunction, DistanceMatrix, tree_cost_naive
+from quartet.fastcost import DeltaCost, TreeCache, cost_distance_from_adj, tree_cost_fast
 from quartet.matrix_io import FORMATS, format_matrix, parse_matrix
-from quartet.mutate import apply_record, mutation_path, replay_records, simple_mutation
+from quartet.mutate import (
+    MutationRecord,
+    _RAND_BY_KIND,
+    _near,
+    _transfer_candidates,
+    apply_record,
+    mutation_path,
+    replay_records,
+    simple_mutation,
+)
 from quartet.search import replay_trace, search
-from quartet.trees import Tree, random_tree, tree_from_newick, tree_to_newick, trees_equal
+from quartet.trees import (
+    Tree,
+    _bfs_path,
+    hop_distances,
+    random_tree,
+    tree_from_newick,
+    tree_to_newick,
+    trees_equal,
+)
 
 from conftest import random_symmetric_matrix, rng_for
 
@@ -39,6 +58,81 @@ def test_moves_keep_a_valid_tree_and_inverses_restore_it(n, seed, steps):
         apply_record(rows, rec.inverse())
     # slot order may differ from the start; the frozen, sorted form may not
     assert np.array_equal(Tree(rows).adj_array, t.adj_array)
+
+
+def check_delta(rows, n, d, rec):
+    """Delta of the move ``rec`` on the tree ``rows`` equals the difference of
+    the full scorer's costs and of the naive scorer's costs, within tau."""
+    delta, tau = TreeCache(DeltaCost(d), rows).delta(rec)
+    after = [row[:] for row in rows]
+    apply_record(after, rec)
+    cf = DistanceCostFunction(DistanceMatrix(d))
+    full = cost_distance_from_adj(after, n, d) - cost_distance_from_adj(rows, n, d)
+    naive = tree_cost_naive(after, cf, n) - tree_cost_naive(rows, cf, n)
+    assert abs(delta - full) <= tau, (rec, delta, full, tau)
+    assert abs(delta - naive) <= tau, (rec, delta, naive, tau)
+
+
+def delta_instance(n, seed, shape, matrix):
+    rng = rng_for(seed)
+    tree = caterpillar(n) if shape == "caterpillar" else random_tree(n, rng)
+    if matrix == "planted":
+        d = (hop_distances(random_tree(n, rng)).astype(float) + 1.0) / n
+        np.fill_diagonal(d, 0.0)
+    else:
+        d = random_symmetric_matrix(n, rng).d
+    return tree.copy_adjacency(), d, rng
+
+
+@PROPERTY
+@given(
+    n=st.integers(5, 40),
+    seed=seeds,
+    shape=st.sampled_from(["random", "caterpillar"]),
+    matrix=st.sampled_from(["random", "planted"]),
+    kind=st.integers(0, 2),
+    moves=st.integers(1, 4),
+)
+def test_move_delta_matches_full_and_naive_scorers(n, seed, shape, matrix, kind, moves):
+    rows, d, rng = delta_instance(n, seed, shape, matrix)
+    for _ in range(moves):  # each move from the tree the last one made
+        before = [row[:] for row in rows]
+        rec = _RAND_BY_KIND[kind](rows, n, rng)
+        check_delta(before, n, d, rec)
+
+
+def all_moves(rows, n):
+    """Every simple move on the tree: non-sibling leaf pairs, subtree
+    interchanges at distance >= 3 and subtree transfers."""
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rows[u][0] != rows[v][0]:
+                yield MutationRecord("leaf_interchange", (u, v))
+    for u in range(n, 2 * n - 2):
+        for w in range(2 * n - 2):
+            if w != u and not n <= w < u and not _near(rows, u, w):
+                path = _bfs_path(rows, u, w)
+                yield MutationRecord("subtree_interchange", (u, path[1], path[-2], w))
+    for a in range(n, 2 * n - 2):
+        for s in rows[a]:
+            b, c = sorted(q for q in rows[a] if q != s)
+            for e, f in _transfer_candidates(rows, n, a, s):
+                yield MutationRecord("subtree_transfer", (s, a, b, c, e, f))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("shape", ["random", "caterpillar"])
+def test_move_delta_on_every_move_of_small_trees(n, shape):
+    rows, d, _ = delta_instance(n, 11 * n, shape, "random")
+    distance_three = next_to_b = 0
+    for rec in all_moves(rows, n):
+        check_delta(rows, n, d, rec)
+        if rec.kind == "subtree_interchange":
+            distance_three += len(_bfs_path(rows, rec.operands[0], rec.operands[3])) == 4
+        elif rec.kind == "subtree_transfer":
+            _, _, b, c, e, f = rec.operands
+            next_to_b += bool({b, c} & {e, f})  # a one-node path from a
+    assert distance_three and next_to_b
 
 
 @PROPERTY

@@ -10,6 +10,7 @@ from quartet.cost import (
     cost_from_mqc,
     tree_cost_naive,
 )
+from quartet.fastcost import TreeCache
 from quartet.mutate import max_path_moves
 from quartet.search import (
     SearchConfig,
@@ -318,3 +319,70 @@ def test_result_dict_shape(rng):
     }
     assert d["bounds"]["m"] <= d["best_cost"] <= d["bounds"]["M"]
     assert math.isfinite(d["best_score"])
+
+
+# ------------------------------------------- delta shortcut and full scores
+
+
+def noisy_instance(n, seed):
+    _, cf = planted_instance(n, seed)
+    noise = rng_for(seed + 1).uniform(0.0, 0.2, (n, n))
+    d = cf.dm.d + (noise + noise.T)
+    np.fill_diagonal(d, 0.0)
+    return DistanceCostFunction(DistanceMatrix(d))
+
+
+DELTA_SEARCHES = [  # (d, n, overrides, what stops the search)
+    ("planted", 5, dict(), "perfect_score"),
+    ("planted", 16, dict(termination="agreement"), "perfect_score"),
+    ("planted", 32, dict(), "perfect_score"),
+    ("planted", 48, dict(max_trees=3000), "max_trees"),
+    ("noisy", 12, dict(patience=400), "patience"),
+    ("noisy", 16, dict(termination="agreement"), "agreement"),
+    ("noisy", 24, dict(max_trees=1500, trial_length=7), "max_trees"),
+]
+
+
+def delta_search_outputs(tmp_path, instance, n, overrides):
+    cf = planted_instance(n, n)[1] if instance == "planted" else noisy_instance(n, n)
+    tmp_path.mkdir()
+    res = search(cf, seed=n + 1, progress_path=tmp_path / "progress.tsv",
+                 trace_path=tmp_path / "trace.log", **overrides)
+    files = [(tmp_path / name).read_text() for name in ("progress.tsv", "trace.log")]
+    return res, [res.as_dict(), res.best_tree.canonical_key(), *files]
+
+
+@pytest.mark.parametrize("instance,n,overrides,stop", DELTA_SEARCHES)
+def test_delta_shortcut_leaves_metropolis_results_unchanged(tmp_path, monkeypatch, instance, n, overrides, stop):
+    res, out = delta_search_outputs(tmp_path / "delta", instance, n, overrides)
+    assert res.terminated_by == stop
+    # a delta that never rules a proposal out: every proposal is scored in full
+    monkeypatch.setattr(TreeCache, "delta", lambda self, rec: (0.0, 1.0))
+    full, out_full = delta_search_outputs(tmp_path / "full", instance, n, overrides)
+    assert out == out_full
+    assert full.full_scores == full.trees_examined
+
+
+def test_delta_shortcut_leaves_metropolis_trial_unchanged(monkeypatch):
+    _, cf = planted_instance(20, 4)
+    cfg = SearchConfig(trial_length=300)
+
+    def trial():
+        rng = rng_for(12)
+        best = metropolis_trial(random_tree(20, rng_for(13)), cf, cfg, rng=rng)
+        return best.canonical_key(), rng.random()
+
+    first = trial()
+    monkeypatch.setattr(TreeCache, "delta", lambda self, rec: (0.0, 1.0))
+    assert trial() == first
+
+
+def test_full_scores_count_trees_scored_in_full(rng):
+    _, cf = planted_instance(16, 3)
+    walk = search(cf, seed=2)
+    assert walk.terminated_by == "perfect_score"
+    assert 0 < walk.full_scores < walk.trees_examined
+    hill = hill_climb(cf, seed=2, max_trees=500)
+    assert hill.full_scores == hill.trees_examined
+    explicit = search(adversarial_five_costs(0.1), seed=2, max_trees=300)
+    assert explicit.full_scores == explicit.trees_examined

@@ -18,19 +18,14 @@ from .cost import (
     ScoreBounds,
     bounds,
     cost_from_mqc,
-    cost_of,
     score,
     tree_cost_naive,
 )
-from .fastcost import BACKEND, subtree_leaf_counts, tree_cost_fast
+from .fastcost import BACKEND, tree_cost_fast
 from .trees import (
     QuartetTopology,
     Tree,
-    all_topologies,
-    embedded_quartets,
-    enumerate_all_trees,
     enumerate_quartets,
-    is_consistent,
     random_tree,
     tree_from_newick,
     tree_to_dot,
@@ -47,17 +42,11 @@ __all__ = [
     "QuartetTopology",
     "ScoreBounds",
     "Tree",
-    "all_topologies",
     "bounds",
     "cost_from_mqc",
-    "cost_of",
-    "embedded_quartets",
-    "enumerate_all_trees",
     "enumerate_quartets",
-    "is_consistent",
     "random_tree",
     "score",
-    "subtree_leaf_counts",
     "tree_cost_fast",
     "tree_cost_naive",
     "tree_from_newick",

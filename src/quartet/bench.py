@@ -1,16 +1,14 @@
 """Benchmark harness: artificial-tree reconstruction trials, score
 comparison metrics, and run statistics.
 
-The artificial experiment plants a tree by scrambling a caterpillar with
-random k-mutations, derives the leaf metric d(a,b) = (L(a,b)+1)/n from hop
+The artificial experiment plants a uniform random tree, unlike the paper's
+scrambled caterpillar, derives the leaf metric d(a,b) = (L(a,b)+1)/n from hop
 distances (0 on the diagonal), and asks the search to reconstruct the tree
 from the matrix alone. The planted tree is the unique optimum: with a tree
 metric every quartet's embedded pairing has the strictly smallest distance
 sum, so exact recovery shows up as S(T) = 1.
 
-R(T) = 1 - S(T) is the room for improvement; comparing two methods on one
-input uses the decibel gain 10*log10(R_other/R_ours), so +1 db means the
-other method left about 1.26x more room.
+R(T) = 1 - S(T) is the room for improvement.
 """
 
 from __future__ import annotations
@@ -26,15 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from .cost import DistanceCostFunction, DistanceMatrix
-from .mutate import sample_k, simple_mutation
 from .search import SearchConfig, SearchResult, search
-from .trees import Tree, hop_distances, tree_from_newick, tree_to_newick, trees_equal
+from .trees import Tree, hop_distances, random_tree, tree_from_newick, tree_to_newick, trees_equal
 
 __all__ = [
     "TrialReport",
-    "caterpillar",
     "collect_runs",
-    "db_gain",
     "generate_artificial",
     "reconstruction_trial",
     "room_for_improvement",
@@ -44,44 +39,14 @@ __all__ = [
 ]
 
 
-def caterpillar(n: int) -> Tree:
-    """The maximally linear shape: a chain of internal nodes, one leaf each,
-    two leaves on both chain ends; leaves labeled 0..n-1 along the chain."""
-    if n < 4:
-        raise ValueError(f"need at least 4 leaves, got n={n}")
-    m = 2 * n - 2
-    rows: dict[int, list[int]] = {v: [] for v in range(m)}
-    ints = list(range(n, m))
-    for a, b in zip(ints, ints[1:]):
-        rows[a].append(b)
-        rows[b].append(a)
-    rows[ints[0]] += [0, 1]
-    rows[0], rows[1] = [ints[0]], [ints[0]]
-    leaf = 2
-    for v in ints[1:-1]:
-        rows[v].append(leaf)
-        rows[leaf] = [v]
-        leaf += 1
-    rows[ints[-1]] += [leaf, leaf + 1]
-    rows[leaf], rows[leaf + 1] = [ints[-1]], [ints[-1]]
-    return Tree.from_adjacency(rows)
-
-
 def generate_artificial(
-    n: int, num_mutations: int, rng: np.random.Generator
+    n: int, rng: np.random.Generator
 ) -> tuple[Tree, DistanceMatrix]:
-    """Scramble the caterpillar with ``num_mutations`` k-mutations and derive
+    """Plant a uniform random tree, not a scrambled caterpillar, and derive
     the path-length metric d(a,b) = (L(a,b)+1)/n (d(a,a) = 0) from the
-    scrambled tree. Off-diagonal entries lie in (0, 1] and grow with path
+    planted tree. Off-diagonal entries lie in (0, 1] and grow with path
     length."""
-    if num_mutations < 0:
-        raise ValueError("num_mutations must be >= 0")
-    t = caterpillar(n)
-    adj = t.copy_adjacency()
-    for _ in range(num_mutations):
-        for _ in range(sample_k(rng)):
-            simple_mutation(adj, n, rng)
-    planted = Tree(adj, validate=True)
+    planted = random_tree(n, rng)
     d = (hop_distances(planted).astype(np.float64) + 1.0) / n
     np.fill_diagonal(d, 0.0)
     return planted, DistanceMatrix(d)
@@ -93,7 +58,6 @@ class TrialReport:
 
     trial_id: int
     n: int
-    num_mutations: int
     instance_seed: int
     search_seed: int
     exact: bool
@@ -109,7 +73,6 @@ class TrialReport:
             {
                 "trial_id": self.trial_id,
                 "n": self.n,
-                "num_mutations": self.num_mutations,
                 "instance_seed": self.instance_seed,
                 "search_seed": self.search_seed,
                 "exact": self.exact,
@@ -133,7 +96,6 @@ class TrialReport:
 
 def reconstruction_trial(
     n: int,
-    num_mutations: int,
     config: SearchConfig | None = None,
     master_seed: int = 0,
     trial_id: int = 0,
@@ -144,7 +106,7 @@ def reconstruction_trial(
         for s in np.random.SeedSequence((master_seed, trial_id)).generate_state(2, np.uint64)
     )
     rng = np.random.Generator(np.random.PCG64(inst_seed))
-    planted, dm = generate_artificial(n, num_mutations, rng)
+    planted, dm = generate_artificial(n, rng)
     cf = DistanceCostFunction(dm)
     config = config or SearchConfig()
     t0 = time.perf_counter()
@@ -154,7 +116,6 @@ def reconstruction_trial(
     return TrialReport(
         trial_id=trial_id,
         n=n,
-        num_mutations=num_mutations,
         instance_seed=inst_seed,
         search_seed=search_seed,
         exact=exact,
@@ -170,7 +131,6 @@ def reconstruction_trial(
 def run_reconstruction(
     n: int,
     trials: int,
-    num_mutations: int = 1000,
     config: SearchConfig | None = None,
     master_seed: int = 0,
     jsonl_path: str | Path | None = None,
@@ -179,7 +139,7 @@ def run_reconstruction(
     trial-id order."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    reports = [reconstruction_trial(n, num_mutations, config, master_seed, t) for t in range(trials)]
+    reports = [reconstruction_trial(n, config, master_seed, t) for t in range(trials)]
     if jsonl_path is not None:
         with open(jsonl_path, "w", encoding="utf-8") as fh:
             for rep in reports:
@@ -197,23 +157,6 @@ def room_for_improvement(s: float) -> float:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"score must lie in [0, 1], got {s}")
     return 1.0 - s
-
-
-def db_gain(r_other: float, r_ours: float) -> float:
-    """Decibel reduction in room for improvement: 10*log10(r_other/r_ours).
-
-    A method leaving zero room scores +inf against any imperfect one and
-    -inf the other way around; two perfect methods compare at 0 db.
-    """
-    if r_other < 0 or r_ours < 0:
-        raise ValueError("room-for-improvement values must be >= 0")
-    if r_other == r_ours:
-        return 0.0
-    if r_ours == 0.0:
-        return math.inf
-    if r_other == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(r_other / r_ours)
 
 
 # ---------------------------------------------------------------------- #

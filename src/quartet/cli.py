@@ -231,16 +231,14 @@ def _cmd_bench_artificial(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _config_from_args(args)
-    mutations = args.mutations if args.mutations is not None else (200 if args.n <= 16 else 1000)
     reports = run_reconstruction(
-        args.n, args.trials, mutations, config,
+        args.n, args.trials, config,
         master_seed=args.seed, jsonl_path=out_dir / "trials.jsonl",
     )
     exact = sum(r.exact for r in reports)
     summary = {
         "n": args.n,
         "trials": args.trials,
-        "num_mutations": mutations,
         "exact": exact,
         "all_exact": exact == args.trials,
         "max_wall_time_s": max(r.wall_time_s for r in reports),
@@ -250,8 +248,7 @@ def _cmd_bench_artificial(args) -> int:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     _write_manifest(out_dir, "bench artificial", _config_json(config), args.seed, {},
                     ["trials.jsonl", "summary.json"])
-    print(f"{exact}/{args.trials} exact reconstructions "
-          f"(n={args.n}, {mutations} scramble mutations)")
+    print(f"{exact}/{args.trials} exact reconstructions (n={args.n})")
     return 0
 
 
@@ -269,7 +266,7 @@ def _cmd_bench_stats(args) -> int:
         inputs[args.matrix] = _sha256(Path(args.matrix))
     else:
         rng = np.random.Generator(np.random.PCG64(args.instance_seed))
-        _, dm = generate_artificial(args.n, args.mutations if args.mutations is not None else 200, rng)
+        _, dm = generate_artificial(args.n, rng)
     cf = DistanceCostFunction(dm)
     config = _config_from_args(args)
     if args.mode is None:  # k-mutation statistics need the hill climber
@@ -323,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.add_argument("--out-name", default=None, help="matrix filename (default matrix.<ext>)")
     p.add_argument("--threads", type=int, default=1,
-                   help="threads compressing pairs (default 1)")
+                   help="threads compressing pairs (default 1, not the CPU count: each adds memory)")
     p.set_defaults(func=_cmd_ncd)
 
     p = sub.add_parser("score", help="score a Newick tree against a distance matrix")
@@ -339,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = bsub.add_parser("artificial", help="planted-tree reconstruction trials")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--trials", type=int, required=True)
-    b.add_argument("--mutations", type=int, default=None,
-                   help="scramble k-mutations (default 200 for n<=16, else 1000)")
     b.add_argument("--out-dir", default=".")
     _add_search_flags(b)
     b.set_defaults(func=_cmd_bench_artificial)
@@ -350,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--matrix", default=None, help="matrix file (default: generated instance)")
     b.add_argument("--format", choices=FORMATS, default=None)
     b.add_argument("--n", type=int, default=10, help="generated instance size (default 10)")
-    b.add_argument("--mutations", type=int, default=None)
     b.add_argument("--instance-seed", type=int, default=0)
     b.add_argument("--bin-width", type=int, default=None)
     b.add_argument("--out-dir", default=".")

@@ -50,7 +50,6 @@ __all__ = [
     "ScoreBounds",
     "bounds",
     "cost_from_mqc",
-    "cost_of",
     "is_min_perfect",
     "quartet_rank",
     "score",
@@ -128,10 +127,6 @@ class CostFunction:
     def cost_of(self, topo: QuartetTopology) -> float:
         raise NotImplementedError
 
-    @property
-    def distance_backed(self) -> bool:
-        raise NotImplementedError
-
     def _check_labels(self, topo: QuartetTopology) -> None:
         if topo.labels[-1] >= self.n:
             raise ValueError(
@@ -178,10 +173,6 @@ class ExplicitCostFunction(CostFunction):
             )
         return cls(n, costs)
 
-    @property
-    def distance_backed(self) -> bool:
-        return False
-
     def cost_of(self, topo: QuartetTopology) -> float:
         self._check_labels(topo)
         return float(self.costs[quartet_rank(*topo.labels), topo.topo_index])
@@ -198,19 +189,11 @@ class DistanceCostFunction(CostFunction):
         self.n = dm.n
         self.dm = dm
 
-    @property
-    def distance_backed(self) -> bool:
-        return True
-
     def cost_of(self, topo: QuartetTopology) -> float:
         self._check_labels(topo)
         d = self.dm.d
         (u, v), (w, x) = topo.pair_a, topo.pair_b
         return float(d[u, v] + d[w, x])
-
-
-def cost_of(cf: CostFunction, topo: QuartetTopology) -> float:
-    return cf.cost_of(topo)
 
 
 def cost_from_mqc(n: int, p_set: Iterable[QuartetTopology]) -> ExplicitCostFunction:

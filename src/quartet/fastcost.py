@@ -77,7 +77,6 @@ __all__ = [
     "DeltaCost",
     "TreeCache",
     "cost_distance_from_adj",
-    "subtree_leaf_counts",
     "tree_cost_fast",
 ]
 
@@ -380,30 +379,3 @@ def tree_cost_fast(tree: Tree, dm) -> float:
             f"tree has {tree.n} leaves but distance matrix is {d.shape[0]}x{d.shape[1]}"
         )
     return cost_distance_from_adj(tree.copy_adjacency(), tree.n, d)
-
-
-def subtree_leaf_counts(tree: Tree, p: int) -> tuple[int, int, int]:
-    """Leaf counts of the three subtrees hanging off internal node ``p``,
-    ordered by ascending neighbor id. They always partition the n leaves."""
-    if tree.is_leaf(p):
-        raise ValueError(f"node {p} is a leaf; subtree counts need an internal node")
-    if not p < tree.node_count:
-        raise ValueError(f"node {p} out of range")
-    adj = tree.adj_array
-    out = []
-    for root in adj[p]:
-        seen = {int(root), p}
-        stack = [int(root)]
-        cnt = 0
-        while stack:
-            v = stack.pop()
-            if v < tree.n:
-                cnt += 1
-                continue
-            for w in adj[v]:
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(cnt)
-    return tuple(out)  # type: ignore[return-value]

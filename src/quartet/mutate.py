@@ -12,10 +12,9 @@ k-mutations compose k simple mutations with k drawn from the shifted fat
 tail pmf p(k) proportional to 1/((k+2) ln^2(k+2)); the heavy tail is what
 lets hill climbing escape local optima. Because that pmf has infinite mean,
 the sampler clamps draws at a cap k_max, which leaves P(k=j) exact for every
-j below the cap and puts the tail mass on k_max itself. The sampler's own
-default cap is DEFAULT_K_MAX = 1024; the hill climber caps at
-max_path_moves(n) = 5n-16 instead, since no tree is more simple moves away
-than that.
+j below the cap and puts the tail mass on k_max itself. The hill climber
+caps at max_path_moves(n) = 5n-16 by default, since no tree is more simple
+moves away than that.
 
 ``mutation_path`` constructs an explicit sequence of at most 5n-16 moves
 (only leaf swaps and subtree-to-leaf swaps) turning one tree into another,
@@ -33,11 +32,8 @@ import numpy as np
 from .trees import Tree, _bfs_path, _canonical_key, _replace_neighbor, trees_equal
 
 __all__ = [
-    "DEFAULT_K_MAX",
     "MutationRecord",
     "apply_record",
-    "k_mutation",
-    "leaf_interchange",
     "max_path_moves",
     "mutation_path",
     "replay_records",
@@ -46,8 +42,6 @@ __all__ = [
     "shifted_pmf",
     "shifted_pmf_normalizer",
     "simple_mutation",
-    "subtree_interchange",
-    "subtree_transfer",
 ]
 
 KINDS = ("leaf_interchange", "subtree_interchange", "subtree_transfer")
@@ -150,6 +144,9 @@ def replay_records(tree: Tree, records) -> Tree:
     """Apply a record sequence to a tree, returning the resulting tree."""
     adj = tree.copy_adjacency()
     for rec in records:
+        top = tree.n if rec.kind == "leaf_interchange" else tree.node_count
+        if min(rec.operands) < 0 or max(rec.operands) >= top:
+            raise ValueError(f"record names a node outside 0..{top - 1}: {rec.to_line()}")
         apply_record(adj, rec)
     return Tree(adj, validate=True)
 
@@ -159,21 +156,13 @@ def replay_records(tree: Tree, records) -> Tree:
 # ---------------------------------------------------------------------- #
 
 
-def _rand_leaf_interchange(adj, n, rng) -> MutationRecord | None:
-    for _ in range(64):
+def _rand_leaf_interchange(adj, n, rng) -> MutationRecord:
+    while True:
         u = int(rng.integers(n))
         v = int(rng.integers(n))
         if u != v and adj[u][0] != adj[v][0]:
             _apply_leaf_swap(adj, u, v)
             return MutationRecord("leaf_interchange", (u, v))
-    pairs = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if adj[u][0] != adj[v][0]
-    ]
-    if not pairs:
-        return None
-    u, v = pairs[int(rng.integers(len(pairs)))]
-    _apply_leaf_swap(adj, u, v)
-    return MutationRecord("leaf_interchange", (u, v))
 
 
 def _near(adj, u, w) -> bool:
@@ -191,7 +180,7 @@ def _rand_subtree_interchange(adj, n, rng) -> MutationRecord | None:
     m = 2 * n - 2
     if n == 4:  # nothing is 3 steps from an internal node
         return None
-    for _ in range(64):
+    while True:
         u = int(rng.integers(m))
         w = int(rng.integers(m))
         if u == w or (u < n and w < n):
@@ -204,20 +193,6 @@ def _rand_subtree_interchange(adj, n, rng) -> MutationRecord | None:
         x, y = path[1], path[-2]
         _apply_subtree_swap(adj, u, x, y, w)
         return MutationRecord("subtree_interchange", (u, x, y, w))
-    cands = []
-    for u in range(n, m):
-        for w in range(m):
-            if w == u or (n <= w < u):
-                continue
-            if not _near(adj, u, w):
-                cands.append((u, w))
-    if not cands:
-        return None
-    u, w = cands[int(rng.integers(len(cands)))]
-    path = _bfs_path(adj, u, w)
-    x, y = path[1], path[-2]
-    _apply_subtree_swap(adj, u, x, y, w)
-    return MutationRecord("subtree_interchange", (u, x, y, w))
 
 
 def _transfer_candidates(adj, n, a, s):
@@ -249,8 +224,7 @@ def _transfer_candidates(adj, n, a, s):
 def _rand_subtree_transfer(adj, n, rng) -> MutationRecord | None:
     if n == 4:  # only recreates the same labeled tree
         return None
-    m = 2 * n - 2
-    for _ in range(64):
+    while True:
         a = n + int(rng.integers(n - 2))
         s = adj[a][int(rng.integers(3))]
         edges = _transfer_candidates(adj, n, a, s)
@@ -260,19 +234,6 @@ def _rand_subtree_transfer(adj, n, rng) -> MutationRecord | None:
         b, c = sorted(q for q in adj[a] if q != s)
         _apply_transfer(adj, s, a, b, c, e, f)
         return MutationRecord("subtree_transfer", (s, a, b, c, e, f))
-    options = []
-    for a in range(n, m):
-        for s in adj[a]:
-            edges = _transfer_candidates(adj, n, a, s)
-            if edges:
-                options.append((a, s, edges))
-    if not options:
-        return None
-    a, s, edges = options[int(rng.integers(len(options)))]
-    e, f = edges[int(rng.integers(len(edges)))]
-    b, c = sorted(q for q in adj[a] if q != s)
-    _apply_transfer(adj, s, a, b, c, e, f)
-    return MutationRecord("subtree_transfer", (s, a, b, c, e, f))
 
 
 _RAND_BY_KIND = (_rand_leaf_interchange, _rand_subtree_interchange, _rand_subtree_transfer)
@@ -289,48 +250,9 @@ def simple_mutation(adj: list[list[int]], n: int, rng: np.random.Generator) -> M
             return rec
 
 
-# -- public per-kind operations on trees --------------------------------- #
-
-
-def _tree_op(tree: Tree, rng, fn) -> tuple[Tree, MutationRecord | None]:
-    adj = tree.copy_adjacency()
-    rec = fn(adj, tree.n, rng)
-    if rec is None:
-        return tree, None
-    return Tree(adj, validate=True), rec
-
-
-def leaf_interchange(tree: Tree, rng) -> tuple[Tree, MutationRecord | None]:
-    """Swap two random non-sibling leaves; None record signals no-op."""
-    return _tree_op(tree, rng, _rand_leaf_interchange)
-
-
-def subtree_interchange(tree: Tree, rng) -> tuple[Tree, MutationRecord | None]:
-    """Swap the hanging subtrees of two random nodes at distance >= 3 (at
-    least one internal); None record signals no eligible pair (n=4)."""
-    return _tree_op(tree, rng, _rand_subtree_interchange)
-
-
-def subtree_transfer(tree: Tree, rng) -> tuple[Tree, MutationRecord | None]:
-    """Detach a random subtree and reattach it on another edge; None record
-    signals no eligible move (n=4)."""
-    return _tree_op(tree, rng, _rand_subtree_transfer)
-
-
-def k_mutation(tree: Tree, k: int, rng) -> tuple[Tree, list[MutationRecord]]:
-    """Apply k simple mutations in sequence."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    adj = tree.copy_adjacency()
-    records = [simple_mutation(adj, tree.n, rng) for _ in range(k)]
-    return Tree(adj, validate=True), records
-
-
 # ---------------------------------------------------------------------- #
 # Fat-tail mutation-count sampler
 # ---------------------------------------------------------------------- #
-
-DEFAULT_K_MAX = 1024
 
 _NORMALIZER: float | None = None
 _CDF_CACHE: dict[int, np.ndarray] = {}
@@ -379,13 +301,13 @@ def _k_cdf(k_max: int) -> np.ndarray:
     return cdf
 
 
-def sample_k(rng: np.random.Generator, k_max: int = DEFAULT_K_MAX) -> int:
+def sample_k(rng: np.random.Generator, k_max: int) -> int:
     """Draw a mutation count k >= 1 from the shifted fat-tail pmf."""
     u = rng.random()
     return int(np.searchsorted(_k_cdf(k_max), u, side="right")) + 1
 
 
-def sample_k_batch(rng: np.random.Generator, size: int, k_max: int = DEFAULT_K_MAX) -> np.ndarray:
+def sample_k_batch(rng: np.random.Generator, size: int, k_max: int) -> np.ndarray:
     """Vectorized sample_k (statistics and tests)."""
     u = rng.random(size)
     return np.searchsorted(_k_cdf(k_max), u, side="right").astype(np.int64) + 1

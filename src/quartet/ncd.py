@@ -126,7 +126,9 @@ def ncd_matrix(
     diagonal is forced to zero and any negative measurement is clamped to 0
     with a warning. With ``workers`` > 1 the pair compressions run in that
     many threads (the codecs release the GIL); the result does not depend
-    on scheduling.
+    on scheduling. The count is the caller's, never the CPU count: threads
+    trade memory for time. On 24 lzma items of 8 KiB on a 2-core Xeon, 1
+    worker took 4.7-4.9 s at 53 MiB peak RSS, 2 workers 2.8-3.6 s at 86 MiB.
     """
     items = list(items)
     if len(items) < 4:

@@ -61,16 +61,14 @@ from .cost import (
     tree_cost_naive,
 )
 from .fastcost import BACKEND, DeltaCost, TreeCache, cost_distance_from_adj
-from .mutate import MutationRecord, apply_record, max_path_moves, sample_k, simple_mutation
-from .trees import Tree, random_tree, tree_from_newick, tree_to_newick
+from .mutate import MutationRecord, apply_record, max_path_moves, replay_records, sample_k, simple_mutation
+from .trees import Tree, random_tree, tree_to_newick
 
 __all__ = [
     "SearchConfig",
     "SearchResult",
-    "hill_climb",
     "metropolis_trial",
     "replay_trace",
-    "run_with_agreement",
     "search",
     "select_r",
 ]
@@ -435,22 +433,6 @@ def search(
     return result
 
 
-def hill_climb(
-    cf: CostFunction, config: SearchConfig | None = None, rng: np.random.Generator | None = None, **overrides
-) -> SearchResult:
-    """Fig-2-style randomized hill climbing with k-mutations."""
-    config = replace(config or SearchConfig(), mode="hill_climb", **overrides)
-    return search(cf, config, rng)
-
-
-def run_with_agreement(
-    cf: CostFunction, config: SearchConfig | None = None, rng: np.random.Generator | None = None, **overrides
-) -> SearchResult:
-    """Dovetailed independent runs that stop when all agree on one tree."""
-    config = replace(config or SearchConfig(), termination="agreement", **overrides)
-    return search(cf, config, rng)
-
-
 def metropolis_trial(
     t0: Tree,
     cf: CostFunction,
@@ -516,10 +498,9 @@ def replay_trace(path) -> tuple[Tree, list[MutationRecord], Tree]:
         )
     adjacency: dict[int, list[int]] = {v: [] for v in range(2 * n - 2)}
     for a, b in edges:
+        if a not in adjacency or b not in adjacency:
+            raise ValueError(f"trace file {path}: edge {a}-{b} names a node outside 0..{2 * n - 3}")
         adjacency[a].append(b)
         adjacency[b].append(a)
     initial = Tree.from_adjacency(adjacency)
-    adj = initial.copy_adjacency()
-    for rec in records:
-        apply_record(adj, rec)
-    return initial, records, Tree(adj, validate=True)
+    return initial, records, replay_records(initial, records)

@@ -34,12 +34,8 @@ import numpy as np
 __all__ = [
     "QuartetTopology",
     "Tree",
-    "all_topologies",
-    "embedded_quartets",
-    "enumerate_all_trees",
     "enumerate_quartets",
     "hop_distances",
-    "is_consistent",
     "random_tree",
     "tree_from_newick",
     "tree_to_dot",
@@ -118,15 +114,6 @@ def enumerate_quartets(n: int) -> Iterator[tuple[int, int, int, int]]:
             for b in range(1, c):
                 for a in range(0, b):
                     yield (a, b, c, d)
-
-
-def all_topologies(n: int) -> list[QuartetTopology]:
-    """All 3*C(n,4) canonical quartet topologies over labels 0..n-1."""
-    out = []
-    for quartet in enumerate_quartets(n):
-        for idx in range(3):
-            out.append(topology_from_index(quartet, idx))
-    return out
 
 
 # ---------------------------------------------------------------------- #
@@ -232,10 +219,6 @@ class Tree:
         if not 0 <= v < self.node_count:
             raise ValueError(f"node {v} out of range")
         return tuple(int(x) for x in self._adj[v] if x >= 0)
-
-    @property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        return {v: frozenset(self.neighbors(v)) for v in range(self.node_count)}
 
     @property
     def adj_array(self) -> np.ndarray:
@@ -346,37 +329,6 @@ def random_tree(n: int, rng: np.random.Generator) -> Tree:
     return Tree(adj, validate=False)
 
 
-def enumerate_all_trees(n: int) -> Iterator[Tree]:
-    """Yield every labeled ternary shape on n leaves, (2n-5)!! in total.
-
-    Exhaustive stepwise addition; each shape appears exactly once. Intended
-    for small n (the count reaches 10395 at n=8).
-    """
-    if n < 4:
-        raise ValueError(f"need at least 4 leaves, got n={n}")
-
-    def grow(adj: list[list[int]], edges: list[tuple[int, int]], leaf: int, nxt: int):
-        if leaf == n:
-            yield Tree(adj, validate=False)
-            return
-        for u, v in list(edges):
-            a = [row[:] for row in adj]
-            w = nxt
-            _replace_neighbor(a, u, v, w)
-            _replace_neighbor(a, v, u, w)
-            a[w] = [u, v, leaf]
-            a[leaf][0] = w
-            e2 = [e for e in edges if e != (u, v)] + [(u, w), (v, w), (leaf, w)]
-            yield from grow(a, e2, leaf + 1, nxt + 1)
-
-    m = 2 * n - 2
-    adj0 = [[-1, -1, -1] for _ in range(m)]
-    for leaf in range(3):
-        adj0[leaf][0] = n
-        adj0[n][leaf] = leaf
-    yield from grow(adj0, [(0, n), (1, n), (2, n)], 3, n + 1)
-
-
 def _replace_neighbor(adj, v: int, old: int, new: int) -> None:
     """In neighbour rows ``adj`` (a list, or a {node: list} mapping), make
     ``new`` take the slot of ``old`` in row v."""
@@ -437,44 +389,6 @@ def hop_distances(tree_or_adj, n: int | None = None) -> np.ndarray:
                     queue.append(w)
         out[src] = dist[:n]
     return out
-
-
-def is_consistent(tree: Tree, topo: QuartetTopology) -> bool:
-    """Whether ``topo`` is embedded in ``tree``: the path joining its first
-    pair must not share a vertex with the path joining its second pair."""
-    for lbl in topo.labels:
-        if not 0 <= lbl < tree.n:
-            raise ValueError(f"label {lbl} not present in tree with n={tree.n}")
-    adj = tree.copy_adjacency()
-    u, v = topo.pair_a
-    w, x = topo.pair_b
-    path_uv = set(_bfs_path(adj, u, v))
-    path_wx = _bfs_path(adj, w, x)
-    return not any(node in path_uv for node in path_wx)
-
-
-def embedded_quartets(tree: Tree) -> frozenset[QuartetTopology]:
-    """The C(n,4) quartet topologies embedded in ``tree``.
-
-    Uses the four-point condition on hop distances: with unit edge lengths
-    the embedded pairing has the strictly smallest sum of within-pair
-    distances (the other two sums are equal and larger).
-    """
-    n = tree.n
-    L = hop_distances(tree)
-    out = []
-    for a, b, c, d in enumerate_quartets(n):
-        s0 = L[a, b] + L[c, d]
-        s1 = L[a, c] + L[b, d]
-        s2 = L[a, d] + L[b, c]
-        if s0 < s1 and s0 < s2:
-            idx = 0
-        elif s1 < s2:
-            idx = 1
-        else:
-            idx = 2
-        out.append(topology_from_index((a, b, c, d), idx))
-    return frozenset(out)
 
 
 def embedded_topology_indices(adj, n: int) -> np.ndarray:

@@ -70,7 +70,7 @@ def test_ncd_rejects_thread_count_below_one(tmp_path, capsys, threads):
     assert not (out / "matrix.csv").exists()
 
 
-STATS = ["bench", "stats", "--n", "6", "--mutations", "5"]
+STATS = ["bench", "stats", "--n", "6"]
 
 
 @pytest.mark.parametrize(
@@ -120,6 +120,8 @@ def test_bench_stats_rejects_counts_before_generating(tmp_path, capsys, monkeypa
         ["cluster", "m.csv", "--scorer", "naive"],
         ["bench", "artificial", "--n", "6", "--trials", "1", "--scorer", "fast"],
         ["bench", "stats", "--runs", "1", "--scorer", "naive"],
+        ["bench", "artificial", "--n", "6", "--trials", "1", "--mutations", "20"],
+        ["bench", "stats", "--runs", "1", "--mutations", "20"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -175,7 +177,7 @@ def read_header(path):
 
 def test_bench_artificial_writes_trials_and_summary(tmp_path):
     out = tmp_path / "art"
-    assert main(["bench", "artificial", "--n", "7", "--trials", "2", "--mutations", "20",
+    assert main(["bench", "artificial", "--n", "7", "--trials", "2",
                  "--out-dir", str(out)]) == 0
     trials = [json.loads(line) for line in (out / "trials.jsonl").read_text().splitlines()]
     assert [t["trial_id"] for t in trials] == [0, 1]
@@ -187,7 +189,7 @@ def test_bench_artificial_writes_trials_and_summary(tmp_path):
 
 def test_bench_stats_writes_documented_tables(tmp_path):
     out = tmp_path / "stats"
-    assert main(["bench", "stats", "--runs", "2", "--n", "7", "--mutations", "20", "--k-max", "16",
+    assert main(["bench", "stats", "--runs", "2", "--n", "7", "--k-max", "16",
                  "--out-dir", str(out)]) == 0
     assert read_header(out / "trees_examined_hist.csv") == ["bin_lo", "bin_hi", "count"]
     assert read_header(out / "k_mutation_pmf.csv") == ["k", "accepted_pmf", "rejected_pmf"]

@@ -12,7 +12,6 @@ from quartet.cost import (
     ScoreBounds,
     bounds,
     cost_from_mqc,
-    cost_of,
     is_min_perfect,
     quartet_rank,
     score,
@@ -22,15 +21,21 @@ from quartet.cost import (
 from quartet.trees import (
     QuartetTopology,
     Tree,
-    embedded_quartets,
-    enumerate_all_trees,
     enumerate_quartets,
-    is_consistent,
     random_tree,
     topology_from_index,
 )
 
-from conftest import adversarial_five_costs, five_leaf_target, random_symmetric_matrix, rng_for
+from conftest import (
+    adversarial_five_costs,
+    embedded_quartets,
+    enumerate_all_trees,
+    five_leaf_target,
+    is_consistent,
+    one_move,
+    random_symmetric_matrix,
+    rng_for,
+)
 
 
 def four_leaf_tree():
@@ -74,12 +79,12 @@ def test_cost_of_distance_backed():
     d[0, 1] = d[1, 0] = 1.0
     d[2, 3] = d[3, 2] = 2.0
     cf = DistanceCostFunction(DistanceMatrix(d))
-    assert cost_of(cf, QuartetTopology((0, 1), (2, 3))) == 3.0
-    assert cost_of(cf, QuartetTopology((0, 2), (1, 3))) == 0.0
+    assert cf.cost_of(QuartetTopology((0, 1), (2, 3))) == 3.0
+    assert cf.cost_of(QuartetTopology((0, 2), (1, 3))) == 0.0
     zero = DistanceCostFunction(DistanceMatrix(np.zeros((5, 5))))
-    assert all(cost_of(zero, t) == 0.0 for t in [QuartetTopology((0, 1), (2, 4))])
+    assert all(zero.cost_of(t) == 0.0 for t in [QuartetTopology((0, 1), (2, 4))])
     with pytest.raises(ValueError):
-        cost_of(cf, QuartetTopology((0, 1), (2, 9)))
+        cf.cost_of(QuartetTopology((0, 1), (2, 9)))
 
 
 def test_explicit_mapping_must_be_total():
@@ -137,7 +142,7 @@ def test_naive_cost_matches_literal_sum(rng):
         t = random_tree(n, rng)
         dm = random_symmetric_matrix(n, rng)
         cf = DistanceCostFunction(dm)
-        literal = sum(cost_of(cf, topo) for topo in sorted(embedded_quartets(t), key=str))
+        literal = sum(cf.cost_of(topo) for topo in sorted(embedded_quartets(t), key=str))
         assert tree_cost_naive(t, cf) == pytest.approx(literal, rel=1e-12)
 
 
@@ -254,7 +259,6 @@ def test_random_tree_baseline_planted_costs_is_one_third():
 def test_perfect_certificate(rng):
     # a planted tree-metric instance certifies exactly; a perturbed tree does not
     from quartet.trees import hop_distances
-    from quartet.mutate import leaf_interchange
 
     t = random_tree(9, rng)
     d = (hop_distances(t).astype(float) + 1.0) / 9
@@ -262,7 +266,7 @@ def test_perfect_certificate(rng):
     cf = DistanceCostFunction(DistanceMatrix(d))
     assert is_min_perfect(t, cf)
     assert score(t, cf) == 1.0
-    other, rec = leaf_interchange(t, rng)
+    other, rec = one_move(t, "leaf_interchange", rng)
     assert rec is not None
     assert not is_min_perfect(other, cf)
     assert score(other, cf) < 1.0

@@ -8,19 +8,17 @@ from quartet.cost import DistanceCostFunction, DistanceMatrix, tree_cost_naive
 from quartet.fastcost import (
     BACKEND,
     cost_distance_from_adj,
-    subtree_leaf_counts,
     tree_cost_fast,
 )
 from quartet.trees import (
     QuartetTopology,
     Tree,
-    embedded_quartets,
     random_tree,
     tree_from_newick,
     tree_to_newick,
 )
 
-from conftest import random_symmetric_matrix, rng_for
+from conftest import embedded_quartets, random_symmetric_matrix, rng_for
 
 
 def test_zero_matrix_costs_zero(rng):
@@ -87,26 +85,6 @@ def test_cost_is_representation_invariant(rng):
 def test_dimension_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         tree_cost_fast(random_tree(6, rng), random_symmetric_matrix(7, rng))
-
-
-def test_subtree_leaf_counts(rng):
-    t4 = Tree.from_adjacency({0: [4], 1: [4], 2: [5], 3: [5], 4: [0, 1, 5], 5: [2, 3, 4]})
-    assert sorted(subtree_leaf_counts(t4, 4)) == [1, 1, 2]
-    assert sorted(subtree_leaf_counts(t4, 5)) == [1, 1, 2]
-    from quartet.bench import caterpillar
-
-    t6 = caterpillar(6)
-    for p in t6.internal_nodes:
-        counts = subtree_leaf_counts(t6, p)
-        assert sum(counts) == 6 and all(c >= 1 for c in counts)
-    t5 = caterpillar(5)
-    assert sorted(subtree_leaf_counts(t5, int(t5.adj_array[0, 0]))) == [1, 1, 3]
-    with pytest.raises(ValueError):
-        subtree_leaf_counts(t6, 0)
-    for _ in range(10):
-        t = random_tree(9, rng)
-        p = int(rng.integers(9, 16))
-        assert sum(subtree_leaf_counts(t, p)) == 9
 
 
 def _node_buckets(tree):

@@ -6,23 +6,18 @@ import numpy as np
 import pytest
 
 from quartet.mutate import (
-    DEFAULT_K_MAX,
     MutationRecord,
     apply_record,
-    k_mutation,
-    leaf_interchange,
     replay_records,
     sample_k,
     sample_k_batch,
     shifted_pmf,
     shifted_pmf_normalizer,
     simple_mutation,
-    subtree_interchange,
-    subtree_transfer,
 )
-from quartet.trees import Tree, embedded_quartets, random_tree, trees_equal
+from quartet.trees import Tree, random_tree, trees_equal
 
-from conftest import rng_for
+from conftest import caterpillar, embedded_quartets, one_move, rng_for
 
 
 # ------------------------------------------------------------- invariants
@@ -59,7 +54,7 @@ def test_leaf_interchange_swaps_and_keeps_shape(rng):
     # random leaf swaps always change the embedded set
     for _ in range(20):
         t6 = random_tree(6, rng)
-        t2, rec = leaf_interchange(t6, rng)
+        t2, rec = one_move(t6, "leaf_interchange", rng)
         assert rec is not None
         assert embedded_quartets(t2) != embedded_quartets(t6)
 
@@ -68,13 +63,13 @@ def test_subtree_interchange_inverse_replay(rng):
     for _ in range(100):
         n = int(rng.integers(5, 12))
         t = random_tree(n, rng)
-        t2, rec = subtree_interchange(t, rng)
+        t2, rec = one_move(t, "subtree_interchange", rng)
         assert rec is not None and rec.kind == "subtree_interchange"
         back = replay_records(t2, [rec.inverse()])
         assert trees_equal(back, t)
     # n=5 always has an eligible pair
     for _ in range(10):
-        _, rec = subtree_interchange(random_tree(5, rng), rng)
+        _, rec = one_move(random_tree(5, rng), "subtree_interchange", rng)
         assert rec is not None
 
 
@@ -82,13 +77,11 @@ def test_subtree_transfer_roundtrip_and_census(rng):
     for _ in range(100):
         n = int(rng.integers(5, 12))
         t = random_tree(n, rng)
-        t2, rec = subtree_transfer(t, rng)
+        t2, rec = one_move(t, "subtree_transfer", rng)
         assert rec is not None and rec.kind == "subtree_transfer"
         assert trees_equal(replay_records(t2, [rec.inverse()]), t)
         assert not trees_equal(t2, t)  # reattachment site excludes the smoothed edge
     # repeated transfers escape the caterpillar shape quickly
-    from quartet.bench import caterpillar
-
     start = caterpillar(8)
     cat_key = start.canonical_key()
 
@@ -100,7 +93,7 @@ def test_subtree_transfer_roundtrip_and_census(rng):
     assert is_caterpillar(start)
     t = start
     for draws in range(100):
-        t, rec = subtree_transfer(t, rng)
+        t, rec = one_move(t, "subtree_transfer", rng)
         if not is_caterpillar(t):
             break
     else:
@@ -110,26 +103,22 @@ def test_subtree_transfer_roundtrip_and_census(rng):
 
 def test_no_op_signaling_at_n4(rng):
     t = random_tree(4, rng)
-    assert subtree_interchange(t, rng)[1] is None
-    assert subtree_transfer(t, rng)[1] is None
-    t2, rec = leaf_interchange(t, rng)
+    assert one_move(t, "subtree_interchange", rng)[1] is None
+    assert one_move(t, "subtree_transfer", rng)[1] is None
+    t2, rec = one_move(t, "leaf_interchange", rng)
     assert rec is not None and not trees_equal(t, t2)
 
 
 def test_k_mutation(rng):
-    t = random_tree(8, rng)
-    t1, recs = k_mutation(t, 1, rng)
-    assert len(recs) == 1
-    with pytest.raises(ValueError):
-        k_mutation(t, 0, rng)
-    # fuzz: validity for large k across sizes
+    # fuzz: k simple mutations in a row stay valid and replay, for large k
+    # across sizes
     for _ in range(60):
         n = int(rng.integers(4, 33))
         k = int(rng.integers(1, 300))
         t = random_tree(n, rng)
-        t2, recs = k_mutation(t, k, rng)
-        assert len(recs) == k
-        assert trees_equal(replay_records(t, recs), t2)
+        adj = t.copy_adjacency()
+        recs = [simple_mutation(adj, n, rng) for _ in range(k)]
+        assert trees_equal(replay_records(t, recs), Tree(adj))
 
 
 def test_record_text_round_trip(rng):
@@ -150,6 +139,19 @@ def test_record_lines_reject_negative_node_ids():
                  "subtree_transfer 0 5 -1 6 7 8"):
         with pytest.raises(ValueError, match="negative node id"):
             MutationRecord.from_line(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["leaf_interchange 7 8", "leaf_interchange 0 7", "leaf_interchange 0 77",
+     "subtree_interchange 12 0 1 3", "subtree_transfer 0 6 7 8 9 11"],
+)
+def test_replay_records_rejects_nodes_outside_the_tree(line):
+    # n=6: leaves 0..5, nodes 0..9; a leaf interchange of internal nodes
+    # would otherwise replay into a different valid tree
+    t = random_tree(6, np.random.Generator(np.random.PCG64(1)))
+    with pytest.raises(ValueError, match=line):
+        replay_records(t, [MutationRecord.from_line(line)])
 
 
 def test_apply_record_rejects_stale_records(rng):
@@ -189,7 +191,7 @@ def test_empirical_pmf_matches_analytic():
     # 1e7 draws; every bucket k <= 20 within 1% of the analytic pmf
     rng = rng_for(123456)
     n_draws = 10_000_000
-    draws = sample_k_batch(rng, n_draws)
+    draws = sample_k_batch(rng, n_draws, k_max=1024)
     z = _oracle_normalizer()
     for k in range(1, 21):
         analytic = 1.0 / ((k + 2) * math.log(k + 2) ** 2) / z
@@ -207,7 +209,7 @@ def test_tail_mass_at_100():
     assert analytic_tail > 0
     rng = rng_for(4242)
     n_draws = 10_000_000
-    draws = sample_k_batch(rng, n_draws)
+    draws = sample_k_batch(rng, n_draws, k_max=1024)
     hits = int(np.count_nonzero(draws >= 100))
     assert hits >= 1
     expect = analytic_tail * n_draws

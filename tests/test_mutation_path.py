@@ -1,9 +1,9 @@
 import pytest
 
 from quartet.mutate import mutation_path, replay_records
-from quartet.trees import enumerate_all_trees, random_tree, trees_equal
+from quartet.trees import random_tree, trees_equal
 
-from conftest import rng_for
+from conftest import enumerate_all_trees, rng_for
 
 ALLOWED_KINDS = {"leaf_interchange", "subtree_interchange"}
 

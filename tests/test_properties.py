@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartet.bench import caterpillar
 from quartet.cost import DistanceCostFunction, DistanceMatrix, tree_cost_naive
 from quartet.fastcost import DeltaCost, TreeCache, cost_distance_from_adj, tree_cost_fast
 from quartet.matrix_io import FORMATS, format_matrix, parse_matrix
@@ -37,7 +36,7 @@ from quartet.trees import (
     trees_equal,
 )
 
-from conftest import random_symmetric_matrix, rng_for
+from conftest import caterpillar, random_symmetric_matrix, rng_for
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

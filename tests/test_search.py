@@ -14,16 +14,13 @@ from quartet.fastcost import TreeCache
 from quartet.mutate import max_path_moves
 from quartet.search import (
     SearchConfig,
-    hill_climb,
     metropolis_trial,
     replay_trace,
-    run_with_agreement,
     search,
     select_r,
 )
 from quartet.trees import (
     Tree,
-    embedded_quartets,
     enumerate_quartets,
     hop_distances,
     random_tree,
@@ -32,6 +29,7 @@ from quartet.trees import (
 
 from conftest import (
     adversarial_five_costs,
+    embedded_quartets,
     five_leaf_target,
     random_symmetric_matrix,
     rng_for,
@@ -66,7 +64,7 @@ def test_select_r_rejects_small():
 
 def test_n4_converges_immediately(rng):
     dm = random_symmetric_matrix(4, rng)
-    res = hill_climb(DistanceCostFunction(dm), seed=1, max_trees=10)
+    res = search(DistanceCostFunction(dm), mode="hill_climb", seed=1, max_trees=10)
     assert res.best_score == 1.0
     assert res.terminated_by == "perfect_score"
     assert res.trees_examined <= 3
@@ -74,7 +72,7 @@ def test_n4_converges_immediately(rng):
 
 def test_hill_climb_recovers_adversarial_optimum():
     cf = adversarial_five_costs(0.1)
-    res = hill_climb(cf, seed=2)
+    res = search(cf, mode="hill_climb", seed=2)
     assert res.best_score == pytest.approx(4 / 4.9, abs=1e-12)
     assert trees_equal(res.best_tree, five_leaf_target())
     assert res.terminated_by == "patience"
@@ -83,7 +81,7 @@ def test_hill_climb_recovers_adversarial_optimum():
 def test_hill_climb_recovers_planted_mqc(rng):
     planted = random_tree(10, rng)
     cf = cost_from_mqc(10, embedded_quartets(planted))
-    res = hill_climb(cf, seed=3)
+    res = search(cf, mode="hill_climb", seed=3)
     assert res.best_score == 1.0
     assert trees_equal(res.best_tree, planted)
     assert res.k_accepted and res.k_rejected  # hill mode logs k lengths
@@ -95,14 +93,14 @@ def test_hill_climb_caps_k_at_path_bound_by_default(n):
         cf = adversarial_five_costs(0.1)  # never perfect, so the climb runs its budget
     else:
         cf = DistanceCostFunction(random_symmetric_matrix(n, rng_for(n)))
-    res = hill_climb(cf, seed=n, max_trees=1500)
+    res = search(cf, mode="hill_climb", seed=n, max_trees=1500)
     ks = res.k_accepted + res.k_rejected
     assert len(ks) == res.trees_examined - 1
     assert max(ks) == max_path_moves(n) == 5 * n - 16
 
 
 def test_hill_climb_honours_explicit_k_max():
-    res = hill_climb(adversarial_five_costs(0.1), seed=5, max_trees=60, k_max=1024)
+    res = search(adversarial_five_costs(0.1), mode="hill_climb", seed=5, max_trees=60, k_max=1024)
     assert max(res.k_accepted + res.k_rejected) > max_path_moves(5)
 
 
@@ -222,7 +220,7 @@ def test_metropolis_vs_hill_head_to_head():
 
 def test_agreement_on_planted_tree():
     planted, cf = planted_instance(12, 404)
-    res = run_with_agreement(cf, seed=11)
+    res = search(cf, termination="agreement", seed=11)
     assert len(res.per_run_seeds) == select_r(12) == 4
     assert trees_equal(res.best_tree, planted)
     assert res.best_score == 1.0
@@ -230,14 +228,14 @@ def test_agreement_on_planted_tree():
 
 def test_agreement_runs_override():
     planted, cf = planted_instance(10, 606)
-    res = run_with_agreement(cf, seed=12, runs_r=2)
+    res = search(cf, termination="agreement", seed=12, runs_r=2)
     assert len(res.per_run_seeds) == 2
     assert trees_equal(res.best_tree, planted)
 
 
 def test_agreement_n4_unique_optimum(rng):
     dm = random_symmetric_matrix(4, rng)
-    res = run_with_agreement(DistanceCostFunction(dm), seed=13)
+    res = search(DistanceCostFunction(dm), termination="agreement", seed=13)
     assert len(res.per_run_seeds) == 6
     assert res.best_score == 1.0
 
@@ -246,7 +244,7 @@ def test_agreement_terminates_on_suboptimal_consensus():
     # the 5-item adversarial instance has optimum < 1, so only agreement
     # (not the perfect-score certificate) can stop the search
     cf = adversarial_five_costs(0.1)
-    res = run_with_agreement(cf, seed=14)
+    res = search(cf, termination="agreement", seed=14)
     assert res.terminated_by == "agreement"
     assert res.best_score == pytest.approx(4 / 4.9, abs=1e-12)
     assert trees_equal(res.best_tree, five_leaf_target())
@@ -254,8 +252,8 @@ def test_agreement_terminates_on_suboptimal_consensus():
 
 def test_thread_count_does_not_change_results():
     planted, cf = planted_instance(11, 505)
-    r1 = run_with_agreement(cf, seed=15)
-    r4 = run_with_agreement(cf, seed=15)
+    r1 = search(cf, termination="agreement", seed=15)
+    r4 = search(cf, termination="agreement", seed=15)
     assert r1.as_dict() == r4.as_dict()
     assert trees_equal(r1.best_tree, r4.best_tree)
     assert r1.history == r4.history
@@ -263,8 +261,8 @@ def test_thread_count_does_not_change_results():
 
 def test_sequential_and_parallel_same_on_nonperfect():
     cf = adversarial_five_costs(0.25)
-    r1 = run_with_agreement(cf, seed=16)
-    r2 = run_with_agreement(cf, seed=16)
+    r1 = search(cf, termination="agreement", seed=16)
+    r2 = search(cf, termination="agreement", seed=16)
     assert r1.as_dict() == r2.as_dict()
     assert trees_equal(r1.best_tree, r2.best_tree)
     assert r1.history == r2.history
@@ -287,6 +285,25 @@ def test_progress_log_and_trace(tmp_path, rng):
         assert int(te) == t and float(se) == s
     initial, records, final = replay_trace(trace)
     assert trees_equal(final, res.best_tree)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda lines: [("# edge 0 99" if x.startswith("# edge") else x) for x in lines], "outside 0..17"),
+        (lambda lines: [*lines, "leaf_interchange 0 12"], "outside 0..9"),
+        (lambda lines: [*lines, "subtree_interchange 12 0 1 18"], "outside 0..17"),
+    ],
+    ids=["edge", "leaf_interchange", "subtree_interchange"],
+)
+def test_replay_trace_rejects_node_ids_outside_the_tree(tmp_path, edit, message):
+    trace = tmp_path / "trace.log"
+    search(DistanceCostFunction(random_symmetric_matrix(10, rng_for(2))), seed=3, max_trees=50,
+           trace_path=trace)
+    bad = tmp_path / "bad.log"
+    bad.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        replay_trace(bad)
 
 
 def test_config_validation():
@@ -382,7 +399,7 @@ def test_full_scores_count_trees_scored_in_full(rng):
     walk = search(cf, seed=2)
     assert walk.terminated_by == "perfect_score"
     assert 0 < walk.full_scores < walk.trees_examined
-    hill = hill_climb(cf, seed=2, max_trees=500)
+    hill = search(cf, mode="hill_climb", seed=2, max_trees=500)
     assert hill.full_scores == hill.trees_examined
     explicit = search(adversarial_five_costs(0.1), seed=2, max_trees=300)
     assert explicit.full_scores == explicit.trees_examined

@@ -6,12 +6,8 @@ import pytest
 from quartet.trees import (
     QuartetTopology,
     Tree,
-    all_topologies,
-    embedded_quartets,
-    enumerate_all_trees,
     enumerate_quartets,
     hop_distances,
-    is_consistent,
     quartet_slabs,
     random_tree,
     topology_from_index,
@@ -21,7 +17,14 @@ from quartet.trees import (
     trees_equal,
 )
 
-from conftest import rng_for
+from conftest import (
+    all_topologies,
+    embedded_quartets,
+    enumerate_all_trees,
+    is_consistent,
+    one_move,
+    rng_for,
+)
 
 
 # ---------------------------------------------------------------- topology
@@ -187,10 +190,8 @@ def test_trees_equal_ignores_internal_ids(rng):
 
 
 def test_trees_equal_detects_leaf_swap(rng):
-    from quartet.mutate import leaf_interchange
-
     t = random_tree(6, rng)
-    t2, rec = leaf_interchange(t, rng)
+    t2, rec = one_move(t, "leaf_interchange", rng)
     assert rec is not None
     assert not trees_equal(t, t2)
     assert embedded_quartets(t) != embedded_quartets(t2)

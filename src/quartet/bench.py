@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .cost import DistanceCostFunction, DistanceMatrix
 from .search import SearchConfig, SearchResult, search
-from .trees import Tree, hop_distances, random_tree, tree_from_newick, tree_to_newick, trees_equal
+from .trees import Tree, hop_distances, random_tree, tree_to_newick, trees_equal
 
 __all__ = [
     "TrialReport",
@@ -69,29 +69,7 @@ class TrialReport:
     recovered_newick: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trial_id": self.trial_id,
-                "n": self.n,
-                "instance_seed": self.instance_seed,
-                "search_seed": self.search_seed,
-                "exact": self.exact,
-                "s_score": self.s_score,
-                "trees_examined": self.trees_examined,
-                "wall_time_s": self.wall_time_s,
-                "terminated_by": self.terminated_by,
-                "planted_newick": self.planted_newick,
-                "recovered_newick": self.recovered_newick,
-            }
-        )
-
-    @property
-    def planted_tree(self) -> Tree:
-        return tree_from_newick(self.planted_newick, [str(i) for i in range(self.n)])[0]
-
-    @property
-    def recovered_tree(self) -> Tree:
-        return tree_from_newick(self.recovered_newick, [str(i) for i in range(self.n)])[0]
+        return json.dumps(asdict(self))
 
 
 def reconstruction_trial(

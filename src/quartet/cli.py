@@ -207,7 +207,7 @@ def _cmd_score(args) -> int:
     cf = DistanceCostFunction(dm)
     b = bounds(cf)
     cost = tree_cost_fast(tree, dm)
-    s = score_from_cost(cost, b, is_min_perfect(tree, cf))
+    s = score_from_cost(cost, b, b.may_be_perfect(cost) and is_min_perfect(tree, cf))
     report = {
         "n": dm.n,
         "cost": cost,

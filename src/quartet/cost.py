@@ -14,18 +14,24 @@ computed identically on both sides, so it is immune to the summation-order
 noise that makes ``C_T == m`` unreliable; conversely a non-certified tree is
 never reported as 1.0 even when rounding pushes the quotient to 1.
 
-Distance-backed passes over all quartets (``bounds``, ``tree_cost_naive``,
-``is_min_perfect``) run slab by slab, one slab per largest label
-(``trees.quartet_slabs``), in colex rank order: memory stays at one slab,
-and the order of every float addition is fixed by n alone, so large-n sums
-are deterministic.
+Every pass over all quartets (``bounds``, ``tree_cost_naive``,
+``is_min_perfect``) runs slab by slab, one slab per largest label
+(``trees.quartet_slabs``), in colex rank order, whatever the kind of cost
+function: ``CostFunction.slab_costs`` yields each slab's three topology
+costs, and the tree's hop distances pick the embedded one. Memory stays at
+one slab, and the order of every float addition is fixed by n alone, so
+large-n sums are deterministic.
+
+The certificate is O(n^4), so it runs only on a tree whose cost lies within
+rounding distance of m (``ScoreBounds.may_be_perfect``); the search,
+``score`` and ``quartet score`` all apply that one rule before it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -33,7 +39,6 @@ from . import fastcost
 from .trees import (
     QuartetTopology,
     Tree,
-    embedded_topology_indices,
     enumerate_quartets,
     hop_distances,
     pick_embedded,
@@ -127,6 +132,11 @@ class CostFunction:
     def cost_of(self, topo: QuartetTopology) -> float:
         raise NotImplementedError
 
+    def slab_costs(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per slab of ``trees.quartet_slabs``, the costs of each quartet's
+        topologies 0, 1 and 2, in colex rank order."""
+        raise NotImplementedError
+
     def _check_labels(self, topo: QuartetTopology) -> None:
         if topo.labels[-1] >= self.n:
             raise ValueError(
@@ -177,6 +187,12 @@ class ExplicitCostFunction(CostFunction):
         self._check_labels(topo)
         return float(self.costs[quartet_rank(*topo.labels), topo.topo_index])
 
+    def slab_costs(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        # the quartets with largest label x hold ranks C(x,4) .. C(x+1,4)-1
+        for x in range(3, self.n):
+            block = self.costs[math.comb(x, 4) : math.comb(x + 1, 4)]
+            yield block[:, 0], block[:, 1], block[:, 2]
+
 
 class DistanceCostFunction(CostFunction):
     """Costs derived from a distance matrix: C(uv|wx) = d(u,v) + d(w,x)."""
@@ -194,6 +210,9 @@ class DistanceCostFunction(CostFunction):
         d = self.dm.d
         (u, v), (w, x) = topo.pair_a, topo.pair_b
         return float(d[u, v] + d[w, x])
+
+    def slab_costs(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return quartet_pair_sums(self.dm.d, self.n)
 
 
 def cost_from_mqc(n: int, p_set: Iterable[QuartetTopology]) -> ExplicitCostFunction:
@@ -233,6 +252,22 @@ class ScoreBounds:
         if not (self.m <= self.M):
             raise ValueError(f"bounds require m <= M, got m={self.m}, M={self.M}")
 
+    def may_be_perfect(self, cost: float) -> bool:
+        """Whether a tree costing ``cost`` is worth the certificate: its cost
+        lies within rounding distance of m. A tree that fails this test
+        cannot have every quartet at its minimum."""
+        return cost <= self.m + 1e-9 * (abs(self.m) + abs(self.M) + 1.0)
+
+
+def _embedded_slabs(tree_or_adj, cf: CostFunction, n: int | None):
+    """Per slab, the costs of the tree's embedded topologies and the three
+    topology costs they were picked from."""
+    adj, n = _adj_of(tree_or_adj, n)
+    if n != cf.n:
+        raise ValueError(f"tree has {n} leaves but cost function covers {cf.n}")
+    hop = quartet_pair_sums(hop_distances(adj, n), n)
+    return ((pick_embedded(hop_sums, costs), costs) for hop_sums, costs in zip(hop, cf.slab_costs()))
+
 
 def tree_cost_naive(tree_or_adj, cf: CostFunction, n: int | None = None) -> float:
     """C_T summed over the tree's embedded topologies in quartet rank order,
@@ -241,26 +276,17 @@ def tree_cost_naive(tree_or_adj, cf: CostFunction, n: int | None = None) -> floa
     The reference scorer: works for any cost function and is the oracle the
     decomposition scorer is checked against.
     """
-    adj, n = _adj_of(tree_or_adj, n)
-    if n != cf.n:
-        raise ValueError(f"tree has {n} leaves but cost function covers {cf.n}")
-    if isinstance(cf, ExplicitCostFunction):
-        idx = embedded_topology_indices(adj, n)
-        return float(cf.costs[np.arange(len(idx)), idx].sum())
-    hop = quartet_pair_sums(hop_distances(adj, n), n)
     total = 0.0
-    for hop_sums, costs in zip(hop, quartet_pair_sums(cf.dm.d, n)):
-        total += float(pick_embedded(hop_sums, costs).sum())
+    for picked, _ in _embedded_slabs(tree_or_adj, cf, n):
+        total += float(picked.sum())
     return total
 
 
 def bounds(cf: CostFunction) -> ScoreBounds:
     """Summed per-quartet minima and maxima of the three topology costs."""
-    if isinstance(cf, ExplicitCostFunction):
-        return ScoreBounds(float(cf.costs.min(axis=1).sum()), float(cf.costs.max(axis=1).sum()))
     lo = 0.0
     hi = 0.0
-    for c0, c1, c2 in quartet_pair_sums(cf.dm.d, cf.n):
+    for c0, c1, c2 in cf.slab_costs():
         lo += float(np.minimum(np.minimum(c0, c1), c2).sum())
         hi += float(np.maximum(np.maximum(c0, c1), c2).sum())
     return ScoreBounds(lo, hi)
@@ -270,19 +296,10 @@ def is_min_perfect(tree_or_adj, cf: CostFunction, n: int | None = None) -> bool:
     """Exact certificate that every quartet is embedded at its minimal cost
     (equivalently C_T = m, hence S(T) = 1), for a ``Tree`` or neighbour
     rows."""
-    adj, n = _adj_of(tree_or_adj, n)
-    if n != cf.n:
-        raise ValueError(f"tree has {n} leaves but cost function covers {cf.n}")
-    if isinstance(cf, ExplicitCostFunction):
-        idx = embedded_topology_indices(adj, n)
-        picked = cf.costs[np.arange(len(idx)), idx]
-        return bool(np.all(picked == cf.costs.min(axis=1)))
-    hop = quartet_pair_sums(hop_distances(adj, n), n)
-    for hop_sums, (c0, c1, c2) in zip(hop, quartet_pair_sums(cf.dm.d, n)):
-        picked = pick_embedded(hop_sums, (c0, c1, c2))
-        if not np.all(picked == np.minimum(np.minimum(c0, c1), c2)):
-            return False
-    return True
+    return all(
+        np.all(picked == np.minimum(np.minimum(c0, c1), c2))
+        for picked, (c0, c1, c2) in _embedded_slabs(tree_or_adj, cf, n)
+    )
 
 
 def score_from_cost(cost: float, b: ScoreBounds, perfect: bool) -> float:
@@ -308,7 +325,7 @@ def score(tree: Tree, cf: CostFunction) -> float:
         cost = fastcost.tree_cost_fast(tree, cf.dm)
     else:
         cost = tree_cost_naive(tree, cf)
-    return score_from_cost(cost, b, is_min_perfect(tree, cf))
+    return score_from_cost(cost, b, b.may_be_perfect(cost) and is_min_perfect(tree, cf))
 
 
 def _adj_of(tree_or_adj, n: int | None) -> tuple[list[list[int]], int]:

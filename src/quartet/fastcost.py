@@ -44,7 +44,13 @@ minus those before j. So Delta C takes O(path length) steps given a
 table of d in walk order (every side of every edge is a walk-order range or
 its complement, so every cross mass is a few table lookups), and per
 internal node, for each neighbour, the leaf count behind it and the cross
-mass of the other two sides.
+mass of the other two sides. Those masses come from one cut per node v, the
+mass between the leaves below v and the rest: the range's column mass
+minus its diagonal block of the table. At internal node p the three sides
+A1, A2, A3 have cuts d(A1,A2) + d(A1,A3) and so on (a child side's cut is
+the child's, the parent side's is p's own), which sum to twice the mass
+between the sides, so d(A2,A3) is half that sum minus the cut of A1, in
+exact integers.
 
 Rounding. ``DeltaCost`` rounds d once to multiples of h = 2^-k, k chosen so
 that the rounded total stays below 2^60: the table then holds exact int64
@@ -217,22 +223,17 @@ class TreeCache:
         np.cumsum(cost.dq.take(order, 0).take(order, 1).cumsum(0), 1, out=sat[1:, 1:])
 
         rows = np.array(adj[n:], dtype=np.intp)
-        par, lo_a, size_a = np.array(parent), np.array(lo), np.array(size)
+        par, r0, size_a = np.array(parent), np.array(lo), np.array(size)
+        r1 = r0 + size_a
+        # cut[v]: the mass between the leaves below v and all other leaves
+        col = sat[n]
+        cut = col[r1] - col[r0] - (sat[r1, r1] - sat[r0, r1] - sat[r1, r0] + sat[r0, r0])
         p = np.arange(n, 2 * n - 2)[:, None]
         child = par[rows] == p
-        # each direction as a walk-order range: a child's own range, or for
-        # the parent direction the range of p, whose complement it is
-        r0 = np.where(child, lo_a[rows], lo_a[p])
-        r1 = r0 + np.where(child, size_a[rows], size_a[p])
-        i, j = [1, 2, 0], [2, 0, 1]
-        a0, a1, b0, b1 = r0[:, i], r1[:, i], r0[:, j], r1[:, j]
-        opp = sat[a1, b1] - sat[a0, b1] - sat[a1, b0] + sat[a0, b0]
-        col = sat[n]
-        opp = np.where(
-            child[:, i],
-            np.where(child[:, j], opp, col[a1] - col[a0] - opp),
-            col[b1] - col[b0] - opp,
-        )
+        # side cuts: a child's own, or p's for the parent side (the
+        # complement of p's leaves); see the module docstring
+        sc = np.where(child, cut[rows], cut[p])
+        opp = sc.sum(1, keepdims=True) // 2 - sc
         pad: list = [None] * n
         self.cost = cost
         self.parent, self.depth, self.size, self.lo = parent, depth, size, lo
@@ -371,11 +372,13 @@ class TreeCache:
 
 
 def tree_cost_fast(tree: Tree, dm) -> float:
-    """C_T for the distance matrix ``dm``; equals the naive scorer up to
-    float summation order (<= 1e-9 relative)."""
-    d = dm.d if hasattr(dm, "d") else np.asarray(dm, dtype=np.float64)
-    if d.shape[0] != tree.n:
-        raise ValueError(
-            f"tree has {tree.n} leaves but distance matrix is {d.shape[0]}x{d.shape[1]}"
-        )
-    return cost_distance_from_adj(tree.copy_adjacency(), tree.n, d)
+    """C_T for the distance matrix ``dm``, a ``DistanceMatrix`` or an array
+    that passes its checks; equals the naive scorer up to float summation
+    order (<= 1e-9 relative)."""
+    if not hasattr(dm, "d"):
+        from .cost import DistanceMatrix  # cost imports this module
+
+        dm = DistanceMatrix(dm)
+    if dm.n != tree.n:
+        raise ValueError(f"tree has {tree.n} leaves but distance matrix is {dm.n}x{dm.n}")
+    return cost_distance_from_adj(tree.copy_adjacency(), tree.n, dm.d)

@@ -20,7 +20,10 @@ without improvement) or ``agreement`` (r independently seeded runs advance
 round-robin; whenever one improves and all best scores are equal, the r
 candidate trees are compared and the search stops when they are identical).
 A tree certified perfect (every quartet at its minimal cost, S(T)=1) stops
-any mode immediately since no tree can cost less.
+any mode immediately since no tree can cost less. Each new best tree of a
+run is certified once, when it is found, and only when its cost passes
+``ScoreBounds.may_be_perfect``; the run's ``perfect`` flag then carries the
+certificate into the history and the result.
 
 Determinism: identical (cost function, config, seed) reproduce SearchResult
 bit for bit. The search is single-threaded: each run draws from its own
@@ -67,7 +70,6 @@ from .trees import Tree, random_tree, tree_to_newick
 __all__ = [
     "SearchConfig",
     "SearchResult",
-    "metropolis_trial",
     "replay_trace",
     "search",
     "select_r",
@@ -167,16 +169,13 @@ class SearchResult:
 
 class _Scorer:
     """Uniform cost interface over neighbour rows, plus the exactness
-    certificate trigger (cost within rounding distance of the lower
-    bound). The kind of cost function picks the scorer: the O(n^2) one for
-    distance-backed costs, the naive one for explicit costs."""
+    certificate. The kind of cost function picks the scorer: the O(n^2) one
+    for distance-backed costs, the naive one for explicit costs."""
 
     def __init__(self, cf: CostFunction):
         self.cf = cf
         self.n = cf.n
         self.bounds = cost_bounds(cf)
-        b = self.bounds
-        self.trigger = b.m + 1e-9 * (abs(b.m) + abs(b.M) + 1.0)
         self._d = cf.dm.d if isinstance(cf, DistanceCostFunction) else None
         self.which = "naive" if self._d is None else "fast"
         self.delta_cost = None if self._d is None else DeltaCost(self._d)
@@ -187,7 +186,7 @@ class _Scorer:
         return tree_cost_naive(adj, self.cf, self.n)
 
     def certify_perfect(self, adj: list[list[int]], cost: float) -> bool:
-        return cost <= self.trigger and is_min_perfect(adj, self.cf, self.n)
+        return self.bounds.may_be_perfect(cost) and is_min_perfect(adj, self.cf, self.n)
 
     def score(self, cost: float, perfect: bool) -> float:
         return score_from_cost(cost, self.bounds, perfect)
@@ -234,7 +233,7 @@ class _Run:
         """One generation (or initialization) in place; sets self.improved."""
         self.improved = False
         if not self.initialized:
-            self.start(random_tree(self.n, self.rng))
+            self._start()
             return
         if self.perfect:
             return
@@ -243,12 +242,11 @@ class _Run:
         else:
             self._gen_metropolis(budget)
 
-    def start(self, tree: Tree) -> None:
-        """Examine ``tree`` as the run's first best tree."""
-        self.initial_tree = tree
-        self.best_adj = tree.copy_adjacency()
+    def _start(self) -> None:
+        """Examine a random tree as the run's first best tree."""
+        self.initial_tree = random_tree(self.n, self.rng)
+        self.best_adj = self.initial_tree.copy_adjacency()
         self.best_cost = self.scorer.cost(self.best_adj)
-        self.best_cache = None
         self.examined += 1
         self.full_scores += 1
         self.improved = True
@@ -338,9 +336,7 @@ class _Run:
 # ---------------------------------------------------------------------- #
 
 
-def search(
-    cf: CostFunction, config: SearchConfig | None = None, rng: np.random.Generator | None = None, **overrides
-) -> SearchResult:
+def search(cf: CostFunction, config: SearchConfig | None = None, **overrides) -> SearchResult:
     """Run the configured search on a cost function over cf.n items."""
     config = replace(config or SearchConfig(), **overrides)
     scorer = _Scorer(cf)
@@ -353,10 +349,7 @@ def search(
         r = config.runs_r if config.runs_r is not None else select_r(n)
         if r < 2:
             raise ValueError(f"agreement termination needs at least 2 runs, got {r}")
-    if rng is not None:
-        seeds = [int(rng.integers(1 << 63)) for _ in range(r)]
-    else:
-        seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(r, np.uint64)]
+    seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(r, np.uint64)]
     runs = [_Run(scorer, config, np.random.Generator(np.random.PCG64(s)), theta) for s in seeds]
 
     history: list[tuple[int, float]] = []
@@ -376,8 +369,7 @@ def search(
             last_improve = total
             if run.best_cost < gb_cost:
                 gb, gb_cost = i, run.best_cost
-                perfect = run.perfect or scorer.certify_perfect(run.best_adj, run.best_cost)
-                s = scorer.score(run.best_cost, perfect)
+                s = scorer.score(run.best_cost, run.perfect)
                 history.append((total, s))
                 if progress is not None:
                     progress.write(f"{total}\t{s!r}\n")
@@ -411,8 +403,7 @@ def search(
     reason, winner = stop
 
     win = runs[winner if winner >= 0 else 0]
-    perfect = win.perfect or scorer.certify_perfect(win.best_adj, win.best_cost)
-    best_score = scorer.score(win.best_cost, perfect)
+    best_score = scorer.score(win.best_cost, win.perfect)
     result = SearchResult(
         best_tree=win.best_tree(),
         best_score=best_score,
@@ -431,25 +422,6 @@ def search(
     if config.trace_path is not None:
         _write_trace(config.trace_path, win)
     return result
-
-
-def metropolis_trial(
-    t0: Tree,
-    cf: CostFunction,
-    config: SearchConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> Tree:
-    """One Metropolis walk of ``trial_length`` steps from ``t0``; acceptance
-    uses the raw tree cost and rejected steps are rolled back. Returns the
-    best tree seen (``t0`` itself when nothing beat it)."""
-    config = config or SearchConfig()
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(config.seed))
-    scorer = _Scorer(cf)
-    run = _Run(scorer, config, rng, _temperature(config, scorer))
-    run.start(t0)
-    run._gen_metropolis(None)
-    return run.best_tree()
 
 
 # ---------------------------------------------------------------------- #

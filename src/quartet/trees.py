@@ -391,17 +391,6 @@ def hop_distances(tree_or_adj, n: int | None = None) -> np.ndarray:
     return out
 
 
-def embedded_topology_indices(adj, n: int) -> np.ndarray:
-    """Per-quartet embedded topology index (0..2) in colex rank order, for
-    neighbour rows over n leaves."""
-    return np.concatenate(
-        [
-            pick_embedded(sums, (0, 1, 2)).astype(np.int8)
-            for sums in quartet_pair_sums(hop_distances(adj, n), n)
-        ]
-    )
-
-
 def pick_embedded(hop_sums, choices) -> np.ndarray:
     """Per quartet, the entry of ``choices`` (indexed by topology index) for
     its embedded topology. ``hop_sums`` are the three pairings' hop-distance

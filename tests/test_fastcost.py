@@ -87,6 +87,20 @@ def test_dimension_mismatch_rejected(rng):
         tree_cost_fast(random_tree(6, rng), random_symmetric_matrix(7, rng))
 
 
+@pytest.mark.parametrize(
+    "d,message",
+    [
+        (np.ones((6, 1)), "must be square"),
+        (np.full((6, 6), np.nan), "non-finite"),
+        (np.triu(np.ones((6, 6)), 1), "not symmetric"),
+    ],
+    ids=["column", "nan", "asymmetric"],
+)
+def test_raw_arrays_get_the_distance_matrix_checks(rng, d, message):
+    with pytest.raises(ValueError, match=message):
+        tree_cost_fast(random_tree(6, rng), d)
+
+
 def _node_buckets(tree):
     """Topologies credited to each internal node: one pair split across two
     of its subtrees, the other pair inside the remaining subtree."""

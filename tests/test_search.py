@@ -8,13 +8,11 @@ from quartet.cost import (
     DistanceMatrix,
     ExplicitCostFunction,
     cost_from_mqc,
-    tree_cost_naive,
 )
 from quartet.fastcost import TreeCache
 from quartet.mutate import max_path_moves
 from quartet.search import (
     SearchConfig,
-    metropolis_trial,
     replay_trace,
     search,
     select_r,
@@ -115,11 +113,21 @@ def test_history_strictly_increasing_and_monotone(rng):
     assert 0.0 <= res.best_score <= 1.0
 
 
-def test_determinism_same_seed(rng):
-    dm = random_symmetric_matrix(9, rng)
-    cf = DistanceCostFunction(dm)
-    a = search(cf, seed=77, max_trees=2500)
-    b = search(cf, seed=77, max_trees=2500)
+@pytest.mark.parametrize(
+    "make_cf,overrides",
+    [
+        pytest.param(lambda rng: DistanceCostFunction(random_symmetric_matrix(9, rng)),
+                     dict(seed=77, max_trees=2500), id="random-9"),
+        pytest.param(lambda rng: planted_instance(11, 505)[1],
+                     dict(termination="agreement", seed=15), id="planted-11-agreement"),
+        pytest.param(lambda rng: adversarial_five_costs(0.25),
+                     dict(termination="agreement", seed=16), id="adversarial-5-agreement"),
+    ],
+)
+def test_determinism_same_seed(rng, make_cf, overrides):
+    cf = make_cf(rng)
+    a = search(cf, **overrides)
+    b = search(cf, **overrides)
     assert a.as_dict() == b.as_dict()
     assert trees_equal(a.best_tree, b.best_tree)
     assert a.history == b.history
@@ -169,25 +177,6 @@ def test_patience_termination(rng):
 
 
 # ------------------------------------------------------------ metropolis
-
-
-def test_metropolis_trial_returns_best_seen(rng):
-    planted, cf = planted_instance(8, 99)
-    t0 = random_tree(8, rng)
-    cost0 = tree_cost_naive(t0, cf)
-    best = metropolis_trial(t0, cf, SearchConfig(trial_length=200), rng=rng_for(5))
-    assert tree_cost_naive(best, cf) <= cost0
-
-
-def test_metropolis_zero_temperature_never_accepts_worse(rng):
-    # theta -> 0: the walk is strict-improvement; the best tree's cost equals
-    # the walk end state's cost
-    dm = random_symmetric_matrix(9, rng)
-    cf = DistanceCostFunction(dm)
-    cfg = SearchConfig(metropolis_temperature=1e-300, trial_length=500)
-    t0 = random_tree(9, rng_for(8))
-    best = metropolis_trial(t0, cf, cfg, rng=rng_for(9))
-    assert tree_cost_naive(best, cf) <= tree_cost_naive(t0, cf)
 
 
 def test_metropolis_acceptance_rule():
@@ -248,24 +237,6 @@ def test_agreement_terminates_on_suboptimal_consensus():
     assert res.terminated_by == "agreement"
     assert res.best_score == pytest.approx(4 / 4.9, abs=1e-12)
     assert trees_equal(res.best_tree, five_leaf_target())
-
-
-def test_thread_count_does_not_change_results():
-    planted, cf = planted_instance(11, 505)
-    r1 = search(cf, termination="agreement", seed=15)
-    r4 = search(cf, termination="agreement", seed=15)
-    assert r1.as_dict() == r4.as_dict()
-    assert trees_equal(r1.best_tree, r4.best_tree)
-    assert r1.history == r4.history
-
-
-def test_sequential_and_parallel_same_on_nonperfect():
-    cf = adversarial_five_costs(0.25)
-    r1 = search(cf, termination="agreement", seed=16)
-    r2 = search(cf, termination="agreement", seed=16)
-    assert r1.as_dict() == r2.as_dict()
-    assert trees_equal(r1.best_tree, r2.best_tree)
-    assert r1.history == r2.history
 
 
 # ------------------------------------------------------------ io surfaces
@@ -357,6 +328,7 @@ DELTA_SEARCHES = [  # (d, n, overrides, what stops the search)
     ("noisy", 12, dict(patience=400), "patience"),
     ("noisy", 16, dict(termination="agreement"), "agreement"),
     ("noisy", 24, dict(max_trees=1500, trial_length=7), "max_trees"),
+    ("noisy", 20, dict(metropolis_temperature=1e-300, patience=600), "patience"),
 ]
 
 
@@ -378,20 +350,6 @@ def test_delta_shortcut_leaves_metropolis_results_unchanged(tmp_path, monkeypatc
     full, out_full = delta_search_outputs(tmp_path / "full", instance, n, overrides)
     assert out == out_full
     assert full.full_scores == full.trees_examined
-
-
-def test_delta_shortcut_leaves_metropolis_trial_unchanged(monkeypatch):
-    _, cf = planted_instance(20, 4)
-    cfg = SearchConfig(trial_length=300)
-
-    def trial():
-        rng = rng_for(12)
-        best = metropolis_trial(random_tree(20, rng_for(13)), cf, cfg, rng=rng)
-        return best.canonical_key(), rng.random()
-
-    first = trial()
-    monkeypatch.setattr(TreeCache, "delta", lambda self, rec: (0.0, 1.0))
-    assert trial() == first
 
 
 def test_full_scores_count_trees_scored_in_full(rng):

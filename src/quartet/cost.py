@@ -39,6 +39,7 @@ from . import fastcost
 from .trees import (
     QuartetTopology,
     Tree,
+    _check_names,
     enumerate_quartets,
     hop_distances,
     pick_embedded,
@@ -107,13 +108,7 @@ class DistanceMatrix:
         self.n = n
         self.d = d
         d.setflags(write=False)
-        if names is not None:
-            names = [str(x) for x in names]
-            if len(names) != n:
-                raise ValueError(f"{len(names)} names for {n} items")
-            if len(set(names)) != n:
-                raise ValueError("item names must be unique")
-        self.names = list(names) if names is not None else None
+        self.names = _check_names(n, names) if names is not None else None
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n})"

@@ -1,16 +1,24 @@
 """Distance-matrix file formats: CSV, PHYLIP square, and Nexus DISTANCES.
 
 Readers are whitespace-tolerant; writers emit 17-significant-digit values so
-matrices round-trip exactly through any of the three formats.
+matrices round-trip exactly through any of the three formats. Nexus is read
+through the Newick reader's tokenizer (``trees._tokens``), so both formats
+share one rule for quoted labels (``''`` is a quote) and nested ``[...]``
+comments; its errors give the line. Names pass ``DistanceMatrix``'s check
+(as many as the items, unique, non-empty). The CSV writer raises ValueError
+on names with commas or all-numeric names, the PHYLIP writer on names that
+collide or become empty once blanks are written as '_'.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .cost import DistanceMatrix
+from .trees import _LexError, _tokens
 
 __all__ = [
     "FORMATS",
@@ -153,7 +161,15 @@ def _parse_phylip(text: str) -> DistanceMatrix:
 
 def _format_phylip(dm: DistanceMatrix) -> str:
     # PHYLIP tokens are whitespace-delimited; spaces in names become '_'
-    names = ["_".join(str(nm).split()) for nm in (dm.names or map(str, range(dm.n)))]
+    given = dm.names or [str(i) for i in range(dm.n)]
+    names = ["_".join(nm.split()) for nm in given]
+    counts = Counter(names)
+    bad = [nm for nm, out in zip(given, names) if not out or counts[out] > 1]
+    if bad:
+        raise ValueError(
+            f"PHYLIP cannot hold names that collide or become empty once blanks "
+            f"are written as '_': {bad[:3]}"
+        )
     width = max(10, max(len(nm) for nm in names) + 1)
     lines = [f"{dm.n:5d}"]
     for i in range(dm.n):
@@ -167,63 +183,17 @@ def _format_phylip(dm: DistanceMatrix) -> str:
 # ---------------------------------------------------------------------- #
 
 
-def _nexus_tokens(text: str):
-    """Tokens with line numbers; quoted labels kept whole, comments dropped."""
-    out = []
-    lineno = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            lineno += 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == "[":  # nexus comment
-            depth = 1
-            i += 1
-            while i < len(text) and depth:
-                if text[i] == "[":
-                    depth += 1
-                elif text[i] == "]":
-                    depth -= 1
-                elif text[i] == "\n":
-                    lineno += 1
-                i += 1
-        elif ch == "'":
-            j = i + 1
-            buf = []
-            while j < len(text):
-                if text[j] == "'":
-                    if j + 1 < len(text) and text[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                if text[j] == "\n":
-                    lineno += 1
-                buf.append(text[j])
-                j += 1
-            else:
-                raise MatrixParseError("unterminated quoted label", lineno)
-            out.append(("".join(buf), lineno, True))
-            i = j + 1
-        elif ch in ";=":
-            out.append((ch, lineno, False))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "[';=":
-                j += 1
-            out.append((text[i:j], lineno, False))
-            i = j
-    return out
-
-
 def _parse_nexus(text: str) -> DistanceMatrix:
     if not text.lstrip().upper().startswith("#NEXUS"):
         raise MatrixParseError("missing #NEXUS header", 1)
-    toks = _nexus_tokens(text)
+    toks, line, last = [], 1, 0
+    try:
+        for tok, pos, quoted in _tokens(text, ";="):
+            line += text.count("\n", last, pos)
+            last = pos
+            toks.append((tok, line, quoted))
+    except _LexError as exc:
+        raise MatrixParseError(str(exc), line + text.count("\n", last, exc.pos)) from None
     upper = [t[0].upper() if not t[2] else None for t in toks]
 
     def find_block(name):
@@ -245,7 +215,11 @@ def _parse_nexus(text: str) -> DistanceMatrix:
         word = upper[i]
         if word == "NTAX":
             if i + 2 < len(toks) and toks[i + 1][0] == "=":
-                ntax = int(toks[i + 2][0])
+                tok, line, _ = toks[i + 2]
+                try:
+                    ntax = int(tok)
+                except ValueError:
+                    raise MatrixParseError(f"expected an item count after NTAX=, got {tok!r}", line) from None
                 i += 3
                 continue
         if word == "TRIANGLE" and i + 2 < len(toks) and toks[i + 1][0] == "=":

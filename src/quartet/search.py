@@ -120,8 +120,9 @@ class SearchConfig:
             raise ValueError("patience must be >= 1")
         if self.trial_length is not None and self.trial_length < 1:
             raise ValueError("trial_length must be >= 1")
-        if self.metropolis_temperature is not None and not self.metropolis_temperature > 0:
-            raise ValueError("metropolis_temperature must be > 0")
+        t = self.metropolis_temperature
+        if t is not None and not (math.isfinite(t) and t > 0):
+            raise ValueError(f"metropolis_temperature must be finite and > 0, got {t}")
         if self.k_max is not None and self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.max_trees is not None and self.max_trees < 1:

@@ -20,12 +20,22 @@ topology is embedded in a tree when the u-v and w-x paths share no vertex.
 Each quartet has exactly one embedded topology, so trees are identified by
 their embedded-topology sets; ``canonical_key`` gives an equivalent string
 form used for fast equality and hashing.
+
+Text: Newick here and Nexus in ``matrix_io`` are read through one tokenizer,
+``_tokens``. A label is a bare word or is quoted in single quotes, with
+``''`` for a quote inside; a bare word ends at a blank, at the format's
+punctuation, at ``'`` or at ``[``. Bracketed comments, which may nest, are
+skipped anywhere, so Newick input may carry ``[&R]`` or ``[&&NHX...]``
+annotations. Item names, whether written to Newick, Graphviz or a matrix,
+pass one check (``_check_names``): as many as the items, unique, non-empty.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -479,17 +489,18 @@ def tree_from_newick(
 ) -> tuple[Tree, list[str]]:
     """Parse a Newick tree into the unrooted ternary representation.
 
-    Branch lengths and internal labels are read and discarded. A rooted
-    binary tree (degree-2 root) is unrooted by smoothing the root. When
+    Branch lengths and internal labels are read and discarded, and so are
+    bracketed comments; the closing ';' may be left out. A rooted binary
+    tree (degree-2 root) is unrooted by smoothing the root. Leaf labels must
+    be non-empty and unique. Syntax errors give the character offset. When
     ``names`` is given, leaf labels are assigned by position in it and the
     tree's leaf set must match exactly.
 
     Returns (tree, leaf names by label).
     """
-    nodes, node_names = _parse_newick_topology(text)
-    # nodes: adjacency dict over temp ids; leaves are ids with a name
-    leaf_ids = [v for v, nm in node_names.items() if nm is not None]
-    internal_ids = [v for v in nodes if node_names.get(v) is None]
+    nodes, leaves = _parse_newick_topology(text)
+    leaf_ids = list(leaves.values())
+    internal_ids = sorted(nodes.keys() - leaf_ids)
     # smooth any degree-2 nodes (rooted input)
     for v in list(internal_ids):
         if len(nodes[v]) == 2:
@@ -509,7 +520,7 @@ def tree_from_newick(
         raise ValueError(f"need at least 4 leaves, got {n}")
     if len(internal_ids) != n - 2:
         raise ValueError(f"{n} leaves need {n - 2} internal nodes, got {len(internal_ids)}")
-    found = [node_names[v] for v in leaf_ids]
+    found = list(leaves)
     if names is None:
         order = sorted(range(n), key=lambda i: found[i])
         out_names = [found[i] for i in order]
@@ -534,105 +545,107 @@ def tree_from_newick(
 
 
 def _parse_newick_topology(text: str):
-    s = text.strip()
-    if s.endswith(";"):
-        s = s[:-1]
+    """Adjacency lists by node id, and leaf ids by name in input order. Ids
+    count up as nodes complete: a leaf when its label is read, a clade at
+    its ')'."""
     nodes: dict[int, list[int]] = {}
-    names: dict[int, str | None] = {}
-    next_id = [0]
-
-    def new_node(name: str | None) -> int:
-        v = next_id[0]
-        next_id[0] += 1
-        nodes[v] = []
-        names[v] = name
-        return v
-
-    pos = [0]
-
-    def skip_ws():
-        while pos[0] < len(s) and s[pos[0]].isspace():
-            pos[0] += 1
-
-    def read_label() -> str:
-        skip_ws()
-        if pos[0] < len(s) and s[pos[0]] == "'":
-            j = pos[0] + 1
-            out = []
-            while j < len(s):
-                if s[j] == "'":
-                    if j + 1 < len(s) and s[j + 1] == "'":
-                        out.append("'")
-                        j += 2
-                        continue
-                    break
-                out.append(s[j])
-                j += 1
-            else:
-                raise ValueError("unterminated quoted label in Newick input")
-            pos[0] = j + 1
-            return "".join(out)
-        j = pos[0]
-        while j < len(s) and s[j] not in "(),:;" and not s[j].isspace():
-            j += 1
-        out = s[pos[0] : j]
-        pos[0] = j
-        return out
-
-    def skip_length():
-        skip_ws()
-        if pos[0] < len(s) and s[pos[0]] == ":":
-            pos[0] += 1
-            skip_ws()
-            j = pos[0]
-            while j < len(s) and (s[j] not in "(),;") and not s[j].isspace():
-                j += 1
+    leaves: dict[str, int] = {}
+    open_clades: list[list[int]] = []  # the finished children of each open '('
+    # what may come next: "clade" (after '(' or ','), "label" (after ')'),
+    # "length" (after a label), "number" (after ':'), "sep", "end" (after ';')
+    expect = "clade"
+    for tok, pos, quoted in _tokens(text, "(),:;"):
+        sym = tok if not quoted and tok in "(),:;" else None
+        if expect == "clade" and sym == "(":
+            open_clades.append([])
+        elif expect == "clade":
+            if sym is not None or not tok:
+                raise ValueError(f"empty leaf label at position {pos}")
+            if tok in leaves:
+                raise ValueError(f"duplicate leaf name {tok!r} at position {pos}")
+            done = leaves[tok] = len(nodes)
+            nodes[done] = []
+            expect = "length"
+        elif expect == "number":
             try:
-                float(s[pos[0] : j])
+                if quoted:
+                    raise ValueError
+                float(tok)  # also rejects punctuation
             except ValueError:
-                raise ValueError(
-                    f"bad branch length {s[pos[0]:j]!r} at position {pos[0]}"
-                ) from None
-            pos[0] = j
+                raise ValueError(f"bad branch length {tok!r} at position {pos}") from None
+            expect = "sep"
+        elif sym is None and expect == "label":
+            expect = "length"  # internal label or support value, discarded
+        elif sym == ":" and expect in ("label", "length"):
+            expect = "number"
+        elif sym == "," and open_clades:
+            open_clades[-1].append(done)
+            expect = "clade"
+        elif sym == ")" and open_clades:
+            children = open_clades.pop() + [done]
+            done = len(nodes)
+            nodes[done] = children
+            for child in children:
+                nodes[child].append(done)
+            expect = "label"
+        elif sym == ";" and not open_clades and expect != "end":
+            expect = "end"
+        else:
+            raise ValueError(f"unexpected {tok!r} at position {pos}")
+    if open_clades or expect in ("clade", "number"):
+        raise ValueError(f"unexpected end of Newick input at position {len(text)}")
+    return nodes, leaves
 
-    def parse_clade() -> int:
-        skip_ws()
-        if pos[0] >= len(s):
-            raise ValueError("unexpected end of Newick input")
-        if s[pos[0]] == "(":
-            pos[0] += 1
-            children = [parse_clade()]
-            skip_ws()
-            while pos[0] < len(s) and s[pos[0]] == ",":
-                pos[0] += 1
-                children.append(parse_clade())
-                skip_ws()
-            if pos[0] >= len(s) or s[pos[0]] != ")":
-                raise ValueError(f"expected ')' at position {pos[0]}")
-            pos[0] += 1
-            read_label()  # discard internal label / support value
-            skip_length()
-            v = new_node(None)
-            for ch in children:
-                nodes[v].append(ch)
-                nodes[ch].append(v)
-            return v
-        name = read_label()
-        if not name:
-            raise ValueError(f"empty leaf label at position {pos[0]}")
-        skip_length()
-        return new_node(name)
 
-    root = parse_clade()
-    skip_ws()
-    if pos[0] != len(s):
-        raise ValueError(f"trailing characters after tree at position {pos[0]}")
-    dup = [nm for nm in set(names.values()) if nm is not None and
-           sum(1 for x in names.values() if x == nm) > 1]
-    if dup:
-        raise ValueError(f"duplicate leaf names in Newick input: {sorted(dup)}")
-    _ = root
-    return nodes, names
+class _LexError(ValueError):
+    """Malformed text at character offset ``pos``."""
+
+    def __init__(self, message: str, pos: int):
+        super().__init__(f"{message} at position {pos}")
+        self.pos = pos
+
+
+_BLANKS = re.compile(r"\s*")
+_QUOTED = re.compile(r"'([^']*(?:''[^']*)*)'(?!')")
+_BRACKETS = re.compile(r"[\[\]]")
+
+
+def _tokens(text: str, punct: str) -> Iterator[tuple[str, int, bool]]:
+    """Yield (token, character offset, quoted) for each token of Newick or
+    Nexus text.
+
+    A quoted label is one token, with ``''`` read as one quote. Each
+    character of ``punct`` is a token of its own. A bare word ends at a
+    blank, at a ``punct`` character, at ``'`` or at ``[``. Bracketed
+    comments, which may nest, are dropped; one left open runs to the end of
+    the text."""
+    word = re.compile(rf"[^\s'\[{re.escape(punct)}]+")
+    i = _BLANKS.match(text).end()
+    while i < len(text):
+        ch = text[i]
+        if ch == "[":
+            depth = 0
+            for m in _BRACKETS.finditer(text, i):
+                depth += 1 if m.group() == "[" else -1
+                if depth == 0:
+                    i = m.end()
+                    break
+            else:
+                i = len(text)
+        elif ch == "'":
+            m = _QUOTED.match(text, i)
+            if m is None:
+                raise _LexError("unterminated quoted label", i)
+            yield m.group(1).replace("''", "'"), i, True
+            i = m.end()
+        elif ch in punct:
+            yield ch, i, False
+            i += 1
+        else:
+            m = word.match(text, i)
+            yield m.group(), i, False
+            i = m.end()
+        i = _BLANKS.match(text, i).end()
 
 
 def tree_to_dot(tree: Tree, names: Sequence[str] | None = None) -> str:
@@ -653,14 +666,19 @@ def tree_to_dot(tree: Tree, names: Sequence[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_names(n: int, names: Sequence[str] | None) -> list[str]:
+def _check_names(n: int, names: Iterable[str] | None) -> list[str]:
+    """The n item names as strings, "0".."n-1" when ``names`` is None;
+    raises ValueError unless there are n of them, unique and non-empty."""
     if names is None:
         return [str(i) for i in range(n)]
     names = [str(x) for x in names]
     if len(names) != n:
-        raise ValueError(f"{len(names)} names for {n} leaves")
+        raise ValueError(f"{len(names)} names for {n} items")
     if len(set(names)) != n:
-        raise ValueError("leaf names must be unique")
+        dup = sorted(nm for nm, k in Counter(names).items() if k > 1)
+        raise ValueError(f"item names must be unique, got duplicates {dup[:3]}")
+    if "" in names:
+        raise ValueError(f"item names must not be empty, got one at position {names.index('')}")
     return names
 
 

@@ -60,6 +60,24 @@ def test_input_errors_exit_3(tmp_path, capsys):
     assert main(["score", str(matrix), str(tree)]) == 3
     assert "error" in capsys.readouterr().err
 
+    assert main(["cluster", str(matrix), "--out-dir", str(tmp_path / "o"), "--temperature", "inf"]) == 3
+    assert "metropolis_temperature" in capsys.readouterr().err
+
+    unnamed = tmp_path / "unnamed.csv"
+    unnamed.write_text(",x,c,d,e\n0,1,1,1,1\n1,0,1,1,1\n1,1,0,1,1\n1,1,1,0,1\n1,1,1,1,0\n")
+    assert main(["cluster", str(unnamed), "--out-dir", str(tmp_path / "o")]) == 3
+    assert "must not be empty" in capsys.readouterr().err
+
+
+def test_ncd_phylip_names_that_collide_exit_3(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "corpus", count=4, length=200)
+    (corpus / "item0").rename(corpus / "a b")
+    (corpus / "item1").rename(corpus / "a_b")
+    out = tmp_path / "ncd"
+    assert main(["ncd", str(corpus), "--out-dir", str(out), "--format", "phylip"]) == 3
+    assert "PHYLIP" in capsys.readouterr().err
+    assert not (out / "matrix.phy").exists()
+
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_ncd_rejects_thread_count_below_one(tmp_path, capsys, threads):

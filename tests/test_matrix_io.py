@@ -62,6 +62,19 @@ def test_parse_errors_carry_positions():
         parse_matrix("3\na 0 1 2\nb 1 0 1\n", "phylip")
     with pytest.raises(MatrixParseError, match="NEXUS"):
         parse_matrix("BEGIN DISTANCES;", "nexus")
+    with pytest.raises(MatrixParseError, match="line 3: expected an item count"):
+        parse_matrix("#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=x;\nMATRIX a 0;\nEND;\n", "nexus")
+    with pytest.raises(MatrixParseError, match="line 3: unterminated quoted label"):
+        parse_matrix("#NEXUS\nBEGIN DISTANCES; MATRIX\n'a 0\n;\nEND;\n", "nexus")
+    with pytest.raises(MatrixParseError, match="item names must not be empty"):
+        parse_matrix(",x,c,d,e\n" + "0,1,1,1,1\n1,0,1,1,1\n1,1,0,1,1\n1,1,1,0,1\n1,1,1,1,0\n", "csv")
+
+
+def test_phylip_rejects_names_that_collide_or_vanish():
+    d = 1.0 - np.eye(4)
+    for names in (["a b", "a_b", "c", "d"], [" ", "b", "c", "d"]):
+        with pytest.raises(ValueError, match="PHYLIP"):
+            format_matrix(DistanceMatrix(d, names), "phylip")
 
 
 def test_csv_first_row_typo_is_not_a_header():

@@ -198,7 +198,10 @@ def test_matrix_formats_round_trip(n, fmt, data):
     d = np.zeros((n, n))
     d[np.triu_indices(n, 1)] = upper
     d += d.T
-    names = data.draw(st.lists(item_names, min_size=n, max_size=n, unique=True))
+    # Nexus quotes what is not a bare word, so any text goes through its
+    # quoted-label path: quotes, brackets, blanks and newlines included
+    strategy = st.text(min_size=1) if fmt == "nexus" else item_names
+    names = data.draw(st.lists(strategy, min_size=n, max_size=n, unique=True))
     if fmt == "csv" and data.draw(st.booleans()):
         names = None  # headerless CSV
     dm = DistanceMatrix(d, names)

@@ -286,6 +286,8 @@ def test_config_validation():
         SearchConfig(patience=0)
     with pytest.raises(ValueError):
         SearchConfig(metropolis_temperature=-1.0)
+    with pytest.raises(ValueError):
+        SearchConfig(metropolis_temperature=math.inf)
 
 
 def test_config_k_max_default_and_validation():

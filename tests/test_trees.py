@@ -232,6 +232,12 @@ def test_newick_rooted_binary_input_is_unrooted():
 def test_newick_quoted_names_and_errors():
     t, names = tree_from_newick("(('sp one','two''s'),(c,d));")
     assert names == ["c", "d", "sp one", "two's"]
+    rooted, names = tree_from_newick("[&R] ((a,b),(c,d));")
+    assert names == ["a", "b", "c", "d"]
+    annotated, _ = tree_from_newick("((a[&&NHX:S=x [nested]]:0.1,b),(c,'d'[note]));")
+    assert trees_equal(annotated, rooted)
+    with pytest.raises(ValueError):
+        tree_to_newick(t, ["", "b", "c", "d"])  # empty name
     with pytest.raises(ValueError):
         tree_from_newick("((a,b),(c,d));", names=["a", "b", "c", "x"])
     with pytest.raises(ValueError):

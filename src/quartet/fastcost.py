@@ -11,11 +11,13 @@ off-path neighbour. Writing G(p) = sum_k C(n_k(p), 2) over p's three
 neighbour directions and H(e) = C(s,2) + C(n-s,2) for an internal edge that
 splits s leaves from n-s, C(h_p,2) = G(p) minus the C(.,2) of the two path
 directions, so W is an integer tree metric: doubled, an internal edge (a,b)
-weighs G(a) + G(b) - 2 H(e) and a leaf edge at p weighs G(p). One rooted
-walk gives each node its doubled depth D; then 2 W(u,v) = D(u) + D(v) -
-2 D(lca(u,v)). The leaves below each node form a contiguous range in walk
-order, so the lca depths fill one block per pair of sibling subtrees: n
-blocks that tile the leaf pairs, O(n^2) work in all.
+weighs G(a) + G(b) - 2 H(e) and a leaf edge at p weighs G(p). The scorer
+sums these weights into each node's doubled depth D in the order of the
+tree walk that ``hop_distances`` uses too (``trees._rooted_walk``), and the
+shared lca fill (``trees._lca_fill``) turns the depths into 2 W(u,v) =
+D(u) + D(v) - 2 D(lca(u,v)): the leaves below each node form a contiguous
+range in walk order, so the lca depths fill n - 1 blocks of sibling-subtree
+pairs that tile the leaf pairs, O(n^2) work in all.
 
 Determinism: W holds exact integers, and the final reduction multiplies d
 by W over the upper triangle of the leaf-pair matrix in label order and
@@ -40,9 +42,10 @@ d(Y,O_j) - d(X,O_j), the cross mass of the off-path side with the side
 towards the first end grows by delta_j, with the other side it shrinks by
 delta_j, and between the two path sides it grows by the delta_i after j
 minus those before j. So Delta C takes O(path length) steps given a
-``TreeCache`` of the tree before the move: the rooted walk, a summed-area
-table of d in walk order (every side of every edge is a walk-order range or
-its complement, so every cross mass is a few table lookups), and per
+``TreeCache`` of the tree before the move: the same rooted walk, whose
+parents and edge depths trace the move's path, a summed-area table of d in
+walk order (every side of every edge is a walk-order range or its
+complement, so every cross mass is a few table lookups), and per
 internal node, for each neighbour, the leaf count behind it and the cross
 mass of the other two sides. Those masses come from one cut per node v, the
 mass between the leaves below v and the rest: the range's column mass
@@ -73,7 +76,7 @@ import math
 
 import numpy as np
 
-from .trees import Tree
+from .trees import Tree, _lca_fill, _rooted_walk
 
 BACKEND = "numpy"
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -87,52 +90,16 @@ __all__ = [
 ]
 
 
-def _rooted_walk(adj: list[list[int]], n: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Walk the internal nodes from node n: (parent, size, lo, pre).
-
-    ``parent[n]`` is n itself, ``size[v]`` counts the leaves below v and
-    ``pre`` lists the internal nodes in walk order. A leaf takes the next
-    walk-order position when its parent is expanded, so the leaves below
-    node v fill positions lo[v] : lo[v] + size[v]."""
-    m = 2 * n - 2
-    root = n
-    parent = [-1] * m
-    parent[root] = root
-    size = [1] * n + [0] * (n - 2)
-    lo = [0] * m
-    pre = []
-    stack = [root]
-    leaves = 0
-    while stack:
-        v = stack.pop()
-        pre.append(v)
-        lo[v] = leaves
-        for w in adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                if w < n:
-                    lo[w] = leaves
-                    leaves += 1
-                    size[v] += 1
-                else:
-                    stack.append(w)
-    for v in reversed(pre[1:]):
-        size[parent[v]] += size[v]
-    return parent, size, lo, pre
-
-
 def cost_distance_from_adj(adj: list[list[int]], n: int, d: np.ndarray) -> float:
     """C_T of the tree in the search's working state (the inner loop):
     ``adj`` holds the 2n-2 neighbour rows of ``Tree.copy_adjacency()``, in
     any slot order, and ``d`` is the (n, n) distance matrix."""
     m = 2 * n - 2
     root = n
-    parent, size, lo, pre = _rooted_walk(adj, n)
+    walk = _rooted_walk(adj, n)
+    parent, _, size, _, pre = walk
     g = [0] * m  # G(p)
     dep = [0] * m  # doubled depth D
-    # D(lca) over walk positions, each leaf pair in one of its two
-    # orientations; float64 holds these integers exactly
-    lca = np.zeros((n, n))
     for v in pre:
         pv = parent[v]
         a, b, c = adj[v]
@@ -151,27 +118,11 @@ def cost_distance_from_adj(adj: list[list[int]], n: int, d: np.ndarray) -> float
         else:
             dep[v] = dep[pv] + g[pv] + gv - sv * (sv - 1) - s * (s - 1)
         g[v] = gv
-        a0, a1 = lo[a], lo[a] + sa
-        b0, b1 = lo[b], lo[b] + sb
-        lca[a0:a1, b0:b1] = dep[v]
-        if v == root:
-            c0, c1 = lo[c], lo[c] + size[c]
-            lca[a0:a1, c0:c1] = dep[v]
-            lca[b0:b1, c0:c1] = dep[v]
-    leaf_dep = np.array([dep[parent[u]] + g[parent[u]] for u in range(n)], dtype=np.float64)
-    pos = np.array(lo[:n])
-    # To label order, in place where possible: each n x n temporary is a
-    # fresh allocation, which page-faults on every call once it is too large
-    # for the allocator to reuse (at n = 256, not at n = 128, under glibc).
-    # mode="wrap" lets take write straight into ``out`` ("raise" buffers it).
-    lca = lca + lca.T
-    lca.take(pos, 0).take(pos, 1, out=lca, mode="wrap")
-    lca *= -2.0
-    lca += leaf_dep[:, None]
-    lca += leaf_dep  # 2 W
-    lca *= _upper_triangle(n)
-    lca *= d
-    return 0.5 * float(lca.sum())
+    dep[:n] = [dep[p] + g[p] for p in parent[:n]]
+    w2 = _lca_fill(n, walk, dep)  # 2 W off the diagonal
+    w2 *= _upper_triangle(n)
+    w2 *= d
+    return 0.5 * float(w2.sum())
 
 
 @functools.lru_cache(maxsize=1)
@@ -211,12 +162,7 @@ class TreeCache:
 
     def __init__(self, cost: DeltaCost, adj: list[list[int]]):
         n = cost.n
-        parent, size, lo, pre = _rooted_walk(adj, n)
-        depth = [0] * (2 * n - 2)
-        for v in pre[1:]:
-            depth[v] = depth[parent[v]] + 1
-        for u in range(n):
-            depth[u] = depth[parent[u]] + 1
+        parent, depth, size, lo, _ = _rooted_walk(adj, n)
         order = np.empty(n, dtype=np.intp)
         order[lo[:n]] = np.arange(n)
         sat = np.zeros((n + 1, n + 1), dtype=np.int64)

@@ -6,8 +6,10 @@ through the Newick reader's tokenizer (``trees._tokens``), so both formats
 share one rule for quoted labels (``''`` is a quote) and nested ``[...]``
 comments; its errors give the line. Names pass ``DistanceMatrix``'s check
 (as many as the items, unique, non-empty). The CSV writer raises ValueError
-on names with commas or all-numeric names, the PHYLIP writer on names that
-collide or become empty once blanks are written as '_'.
+on names its reader would change or misread: names with commas, line breaks
+or blanks at either end, a first name starting with '#', or all-numeric
+names. The PHYLIP writer raises it on names that collide or become empty
+once blanks are written as '_'.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cost import DistanceMatrix
-from .trees import _LexError, _tokens
+from .trees import _check_names, _LexError, _tokens
 
 __all__ = [
     "FORMATS",
@@ -84,7 +86,11 @@ def _parse_csv(text: str) -> DistanceMatrix:
         try:
             [float(c) for c in lines[0][1]]
         except ValueError:
-            names = lines.pop(0)[1]
+            ln, names = lines.pop(0)
+            try:
+                _check_names(len(names), names)
+            except ValueError as exc:
+                raise MatrixParseError(str(exc), ln) from None
     rows = [[_parse_float(c, ln, i + 1) for i, c in enumerate(cells)] for ln, cells in lines]
     n = len(rows)
     for (ln, _), row in zip(lines, rows):
@@ -96,9 +102,16 @@ def _parse_csv(text: str) -> DistanceMatrix:
 def _format_csv(dm: DistanceMatrix) -> str:
     lines = []
     if dm.names is not None:
-        bad = [nm for nm in dm.names if "," in nm or "\n" in nm]
+        # the reader splits at line breaks and commas, strips each cell's
+        # blanks and skips lines that start with '#'
+        bad = [nm for nm in dm.names if "," in nm or nm != nm.strip() or len(nm.splitlines()) > 1]
         if bad:
-            raise ValueError(f"CSV cannot hold names containing commas: {bad[:3]}")
+            raise ValueError(
+                f"CSV cannot hold names with commas or line breaks, or with blanks "
+                f"at either end: {bad[:3]}"
+            )
+        if dm.names[0].startswith("#"):
+            raise ValueError(f"CSV cannot hold a first name starting with '#': {dm.names[0]!r}")
         numeric = True
         for nm in dm.names:
             try:
@@ -195,22 +208,18 @@ def _parse_nexus(text: str) -> DistanceMatrix:
     except _LexError as exc:
         raise MatrixParseError(str(exc), line + text.count("\n", last, exc.pos)) from None
     upper = [t[0].upper() if not t[2] else None for t in toks]
-
-    def find_block(name):
-        for idx in range(len(toks) - 1):
-            if upper[idx] == "BEGIN" and upper[idx + 1] == name:
-                return idx + 2
-        return None
-
-    start = find_block("DISTANCES")
-    if start is None:
+    # a block starts only where a command may: after #NEXUS or after a ';'
+    for start in range(1, len(toks) - 1):
+        if upper[start : start + 2] == ["BEGIN", "DISTANCES"] and (start == 1 or upper[start - 1] == ";"):
+            break
+    else:
         raise MatrixParseError("no DISTANCES block found", 1)
 
     ntax = None
     triangle = "BOTH"
     diagonal = True
     labels = True
-    i = start
+    i = start + 2
     while i < len(toks) and upper[i] != "MATRIX":
         word = upper[i]
         if word == "NTAX":

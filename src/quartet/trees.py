@@ -15,6 +15,14 @@ three neighbors.
   again. Passes that compute on numbers (hop matrices, lca blocks, quartet
   slabs) build numpy arrays from the rows.
 
+Leaf-pair path lengths come from one walk and one fill. ``_rooted_walk``
+roots the rows at node n and gives every node its parent, edge depth, leaf
+count and walk-order range of the leaves below it. ``_lca_fill`` takes the
+walk and any integer node depth D and returns D(u) + D(v) - 2 D(lca(u, v))
+for every leaf pair, by tiling D(lca) over sibling-subtree blocks. With edge
+counts for D that is ``hop_distances``; ``fastcost`` passes the doubled
+quartet weights of its O(n^2) scorer and keeps the walk for its move deltas.
+
 Quartet topologies are canonical pairings uv|wx of four distinct labels; a
 topology is embedded in a tree when the u-v and w-x paths share no vertex.
 Each quartet has exactly one embedded topology, so trees are identified by
@@ -378,26 +386,82 @@ def _bfs_path(adj, src: int, dst: int) -> list[int]:
     raise ValueError(f"no path from {src} to {dst}")
 
 
+def _rooted_walk(adj: list[list[int]], n: int) -> tuple[list[int], ...]:
+    """Walk the internal nodes from node n: (parent, depth, size, lo, pre).
+
+    ``parent[n]`` is n itself, ``depth[v]`` counts the edges from n to v,
+    ``size[v]`` the leaves below v, and ``pre`` lists the internal nodes in
+    walk order. A leaf takes the next walk-order position when its parent is
+    expanded, so the leaves below node v fill positions lo[v] : lo[v] + size[v]."""
+    m = 2 * n - 2
+    root = n
+    parent = [-1] * m
+    parent[root] = root
+    depth = [0] * m
+    size = [1] * n + [0] * (n - 2)
+    lo = [0] * m
+    pre = []
+    stack = [root]
+    leaves = 0
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        lo[v] = leaves
+        dw = depth[v] + 1
+        for w in adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                depth[w] = dw
+                if w < n:
+                    lo[w] = leaves
+                    leaves += 1
+                    size[v] += 1
+                else:
+                    stack.append(w)
+    for v in reversed(pre[1:]):
+        size[parent[v]] += size[v]
+    return parent, depth, size, lo, pre
+
+
+def _lca_fill(n: int, walk, depth) -> np.ndarray:
+    """D(u) + D(v) - 2 D(lca(u, v)) off the diagonal, in label order: the
+    leaf-pair path lengths of the tree metric with integer node depths
+    ``depth`` from the root of ``walk``. A node's children fill consecutive
+    walk-order ranges, so the lca depths tile the leaf pairs with one block
+    per child that is not its parent's last, its range against the rest of
+    its parent's: n - 1 blocks in all."""
+    parent, _, size, lo, _ = walk
+    hi = [a + b for a, b in zip(lo, size)]
+    # D(lca) over walk positions, each leaf pair in one of its two orientations
+    out = np.zeros((n, n))
+    for v, p in enumerate(parent):
+        if hi[v] < hi[p]:
+            out[lo[v] : hi[v], hi[v] : hi[p]] = depth[p]
+    leaf_dep = np.array(depth[:n], dtype=np.float64)
+    pos = np.array(lo[:n])
+    # To label order, in place where possible: each n x n temporary is a
+    # fresh allocation, which page-faults on every call once it is too large
+    # for the allocator to reuse (at n = 256, not at n = 128, under glibc).
+    # mode="wrap" lets take write straight into ``out`` ("raise" buffers it).
+    out = out + out.T
+    out.take(pos, 0).take(pos, 1, out=out, mode="wrap")
+    out *= -2.0
+    out += leaf_dep[:, None]
+    out += leaf_dep
+    return out
+
+
 def hop_distances(tree_or_adj, n: int | None = None) -> np.ndarray:
     """Leaf-to-leaf path lengths in edges, as an (n, n) int32 matrix, of a
-    ``Tree`` or of neighbour rows over n leaves."""
+    ``Tree`` or of neighbour rows over n leaves: the lca fill on edge depths."""
     if isinstance(tree_or_adj, Tree):
         rows, n = tree_or_adj.copy_adjacency(), tree_or_adj.n
     else:
         rows = tree_or_adj
         assert n is not None
-    out = np.empty((n, n), dtype=np.int32)
-    for src in range(n):
-        dist = [-1] * len(rows)
-        dist[src] = 0
-        queue = [src]
-        for v in queue:
-            dv = dist[v] + 1
-            for w in rows[v]:
-                if w >= 0 and dist[w] < 0:
-                    dist[w] = dv
-                    queue.append(w)
-        out[src] = dist[:n]
+    walk = _rooted_walk(rows, n)
+    out = _lca_fill(n, walk, walk[1]).astype(np.int32)  # walk[1]: edge depths
+    np.fill_diagonal(out, 0)
     return out
 
 
@@ -470,18 +534,25 @@ def _colex_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def tree_to_newick(tree: Tree, names: Sequence[str] | None = None) -> str:
     """Newick string rooted (for presentation only) at leaf 0's neighbor."""
-    names = _check_names(tree.n, names)
-    adj = tree.adj_array
-    root = int(adj[0, 0])
-
-    def grow(par: int, v: int) -> str:
-        if tree.is_leaf(v):
-            return _quote_name(names[v])
-        parts = [grow(v, int(w)) for w in adj[v] if int(w) != par]
-        return "(" + ",".join(parts) + ")"
-
-    parts = [grow(root, int(w)) for w in adj[root]]
-    return "(" + ",".join(parts) + ");"
+    n = tree.n
+    names = _check_names(n, names)
+    adj = tree.adj_array.tolist()
+    root = adj[0][0]
+    # children follow their parent in ``order``, so walking it backwards
+    # writes every subtree before the clade that holds it, without recursion
+    parent = [-1] * len(adj)
+    order = [root]
+    for v in order:
+        if v >= n:
+            kids = [w for w in adj[v] if w != parent[v]]
+            for w in kids:
+                parent[w] = v
+            order += kids
+    text = [_quote_name(nm) for nm in names] + [""] * (n - 2)
+    for v in reversed(order):
+        if v >= n:
+            text[v] = "(" + ",".join(text[w] for w in adj[v] if w != parent[v]) + ")"
+    return text[root] + ";"
 
 
 def tree_from_newick(

@@ -15,7 +15,6 @@ from quartet.trees import (
     _bfs_path,
     _replace_neighbor,
     enumerate_quartets,
-    hop_distances,
     topology_from_index,
 )
 
@@ -98,11 +97,27 @@ def is_consistent(tree: Tree, topo: QuartetTopology) -> bool:
     return not any(node in path_uv for node in _bfs_path(adj, *topo.pair_b))
 
 
+def floyd_warshall_leaf_hops(tree: Tree) -> np.ndarray:
+    """Leaf-to-leaf path lengths in edges by Floyd-Warshall over all 2n-2
+    nodes, independent of the program's tree walks."""
+    adj = tree.adj_array
+    m = tree.node_count
+    h = np.full((m, m), m, dtype=np.int64)
+    np.fill_diagonal(h, 0)
+    for v in range(m):
+        for w in adj[v]:
+            if w >= 0:
+                h[v, w] = 1
+    for k in range(m):
+        h = np.minimum(h, h[:, [k]] + h[[k], :])
+    return h[: tree.n, : tree.n]
+
+
 def embedded_quartets(tree: Tree) -> frozenset[QuartetTopology]:
     """The C(n,4) quartet topologies embedded in ``tree``, by the four-point
     condition on hop distances: with unit edge lengths the embedded pairing
     has the strictly smallest sum of within-pair distances."""
-    L = hop_distances(tree)
+    L = floyd_warshall_leaf_hops(tree)
     out = []
     for a, b, c, d in enumerate_quartets(tree.n):
         sums = (L[a, b] + L[c, d], L[a, c] + L[b, d], L[a, d] + L[b, c])

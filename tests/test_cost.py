@@ -31,6 +31,7 @@ from conftest import (
     embedded_quartets,
     enumerate_all_trees,
     five_leaf_target,
+    floyd_warshall_leaf_hops,
     is_consistent,
     one_move,
     random_symmetric_matrix,
@@ -279,20 +280,6 @@ def test_score_from_cost_clipping():
     assert score_from_cost(0.5, b, perfect=True) == 1.0
 
 
-def _floyd_warshall_leaf_hops(tree):
-    adj = tree.adj_array
-    m = tree.node_count
-    h = np.full((m, m), m, dtype=np.int64)
-    np.fill_diagonal(h, 0)
-    for v in range(m):
-        for w in adj[v]:
-            if w >= 0:
-                h[v, w] = 1
-    for k in range(m):
-        h = np.minimum(h, h[:, [k]] + h[[k], :])
-    return h[: tree.n, : tree.n]
-
-
 def test_slab_paths_past_old_cutoffs_match_combinations():
     # n = 65 is past both the old quartet-cache limit (64) and the old
     # block size (C(65,4) > 2^20 quartets); the quartets, hop distances and
@@ -300,7 +287,7 @@ def test_slab_paths_past_old_cutoffs_match_combinations():
     rng = rng_for(65)
     n = 65
     planted = random_tree(n, rng)
-    d = (_floyd_warshall_leaf_hops(planted) + 1.0) / n
+    d = (floyd_warshall_leaf_hops(planted) + 1.0) / n
     np.fill_diagonal(d, 0.0)
     noise = np.triu(rng.random((n, n)) * 1e-3, 1)
     d += noise + noise.T
@@ -313,7 +300,7 @@ def test_slab_paths_past_old_cutoffs_match_combinations():
     assert got.M == pytest.approx(hi.sum(), rel=1e-9)
     perfect_seen = []
     for t in (planted, random_tree(n, rng)):
-        h = _floyd_warshall_leaf_hops(t)
+        h = floyd_warshall_leaf_hops(t)
         sums = np.stack([h[a, b] + h[c, x], h[a, c] + h[b, x], h[a, x] + h[b, c]])
         picked = np.take_along_axis(costs, sums.argmin(axis=0)[None], 0)[0]
         assert tree_cost_naive(t, cf) == pytest.approx(picked.sum(), rel=1e-9)

@@ -66,8 +66,31 @@ def test_parse_errors_carry_positions():
         parse_matrix("#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=x;\nMATRIX a 0;\nEND;\n", "nexus")
     with pytest.raises(MatrixParseError, match="line 3: unterminated quoted label"):
         parse_matrix("#NEXUS\nBEGIN DISTANCES; MATRIX\n'a 0\n;\nEND;\n", "nexus")
-    with pytest.raises(MatrixParseError, match="item names must not be empty"):
-        parse_matrix(",x,c,d,e\n" + "0,1,1,1,1\n1,0,1,1,1\n1,1,0,1,1\n1,1,1,0,1\n1,1,1,1,0\n", "csv")
+    rows = "0,1,1,1,1\n1,0,1,1,1\n1,1,0,1,1\n1,1,1,0,1\n1,1,1,1,0\n"
+    with pytest.raises(MatrixParseError, match="line 1: item names must not be empty"):
+        parse_matrix(",x,c,d,e\n" + rows, "csv")
+    with pytest.raises(MatrixParseError, match="line 2: item names must be unique"):
+        parse_matrix("# names\nx,x,c,d,e\n" + rows, "csv")
+
+
+def test_csv_rejects_names_it_would_read_back_changed():
+    d = 1.0 - np.eye(4)
+    for names in ([" a", "b", "c", "d "], ["a", "b", "c", "d\n"], ["a", "b\rc", "c", "d"],
+                  ["#a", "b", "c", "d"]):
+        with pytest.raises(ValueError, match="CSV"):
+            format_matrix(DistanceMatrix(d, names), "csv")
+    # blanks inside a name, and '#' past the line start, read back as written
+    names = ["a b", "#b", "c\td", "d"]
+    assert parse_matrix(format_matrix(DistanceMatrix(d, names), "csv"), "csv").names == names
+
+
+def test_nexus_block_starts_only_at_a_command():
+    d = 1.0 - np.eye(4)
+    names = ["BEGIN", "DISTANCES", "c", "d"]
+    back = parse_matrix(format_matrix(DistanceMatrix(d, names), "nexus"), "nexus")
+    assert back.names == names and np.array_equal(back.d, d)
+    with pytest.raises(MatrixParseError, match="no DISTANCES block"):
+        parse_matrix("#NEXUS\nBEGIN TAXA; TAXLABELS BEGIN DISTANCES c d; END;\n", "nexus")
 
 
 def test_phylip_rejects_names_that_collide_or_vanish():

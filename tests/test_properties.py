@@ -36,7 +36,7 @@ from quartet.trees import (
     trees_equal,
 )
 
-from conftest import caterpillar, random_symmetric_matrix, rng_for
+from conftest import caterpillar, floyd_warshall_leaf_hops, random_symmetric_matrix, rng_for
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -57,6 +57,20 @@ def test_moves_keep_a_valid_tree_and_inverses_restore_it(n, seed, steps):
         apply_record(rows, rec.inverse())
     # slot order may differ from the start; the frozen, sorted form may not
     assert np.array_equal(Tree(rows).adj_array, t.adj_array)
+
+
+@PROPERTY
+@given(n=st.integers(4, 40), seed=seeds, shape=st.sampled_from(["random", "caterpillar"]))
+def test_hop_distances_match_floyd_warshall(n, seed, shape):
+    rng = rng_for(seed)
+    tree = caterpillar(n) if shape == "caterpillar" else random_tree(n, rng)
+    rows = tree.copy_adjacency()
+    for row in rows[n:]:
+        rng.shuffle(row)  # any slot order, as the moves leave it
+    want = floyd_warshall_leaf_hops(tree)
+    for got in (hop_distances(rows, n), hop_distances(Tree(rows))):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
 
 
 def check_delta(rows, n, d, rec):

@@ -19,6 +19,7 @@ from quartet.trees import (
 
 from conftest import (
     all_topologies,
+    caterpillar,
     embedded_quartets,
     enumerate_all_trees,
     is_consistent,
@@ -218,6 +219,17 @@ def test_newick_round_trip(rng):
         back, back_names = tree_from_newick(text, names)
         assert back_names == names
         assert trees_equal(t, back)
+
+
+def test_newick_writes_deep_trees():
+    four = Tree.from_adjacency({0: [4], 1: [4], 2: [5], 3: [5], 4: [0, 1, 5], 5: [2, 3, 4]})
+    assert tree_to_newick(four) == "(0,1,(2,3));"
+    # a caterpillar nests its n - 2 clades one inside the next
+    t = caterpillar(600)
+    text = tree_to_newick(t)
+    assert text.count("(") == 598
+    back, _ = tree_from_newick(text, [str(i) for i in range(600)])
+    assert trees_equal(t, back)
 
 
 def test_newick_rooted_binary_input_is_unrooted():

@@ -20,11 +20,19 @@ moves away than that.
 (only leaf swaps and subtree-to-leaf swaps) turning one tree into another,
 by induction: normalize a cherry-path, glue it into a composite end node,
 recurse on n-1 leaves, then expand and fix up with at most three moves.
+
+The random moves, ``sample_k`` and ``trees.random_tree`` draw through any
+object with ``integers(high)`` and ``random()``. The search passes a
+``_Draws``, which reads PCG64's raw 64-bit words itself and gives the same
+values ``np.random.Generator(PCG64(seed)).integers(high)`` and ``.random()``
+give, at a fraction of the cost of a Generator call; a search's results
+depend on PCG64's raw stream and on the order of the draws.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +46,6 @@ __all__ = [
     "mutation_path",
     "replay_records",
     "sample_k",
-    "sample_k_batch",
-    "shifted_pmf",
     "shifted_pmf_normalizer",
     "simple_mutation",
 ]
@@ -152,6 +158,69 @@ def replay_records(tree: Tree, records) -> Tree:
 
 
 # ---------------------------------------------------------------------- #
+# The search's draw stream
+# ---------------------------------------------------------------------- #
+
+_BLOCK = 512  # raw words pulled from the bit generator at a time
+_U32 = 1 << 32
+
+
+class _Draws:
+    """The draws of ``np.random.Generator(np.random.PCG64(seed))``, value for
+    value, read from PCG64's raw 64-bit words in blocks.
+
+    ``integers(high)`` is Lemire's multiply-shift method on 32-bit draws, as
+    the Generator runs it for 1 <= high <= 2^32: the low half of a word is
+    the next 32-bit draw and its high half is kept for the one after, and a
+    draw whose low product word is below (2^32 - high) % high is redrawn.
+    ``random()`` takes a whole word, (word >> 11) * 2^-53, and leaves a kept
+    half alone. high == 1 draws nothing."""
+
+    __slots__ = ("_raw", "_words", "_half")
+
+    def __init__(self, seed: int):
+        self._raw = np.random.PCG64(seed).random_raw
+        self._words = iter(())  # the rest of the current block
+        self._half = -1  # the kept high half, or -1 when none is kept
+
+    def _refill(self) -> int:
+        """The first word of a new block; the rest wait in ``_words``."""
+        self._words = iter(self._raw(_BLOCK).tolist())
+        return next(self._words)
+
+    def _uint32(self) -> int:
+        x = self._half
+        if x >= 0:
+            self._half = -1
+            return x
+        w = next(self._words, -1)
+        if w < 0:
+            w = self._refill()
+        self._half = w >> 32
+        return w & 0xFFFFFFFF
+
+    def integers(self, high: int) -> int:
+        """A uniform int in [0, high)."""
+        if not 1 < high <= _U32:
+            if high == 1:
+                return 0
+            raise ValueError(f"high must be in 1..2^32, got {high}")
+        m = self._uint32() * high
+        if m & 0xFFFFFFFF < high:
+            threshold = (_U32 - high) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * high
+        return m >> 32
+
+    def random(self) -> float:
+        """A uniform float in [0, 1)."""
+        w = next(self._words, -1)
+        if w < 0:
+            w = self._refill()
+        return (w >> 11) * 2.0**-53
+
+
+# ---------------------------------------------------------------------- #
 # Random simple mutations (in place on neighbour rows)
 # ---------------------------------------------------------------------- #
 
@@ -189,57 +258,81 @@ def _rand_subtree_interchange(adj, n, rng) -> MutationRecord | None:
             u, w = w, u
         if _near(adj, u, w):
             continue
-        path = _bfs_path(adj, u, w)
-        x, y = path[1], path[-2]
+        x, y = _path_ends(adj, u, w)
         _apply_subtree_swap(adj, u, x, y, w)
         return MutationRecord("subtree_interchange", (u, x, y, w))
 
 
-def _transfer_candidates(adj, n, a, s):
-    """Edges available for reattachment after cutting a-s: both endpoints
-    outside the detached component and distinct from the smoothed node a.
-    Excludes the edge created by smoothing, so a transfer always changes
-    the tree."""
-    m = 2 * n - 2
-    inside = [False] * m
-    inside[s] = True
-    stack = [s]
-    while stack:
+def _path_ends(adj, u, w) -> tuple[int, int]:
+    """(x, y): the nodes after u and before w on the u-w path, from a walk
+    out of u that stops once it reaches w."""
+    parent = [-1] * len(adj)
+    parent[u] = u
+    stack = [u]
+    while parent[w] < 0:
         v = stack.pop()
-        if v >= n:
-            for w in adj[v]:
-                if w != a and not inside[w]:
-                    inside[w] = True
-                    stack.append(w)
-    edges = []
-    for v in range(m):
-        if inside[v] or v == a:
-            continue
-        for w in adj[v]:
-            if w > v and w != a and not inside[w]:
-                edges.append((v, w))
-    return edges
+        for q in adj[v]:
+            if q >= 0 and parent[q] < 0:
+                parent[q] = v
+                stack.append(q)
+    x = w
+    while parent[x] != u:
+        x = parent[x]
+    return x, parent[w]
 
 
 def _rand_subtree_transfer(adj, n, rng) -> MutationRecord | None:
+    """Cut a-s, smooth a, and reattach on an edge with neither end in the
+    detached side S or at a. Those 2(n - l) - 4 edges, l the leaves of S,
+    are the edges of the smoothed rest but the one smoothing made, so a
+    transfer always changes the tree; they are taken in (lower end, slot)
+    order."""
     if n == 4:  # only recreates the same labeled tree
         return None
     while True:
         a = n + int(rng.integers(n - 2))
         s = adj[a][int(rng.integers(3))]
-        edges = _transfer_candidates(adj, n, a, s)
-        if not edges:
+        inside = bytearray(len(adj))
+        inside[s] = 1
+        leaves = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            if v < n:
+                leaves += 1
+                continue
+            for w in adj[v]:
+                if w != a and not inside[w]:
+                    inside[w] = 1
+                    stack.append(w)
+        count = 2 * (n - leaves) - 4
+        if count == 0:
             continue
-        e, f = edges[int(rng.integers(len(edges)))]
+        e, f = _kth_edge_outside(adj, a, inside, int(rng.integers(count)))
         b, c = sorted(q for q in adj[a] if q != s)
         _apply_transfer(adj, s, a, b, c, e, f)
         return MutationRecord("subtree_transfer", (s, a, b, c, e, f))
 
 
+def _kth_edge_outside(adj, a, inside, k) -> tuple[int, int]:
+    """The k-th edge (v, w), v < w, with no end in ``inside`` or at a, by v
+    and then by w's slot in v's row. The only edge out of S is a-s, so an
+    end v outside S and not a has every neighbour outside S."""
+    for v, row in enumerate(adj):
+        if inside[v] or v == a:
+            continue
+        for w in row:
+            if w > v and w != a:
+                if k == 0:
+                    return v, w
+                k -= 1
+    raise AssertionError("fewer transfer edges than counted")
+
+
 _RAND_BY_KIND = (_rand_leaf_interchange, _rand_subtree_interchange, _rand_subtree_transfer)
 
 
-def simple_mutation(adj: list[list[int]], n: int, rng: np.random.Generator) -> MutationRecord:
+def simple_mutation(adj: list[list[int]], n: int, rng) -> MutationRecord:
     """One simple mutation in place on the neighbour rows ``adj`` (from
     ``Tree.copy_adjacency()``) of a tree over n leaves, kind uniform over the
     three; ineligible draws (possible only at small n) resample the kind.
@@ -255,7 +348,7 @@ def simple_mutation(adj: list[list[int]], n: int, rng: np.random.Generator) -> M
 # ---------------------------------------------------------------------- #
 
 _NORMALIZER: float | None = None
-_CDF_CACHE: dict[int, np.ndarray] = {}
+_CDF_CACHE: dict[int, tuple[float, ...]] = {}
 
 
 def shifted_pmf_normalizer() -> float:
@@ -273,21 +366,8 @@ def shifted_pmf_normalizer() -> float:
     return _NORMALIZER
 
 
-def shifted_pmf(k, k_max: int | None = None) -> np.ndarray:
-    """p(k) of the shifted fat-tail mutation-count distribution. With k_max
-    given, the tail mass beyond the cap sits on k_max itself."""
-    k = np.asarray(k, dtype=np.float64)
-    p = 1.0 / ((k + 2.0) * np.log(k + 2.0) ** 2) / shifted_pmf_normalizer()
-    if k_max is not None:
-        cdf = _k_cdf(k_max)
-        top = 1.0 - (cdf[k_max - 2] if k_max >= 2 else 0.0)
-        p = np.where(k == k_max, top, np.where(k > k_max, 0.0, p))
-    if p.ndim == 0:
-        return float(p)
-    return p
-
-
-def _k_cdf(k_max: int) -> np.ndarray:
+def _k_cdf(k_max: int) -> tuple[float, ...]:
+    """P(k <= j) for j = 1..k_max, the last one clamped to 1."""
     cdf = _CDF_CACHE.get(k_max)
     if cdf is None:
         if k_max < 1:
@@ -296,21 +376,14 @@ def _k_cdf(k_max: int) -> np.ndarray:
         p = 1.0 / ((k + 2.0) * np.log(k + 2.0) ** 2) / shifted_pmf_normalizer()
         cdf = np.cumsum(p)
         cdf[-1] = 1.0  # clamp: overflow mass belongs to k_max
-        cdf.setflags(write=False)
-        _CDF_CACHE[k_max] = cdf
+        cdf = _CDF_CACHE[k_max] = tuple(cdf.tolist())
     return cdf
 
 
-def sample_k(rng: np.random.Generator, k_max: int) -> int:
-    """Draw a mutation count k >= 1 from the shifted fat-tail pmf."""
-    u = rng.random()
-    return int(np.searchsorted(_k_cdf(k_max), u, side="right")) + 1
-
-
-def sample_k_batch(rng: np.random.Generator, size: int, k_max: int) -> np.ndarray:
-    """Vectorized sample_k (statistics and tests)."""
-    u = rng.random(size)
-    return np.searchsorted(_k_cdf(k_max), u, side="right").astype(np.int64) + 1
+def sample_k(rng, k_max: int) -> int:
+    """Draw a mutation count k >= 1 from the shifted fat-tail pmf: one
+    ``rng.random()`` u, and k - 1 the number of CDF entries <= u."""
+    return bisect_right(_k_cdf(k_max), rng.random()) + 1
 
 
 # ---------------------------------------------------------------------- #

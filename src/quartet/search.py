@@ -27,8 +27,10 @@ certificate into the history and the result.
 
 Determinism: identical (cost function, config, seed) reproduce SearchResult
 bit for bit. The search is single-threaded: each run draws from its own
-generator, seeded from the master seed, and agreement rounds advance the
-runs one generation each, in run order.
+PCG64 stream, seeded from the master seed, and agreement rounds advance the
+runs one generation each, in run order. Results depend on PCG64's raw
+stream, which the search reads itself (``mutate._Draws``), with the same
+values ``np.random.Generator.integers`` and ``.random`` give on it.
 
 Scoring Metropolis proposals. For a distance-backed cost, a walk step first
 computes the move's cost change Delta from a cache of the current tree
@@ -41,7 +43,7 @@ then dc >= lo > 0, so exp(-dc/theta) <= exp(-lo/theta) up to exp's rounding
 of under one ulp each, which the 2^-48 margin covers, and the full test
 (dc <= 0 or u < exp(-dc/theta)) would reject as well. Every other step runs
 the full scorer and that full test unchanged. So every decision, every
-accepted and best cost (all from the full scorer), the generator's stream
+accepted and best cost (all from the full scorer), the draw stream
 and the rows' slot order are those of the walk that scores every proposal;
 only the work differs, counted in ``SearchResult.full_scores``.
 """
@@ -64,7 +66,15 @@ from .cost import (
     tree_cost_naive,
 )
 from .fastcost import BACKEND, DeltaCost, TreeCache, cost_distance_from_adj
-from .mutate import MutationRecord, apply_record, max_path_moves, replay_records, sample_k, simple_mutation
+from .mutate import (
+    MutationRecord,
+    _Draws,
+    apply_record,
+    max_path_moves,
+    replay_records,
+    sample_k,
+    simple_mutation,
+)
 from .trees import Tree, random_tree, tree_to_newick
 
 __all__ = [
@@ -208,7 +218,7 @@ def _temperature(config: SearchConfig, scorer: _Scorer) -> float:
 
 
 class _Run:
-    def __init__(self, scorer: _Scorer, config: SearchConfig, rng: np.random.Generator, theta: float):
+    def __init__(self, scorer: _Scorer, config: SearchConfig, rng: _Draws, theta: float):
         self.scorer = scorer
         self.cfg = config
         self.n = scorer.n
@@ -351,7 +361,7 @@ def search(cf: CostFunction, config: SearchConfig | None = None, **overrides) ->
         if r < 2:
             raise ValueError(f"agreement termination needs at least 2 runs, got {r}")
     seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(r, np.uint64)]
-    runs = [_Run(scorer, config, np.random.Generator(np.random.PCG64(s)), theta) for s in seeds]
+    runs = [_Run(scorer, config, _Draws(s), theta) for s in seeds]
 
     history: list[tuple[int, float]] = []
     progress = None

@@ -317,12 +317,14 @@ def _canonical_key(adjacency: Mapping[int, Iterable[int]], n: int) -> str:
 # ---------------------------------------------------------------------- #
 
 
-def random_tree(n: int, rng: np.random.Generator) -> Tree:
+def random_tree(n: int, rng) -> Tree:
     """Random labeled ternary tree by stepwise leaf addition.
 
     Starts from the star on leaves 0,1,2 and attaches each next leaf by
     splitting an edge chosen uniformly at random, which makes every labeled
-    shape reachable (in fact uniformly distributed).
+    shape reachable (in fact uniformly distributed). Each edge is drawn by
+    ``rng.integers(edge count)``: a ``np.random.Generator``, or the search's
+    ``mutate._Draws``, which gives the same values.
     """
     if n < 4:
         raise ValueError(f"need at least 4 leaves, got n={n}")

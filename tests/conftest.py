@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quartet.cost import DistanceMatrix, ExplicitCostFunction
-from quartet.mutate import _RAND_BY_KIND, KINDS, MutationRecord
+from quartet.mutate import _RAND_BY_KIND, KINDS, MutationRecord, _k_cdf, shifted_pmf_normalizer
 from quartet.trees import (
     QuartetTopology,
     Tree,
@@ -29,6 +29,26 @@ def one_move(tree: Tree, kind: str, rng: np.random.Generator) -> tuple[Tree, Mut
     adj = tree.copy_adjacency()
     rec = _RAND_BY_KIND[KINDS.index(kind)](adj, tree.n, rng)
     return (tree, None) if rec is None else (Tree(adj), rec)
+
+
+def shifted_pmf(k, k_max: int | None = None):
+    """p(k) of the shifted fat-tail mutation-count distribution. With k_max
+    given, the tail mass beyond the cap sits on k_max itself."""
+    k = np.asarray(k, dtype=np.float64)
+    p = 1.0 / ((k + 2.0) * np.log(k + 2.0) ** 2) / shifted_pmf_normalizer()
+    if k_max is not None:
+        cdf = _k_cdf(k_max)
+        top = 1.0 - (cdf[k_max - 2] if k_max >= 2 else 0.0)
+        p = np.where(k == k_max, top, np.where(k > k_max, 0.0, p))
+    if p.ndim == 0:
+        return float(p)
+    return p
+
+
+def sample_k_batch(rng: np.random.Generator, size: int, k_max: int) -> np.ndarray:
+    """``size`` draws of ``mutate.sample_k`` at once, from ``rng.random(size)``."""
+    u = rng.random(size)
+    return np.searchsorted(_k_cdf(k_max), u, side="right").astype(np.int64) + 1
 
 
 def caterpillar(n: int) -> Tree:

@@ -7,17 +7,16 @@ import pytest
 
 from quartet.mutate import (
     MutationRecord,
+    _Draws,
     apply_record,
     replay_records,
     sample_k,
-    sample_k_batch,
-    shifted_pmf,
     shifted_pmf_normalizer,
     simple_mutation,
 )
 from quartet.trees import Tree, random_tree, trees_equal
 
-from conftest import caterpillar, embedded_quartets, one_move, rng_for
+from conftest import caterpillar, embedded_quartets, one_move, rng_for, sample_k_batch, shifted_pmf
 
 
 # ------------------------------------------------------------- invariants
@@ -235,3 +234,40 @@ def test_pmf_below_cap_unaffected_by_cap():
     free = shifted_pmf(k)
     capped = shifted_pmf(k, k_max=64)
     assert np.allclose(free, capped, rtol=0, atol=0)
+
+
+# ------------------------------------------------------- draw stream
+
+DRAW_HIGHS = (1, 2, 3, 22, 2**31 + 1, 2**32 - 5, 2**32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 99, 2**31, 2**63 + 5, 123456789, 2**64 - 1])
+def test_draws_match_the_generator_value_for_value(seed):
+    # the large highs reject often: with high = 2^31 + 1 about half the draws
+    ours, numpy = _Draws(seed), np.random.Generator(np.random.PCG64(seed))
+    pick = np.random.Generator(np.random.PCG64(seed + 1)).integers(len(DRAW_HIGHS) + 1, size=20_000)
+    for i in pick.tolist():
+        if i == len(DRAW_HIGHS):
+            assert ours.random() == numpy.random()
+        else:
+            high = DRAW_HIGHS[i]
+            assert ours.integers(high) == numpy.integers(high)
+    assert ours.random() == numpy.random()  # still in step after the last kept half
+
+
+def test_random_tree_and_sample_k_read_the_same_values_from_draws():
+    for seed in range(10):
+        for n in (4, 5, 9, 33):
+            a = random_tree(n, _Draws(seed)).adj_array
+            b = random_tree(n, np.random.Generator(np.random.PCG64(seed))).adj_array
+            assert np.array_equal(a, b)
+        draws = _Draws(seed)
+        ks = [sample_k(draws, k_max=64) for _ in range(500)]
+        want = sample_k_batch(np.random.Generator(np.random.PCG64(seed)), 500, k_max=64)
+        assert ks == want.tolist()
+
+
+@pytest.mark.parametrize("high", [0, -1, -(2**40), 2**32 + 1, 2**64])
+def test_draws_reject_bounds_outside_one_to_two_to_the_32(high):
+    with pytest.raises(ValueError, match="high"):
+        _Draws(1).integers(high)

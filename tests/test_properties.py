@@ -19,7 +19,8 @@ from quartet.mutate import (
     MutationRecord,
     _RAND_BY_KIND,
     _near,
-    _transfer_candidates,
+    _rand_subtree_interchange,
+    _rand_subtree_transfer,
     apply_record,
     mutation_path,
     replay_records,
@@ -36,7 +37,13 @@ from quartet.trees import (
     trees_equal,
 )
 
-from conftest import caterpillar, floyd_warshall_leaf_hops, random_symmetric_matrix, rng_for
+from conftest import (
+    caterpillar,
+    enumerate_all_trees,
+    floyd_warshall_leaf_hops,
+    random_symmetric_matrix,
+    rng_for,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -114,6 +121,25 @@ def test_move_delta_matches_full_and_naive_scorers(n, seed, shape, matrix, kind,
         check_delta(before, n, d, rec)
 
 
+def cut_side(rows, a, s):
+    """The nodes on s's side when the edge a-s is cut."""
+    side, grow = {s}, [s]
+    while grow:
+        for w in rows[grow.pop()]:
+            if w >= 0 and w != a and w not in side:
+                side.add(w)
+                grow.append(w)
+    return side
+
+
+def transfer_edges(rows, n, a, s):
+    """Every edge (v, w), v < w, with neither end on s's side of a-s or at
+    a: by v, then by w's slot in row v."""
+    out = cut_side(rows, a, s) | {a}
+    return [(v, w) for v in range(2 * n - 2) if v not in out
+            for w in rows[v] if w > v and w not in out]
+
+
 def all_moves(rows, n):
     """Every simple move on the tree: non-sibling leaf pairs, subtree
     interchanges at distance >= 3 and subtree transfers."""
@@ -129,7 +155,7 @@ def all_moves(rows, n):
     for a in range(n, 2 * n - 2):
         for s in rows[a]:
             b, c = sorted(q for q in rows[a] if q != s)
-            for e, f in _transfer_candidates(rows, n, a, s):
+            for e, f in transfer_edges(rows, n, a, s):
                 yield MutationRecord("subtree_transfer", (s, a, b, c, e, f))
 
 
@@ -146,6 +172,51 @@ def test_move_delta_on_every_move_of_small_trees(n, shape):
             _, _, b, c, e, f = rec.operands
             next_to_b += bool({b, c} & {e, f})  # a one-node path from a
     assert distance_three and next_to_b
+
+
+class Scripted:
+    """Draws that return given values in turn and log each bound asked for."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.highs = []
+
+    def integers(self, high):
+        self.highs.append(high)
+        value = self.values.pop(0)
+        assert 0 <= value < high
+        return value
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_subtree_samplers_pick_what_the_oracles_list_on_every_tree(n):
+    m = 2 * n - 2
+    for tree in enumerate_all_trees(n):
+        rows = tree.copy_adjacency()
+        cuts = [(a, slot, s, transfer_edges(rows, n, a, s))
+                for a in range(n, m) for slot, s in enumerate(rows[a])]
+        redraw = next((a, slot, len(edges)) for a, slot, _, edges in cuts if edges)
+        for a, slot, s, edges in cuts:
+            leaves = sum(v < n for v in cut_side(rows, a, s))
+            assert len(edges) == 2 * (n - leaves) - 4
+            if not edges:  # nothing to draw: a and s are drawn again
+                draws = Scripted(a - n, slot, redraw[0] - n, redraw[1], 0)
+                _rand_subtree_transfer([row[:] for row in rows], n, draws)
+                assert draws.highs == [n - 2, 3, n - 2, 3, redraw[2]]
+            b, c = sorted(q for q in rows[a] if q != s)
+            for k, (e, f) in enumerate(edges):
+                draws = Scripted(a - n, slot, k)
+                rec = _rand_subtree_transfer([row[:] for row in rows], n, draws)
+                assert draws.highs == [n - 2, 3, len(edges)]
+                assert rec.operands == (s, a, b, c, e, f)
+        for du in range(m):
+            for dw in range(m):
+                u, w = (du, dw) if du >= n else (dw, du)
+                if u == w or u < n or _near(rows, u, w):
+                    continue  # the sampler draws again
+                path = _bfs_path(rows, u, w)
+                rec = _rand_subtree_interchange([row[:] for row in rows], n, Scripted(du, dw))
+                assert rec.operands == (u, path[1], path[-2], w)
 
 
 @PROPERTY

@@ -133,6 +133,44 @@ def test_determinism_same_seed(rng, make_cf, overrides):
     assert a.history == b.history
 
 
+# Pinned outcomes: the determinism tests above compare two runs of the same
+# code, so only fixed values catch a silent change of the draw stream. They
+# were taken with np.random.Generator(PCG64(seed)) draws, which
+# ``mutate._Draws`` reproduces; a change that alters the stream on purpose
+# updates them.
+GOLDEN_SEARCHES = [  # (instance, overrides, trees_examined, terminated_by, full_scores, best key)
+    (("noisy", 10, 40), dict(mode="hill_climb", seed=3, patience=300),
+     914, "patience", 914, "((((((0,6),5),(2,9)),4),(1,3)),7)|8"),
+    (("noisy", 12, 41), dict(seed=4, patience=400),
+     661, "patience", 33, "(((((((((10,3),9),4),(5,7)),11),6),1),0),2)|8"),
+    (("planted", 24, 46), dict(seed=9),
+     1937, "perfect_score", 93,
+     "(((((((((((((((12,17),15),22),18),((((20,3),13),11),21)),16),(4,9)),8),19),23),1),(0,6)),(10,7)),5),14)|2"),
+    (("noisy", 9, 45), dict(mode="hill_climb", termination="agreement", seed=5),
+     2852, "agreement", 2852, "(((((((0,1),3),7),5),4),2),6)|8"),
+    (("noisy", 16, 43), dict(termination="agreement", seed=6),
+     1763, "agreement", 128, "((((((((((((1,10),9),5),7),11),3),4),((0,14),6)),2),8),15),12)|13"),
+    (("adversarial", 0.1), dict(mode="hill_climb", seed=7, patience=300),
+     304, "patience", 304, "(((0,1),4),2)|3"),
+    (("adversarial", 0.25), dict(termination="agreement", seed=8),
+     136, "agreement", 136, "(((0,1),4),2)|3"),
+]
+
+
+@pytest.mark.parametrize(
+    "instance,overrides,trees,stop,full,key", GOLDEN_SEARCHES,
+    ids=["hill-noisy-10", "metropolis-noisy-12", "metropolis-planted-24", "hill-agreement-noisy-9",
+         "metropolis-agreement-noisy-16", "hill-explicit-5", "metropolis-agreement-explicit-5"],
+)
+def test_search_outcomes_are_pinned(instance, overrides, trees, stop, full, key):
+    kind, *args = instance
+    make = {"noisy": noisy_instance, "planted": lambda n, s: planted_instance(n, s)[1],
+            "adversarial": adversarial_five_costs}[kind]
+    res = search(make(*args), **overrides)
+    assert (res.trees_examined, res.terminated_by, res.full_scores) == (trees, stop, full)
+    assert res.best_tree.canonical_key() == key
+
+
 def test_scorer_trajectory_equivalence(rng):
     # same seed, a distance-backed search (fast scorer) and one on the same
     # costs given explicitly (naive scorer): identical improvement trajectory

@@ -6,7 +6,9 @@ ternary internal nodes): a leaf interchange swaps two non-sibling leaves, a
 subtree interchange swaps the hanging subtrees of two nodes at path distance
 at least three, and a subtree transfer detaches a subtree (smoothing the
 degree-2 node left behind) and reattaches it on another edge. Every applied
-mutation yields a replayable, invertible MutationRecord.
+mutation yields a replayable, invertible MutationRecord. The surgery writes
+each new neighbour into the slot of the one it replaces, so applying a
+record's inverse restores the rows slot for slot.
 
 k-mutations compose k simple mutations with k drawn from the shifted fat
 tail pmf p(k) proportional to 1/((k+2) ln^2(k+2)); the heavy tail is what
@@ -125,8 +127,11 @@ def _apply_transfer(adj, s: int, a: int, b: int, c: int, e: int, f: int) -> None
     _replace_neighbor(adj, c, a, b)
     _replace_neighbor(adj, e, f, a)
     _replace_neighbor(adj, f, e, a)
-    _replace_neighbor(adj, a, b, e)
-    _replace_neighbor(adj, a, c, f)
+    # by slot, not by value: e may be c, or f b, and the inverse must put b
+    # and c back where they were
+    row = adj[a]
+    i, j = row.index(b), row.index(c)
+    row[i], row[j] = e, f
 
 
 def apply_record(adj, record: MutationRecord) -> None:
@@ -336,7 +341,8 @@ def simple_mutation(adj: list[list[int]], n: int, rng) -> MutationRecord:
     """One simple mutation in place on the neighbour rows ``adj`` (from
     ``Tree.copy_adjacency()``) of a tree over n leaves, kind uniform over the
     three; ineligible draws (possible only at small n) resample the kind.
-    Slot order within the rows may change."""
+    The rows' slot order is part of the state: it picks a transfer's s and
+    orders its candidate edges."""
     while True:
         rec = _RAND_BY_KIND[int(rng.integers(3))](adj, n, rng)
         if rec is not None:

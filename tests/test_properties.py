@@ -62,8 +62,8 @@ def test_moves_keep_a_valid_tree_and_inverses_restore_it(n, seed, steps):
         Tree(rows)  # validates degree, symmetry and connectivity
     for rec in reversed(records):
         apply_record(rows, rec.inverse())
-    # slot order may differ from the start; the frozen, sorted form may not
-    assert np.array_equal(Tree(rows).adj_array, t.adj_array)
+    # slot for slot: an undone move leaves no trace in the working state
+    assert rows == t.copy_adjacency()
 
 
 @PROPERTY
@@ -172,6 +172,24 @@ def test_move_delta_on_every_move_of_small_trees(n, shape):
             _, _, b, c, e, f = rec.operands
             next_to_b += bool({b, c} & {e, f})  # a one-node path from a
     assert distance_three and next_to_b
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_every_move_and_its_inverse_restore_the_rows_slot_for_slot(n):
+    # a transfer onto an edge at one of a's old neighbours (e == c or
+    # f == b) once came back with b and c swapped in a's row
+    touching = 0
+    for tree in enumerate_all_trees(n):
+        rows = tree.copy_adjacency()
+        for rec in all_moves(rows, n):
+            work = [row[:] for row in rows]
+            apply_record(work, rec)
+            apply_record(work, rec.inverse())
+            assert work == rows, rec
+            if rec.kind == "subtree_transfer":
+                _, _, b, c, e, f = rec.operands
+                touching += e == c or f == b
+    assert touching
 
 
 class Scripted:

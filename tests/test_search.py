@@ -137,19 +137,22 @@ def test_determinism_same_seed(rng, make_cf, overrides):
 # code, so only fixed values catch a silent change of the draw stream. They
 # were taken with np.random.Generator(PCG64(seed)) draws, which
 # ``mutate._Draws`` reproduces; a change that alters the stream on purpose
-# updates them.
+# updates them. Four were re-pinned when a subtree transfer began to keep
+# its slots (``mutate._apply_transfer``): the rows' slot order picks the
+# transfer's s and orders its candidate edges, so later draws pick other
+# moves, under the same law.
 GOLDEN_SEARCHES = [  # (instance, overrides, trees_examined, terminated_by, full_scores, best key)
     (("noisy", 10, 40), dict(mode="hill_climb", seed=3, patience=300),
-     914, "patience", 914, "((((((0,6),5),(2,9)),4),(1,3)),7)|8"),
+     751, "patience", 751, "((((((0,6),5),(2,9)),4),(1,3)),7)|8"),
     (("noisy", 12, 41), dict(seed=4, patience=400),
      661, "patience", 33, "(((((((((10,3),9),4),(5,7)),11),6),1),0),2)|8"),
     (("planted", 24, 46), dict(seed=9),
-     1937, "perfect_score", 93,
+     1796, "perfect_score", 83,
      "(((((((((((((((12,17),15),22),18),((((20,3),13),11),21)),16),(4,9)),8),19),23),1),(0,6)),(10,7)),5),14)|2"),
     (("noisy", 9, 45), dict(mode="hill_climb", termination="agreement", seed=5),
-     2852, "agreement", 2852, "(((((((0,1),3),7),5),4),2),6)|8"),
+     2033, "agreement", 2033, "(((((((0,1),3),7),5),4),2),6)|8"),
     (("noisy", 16, 43), dict(termination="agreement", seed=6),
-     1763, "agreement", 128, "((((((((((((1,10),9),5),7),11),3),4),((0,14),6)),2),8),15),12)|13"),
+     1603, "agreement", 126, "((((((((((((1,10),9),5),7),11),3),4),((0,14),6)),2),8),15),12)|13"),
     (("adversarial", 0.1), dict(mode="hill_climb", seed=7, patience=300),
      304, "patience", 304, "(((0,1),4),2)|3"),
     (("adversarial", 0.25), dict(termination="agreement", seed=8),

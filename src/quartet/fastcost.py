@@ -67,12 +67,27 @@ eps times that, so a full score lies within n^4 eps D / 4 of the true cost
 (eps = 2^-53). The bound tau = n^4 (eps D + h) therefore covers Delta's
 error and the errors of both full scores that the walk would subtract, and
 each call adds 2 eps |Delta| for Delta's rounding to a float.
+
+Proposals. ``TreeCache.propose`` draws the walk's next simple move from the
+cache, with the draws and result of ``mutate.simple_mutation``, and makes
+no change to the tree. Sibling and distance tests read the walk's parents
+and depths. A subtree transfer picks the k-th of its candidate edges in the
+order of the neighbour rows: by lower end, then by slot. The cache lists
+the edges in that order and holds, for each node but the root, the index
+of its edge to its walk parent. Those indices are kept in two lists, the
+leaves' in walk order and the internal nodes' in ``pre`` order, so the
+edges below any node are one slice of each list: that subtree's leaves fill
+a walk-order range and its internal nodes a block of ``pre``. The
+candidates are the edges below a, or all edges but those below s, less
+a's own edges either way; a sort of the slices and a bisection find the
+k-th in O(l log l) for l leaves below, with no walk of the tree.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -156,13 +171,16 @@ class DeltaCost:
 class TreeCache:
     """What Delta needs of one tree: the rooted walk, a summed-area table of
     the rounded d in walk order, and per internal node, for each neighbour,
-    the leaf count behind it and the mass between the other two directions."""
+    the leaf count behind it and the mass between the other two directions.
+    Plus what ``propose`` needs to draw a move on the tree without touching
+    it: the rows' slot order and the edge index (see ``propose``)."""
 
-    __slots__ = ("cost", "parent", "depth", "size", "lo", "sat", "nbr", "cnt", "cnt2", "opp")
+    __slots__ = ("cost", "parent", "depth", "size", "lo", "sat", "nbr", "cnt", "cnt2", "opp",
+                 "ends", "up", "at", "leaf_up", "inner_up")
 
     def __init__(self, cost: DeltaCost, adj: list[list[int]]):
         n = cost.n
-        parent, depth, size, lo, _ = _rooted_walk(adj, n)
+        parent, depth, size, lo, pre = _rooted_walk(adj, n)
         order = np.empty(n, dtype=np.intp)
         order[lo[:n]] = np.arange(n)
         sat = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -180,6 +198,26 @@ class TreeCache:
         # complement of p's leaves); see the module docstring
         sc = np.where(child, cut[rows], cut[p])
         opp = sc.sum(1, keepdims=True) // 2 - sc
+        # The edges in (lower end, slot) order: leaf v's one edge, to its
+        # parent above it, is edge v; then each internal row's later
+        # neighbours. up[v] indexes the edge from v to its walk parent.
+        ends = [(v, parent[v]) for v in range(n)]
+        up = list(range(2 * n - 2))
+        for v in range(n, 2 * n - 2):
+            pv = parent[v]
+            for w in adj[v]:
+                if w > v:
+                    up[v if w == pv else w] = len(ends)
+                    ends.append((v, w))
+        # Below node v lie its leaves, walk positions lo[v]:lo[v] + size[v],
+        # and size[v] - 1 internal nodes, v first, from at[v] in ``pre``: so
+        # the edges below v are two slices of leaf_up and inner_up.
+        at = [0] * (2 * n - 2)
+        for i, v in enumerate(pre):
+            at[v] = i
+        self.ends, self.up, self.at = ends, up, at
+        self.leaf_up = order.tolist()
+        self.inner_up = [up[v] for v in pre]
         pad: list = [None] * n
         self.cost = cost
         self.parent, self.depth, self.size, self.lo = parent, depth, size, lo
@@ -226,31 +264,109 @@ class TreeCache:
         m = sat[r1] - sat[r0]
         return sat[-1] - m if comp else m
 
-    def delta(self, rec) -> tuple[float, float]:
-        """(Delta, tau) of the simple move ``rec`` on this tree: C after the
-        move minus C before, and a bound on how far Delta may lie from the
-        difference of the two full scores."""
+    def _move_path(self, kind: str, ops: tuple[int, ...]) -> list[int]:
+        """The path Delta walks for a simple move (``MutationRecord`` kind and
+        operands): u to w for an interchange; for a subtree transfer, a to
+        the nearer end of e-f and on to the farther one."""
+        if kind != "subtree_transfer":
+            return self._path(ops[0], ops[-1])
+        _, a, _, _, e, f = ops
+        path = self._path(a, e)
+        if path[-2] != f:
+            path.append(f)
+        return path
+
+    def propose(self, rng) -> tuple[str, tuple[int, ...], list[int]]:
+        """Draw a simple move on this tree without touching it: (kind,
+        operands, path), with the draws, kind and operands of
+        ``mutate.simple_mutation`` on the rows the cache was built from, and
+        the path ``delta`` walks. ``rng`` is the search's draw stream
+        (``mutate._Draws``), whose integers are Python ints.
+
+        Leaves u and v are siblings iff they share a parent, and nodes u and
+        w are near (distance < 3) iff their path has at most 3 nodes. A
+        transfer takes the k-th edge, in (lower end, slot) order, with no end
+        on s's side of a-s or at a. When s is a's child, those are all edges
+        but the 2l + 1 below s or at a (l the leaves below s), and the k-th
+        is the fixpoint of j = k + (excluded indices <= j). When s is a's
+        parent, they are the edges below a but a's two child edges."""
+        n = self.cost.n
+        parent = self.parent
+        while True:
+            kind = rng.integers(3)
+            if kind == 0:
+                while True:
+                    u = rng.integers(n)
+                    v = rng.integers(n)
+                    if u != v and parent[u] != parent[v]:
+                        return "leaf_interchange", (u, v), self._path(u, v)
+            if n == 4:  # neither subtree move changes a 4-leaf tree
+                continue
+            if kind == 1:
+                m = 2 * n - 2
+                while True:
+                    u = rng.integers(m)
+                    w = rng.integers(m)
+                    if u == w or (u < n and w < n):
+                        continue
+                    if u < n:  # keep the internal node in the u role
+                        u, w = w, u
+                    path = self._path(u, w)
+                    if len(path) > 3:
+                        return "subtree_interchange", (u, path[1], path[-2], w), path
+            size, lo, up, at = self.size, self.lo, self.up, self.at
+            while True:
+                a = n + rng.integers(n - 2)
+                row = self.nbr[a]
+                s = row[rng.integers(3)]
+                below = parent[s] == a
+                ell = size[s] if below else n - size[a]
+                count = 2 * (n - ell) - 4
+                if count:
+                    break
+            k = rng.integers(count)
+            b, c = sorted(q for q in row if q != s)
+            if below:
+                r, i = lo[s], at[s]
+                out = self.leaf_up[r : r + ell] + self.inner_up[i : i + ell - 1]
+                out += [up[q] if parent[q] == a else up[a] for q in (b, c)]
+                out.sort()
+                j, last = k, -1
+                while j != last:
+                    last, j = j, k + bisect_right(out, j)
+            else:
+                r, i, sa = lo[a], at[a], size[a]
+                edges = self.leaf_up[r : r + sa] + self.inner_up[i + 1 : i + sa - 1]
+                edges.remove(up[b])
+                edges.remove(up[c])
+                edges.sort()
+                j = edges[k]
+            e, f = self.ends[j]
+            ops = (s, a, b, c, e, f)
+            return "subtree_transfer", ops, self._move_path("subtree_transfer", ops)
+
+    def delta(self, kind: str, ops: tuple[int, ...], path: list[int] | None = None) -> tuple[float, float]:
+        """(Delta, tau) of a simple move on this tree, given by its
+        ``MutationRecord`` kind and operands, and the path ``propose``
+        gave with them, if any: C after the move minus C before, and a bound on how far
+        Delta may lie from the difference of the two full scores."""
         n = self.cost.n
         parent, lo, size = self.parent, self.lo, self.size
         nbr, cnt, cnt2, opp = self.nbr, self.cnt, self.cnt2, self.opp
-        ops = rec.operands
-        transfer = rec.kind == "subtree_transfer"
+        if path is None:
+            path = self._move_path(kind, ops)
+        transfer = kind == "subtree_transfer"
         # X moves from the path's first end to its last, Y the other way
         if transfer:
             # S = X moves from node a to the edge e-f; the path runs from a
-            # to the nearer end of e-f, then to the farther one
-            s, a, b, c, e, f = ops
-            path = self._path(a, e)
-            if path[-2] == f:
-                e, f = f, e
-            else:
-                path.append(f)
+            # to the nearer end e of e-f, then to the farther one f
+            s, a, b, c = ops[:4]
+            e, f = path[-2], path[-1]
             side = self._side(a, s)
             nx, ny = side[3], 0
             cum = -self._prefix_mass(side)
         else:
-            u, w = ops if rec.kind == "leaf_interchange" else (ops[0], ops[3])
-            path = self._path(u, w)
+            u, w = path[0], path[-1]
             side = self._side(path[1], u)
             other = self._side(path[-2], w)
             nx, ny = side[3], other[3]

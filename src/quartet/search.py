@@ -32,20 +32,23 @@ runs one generation each, in run order. Results depend on PCG64's raw
 stream, which the search reads itself (``mutate._Draws``), with the same
 values ``np.random.Generator.integers`` and ``.random`` give on it.
 
-Scoring Metropolis proposals. For a distance-backed cost, a walk step first
-computes the move's cost change Delta from a cache of the current tree
-(``fastcost.TreeCache``, rebuilt only when a proposal is accepted), with a
-bound tau on how far Delta can lie from the difference dc of the two full
-scores the acceptance test compares. The step makes its move and draws u
-exactly as a walk that scores every proposal does. It rolls the move back
-unscored only when lo = Delta - tau > 0 and u >= exp(-lo/theta) (1 + 2^-48):
-then dc >= lo > 0, so exp(-dc/theta) <= exp(-lo/theta) up to exp's rounding
-of under one ulp each, which the 2^-48 margin covers, and the full test
-(dc <= 0 or u < exp(-dc/theta)) would reject as well. Every other step runs
-the full scorer and that full test unchanged. So every decision, every
-accepted and best cost (all from the full scorer), the draw stream
-and the rows' slot order are those of the walk that scores every proposal;
-only the work differs, counted in ``SearchResult.full_scores``.
+Scoring Metropolis proposals. For a distance-backed cost, a walk step draws
+its move from a cache of the current tree (``fastcost.TreeCache``, rebuilt
+only when a proposal is accepted) without making it: ``TreeCache.propose``
+reads the draws ``mutate.simple_mutation`` would read and names the move it
+would make. The step then draws u and computes the move's cost change Delta
+from the cache, with a bound tau on how far Delta can lie from the
+difference dc of the two full scores the acceptance test compares. It drops
+the move, untouched and unscored, only when lo = Delta - tau > 0 and
+u >= exp(-lo/theta) (1 + 2^-48): then dc >= lo > 0, so exp(-dc/theta) <=
+exp(-lo/theta) up to exp's rounding of under one ulp each, which the 2^-48
+margin covers, and the full test (dc <= 0 or u < exp(-dc/theta)) would
+reject as well. Every other step makes its move, runs the full scorer and
+that full test unchanged, and rolls a rejected move back with its inverse
+record, which restores the rows slot for slot. So every decision, every
+accepted and best cost (all from the full scorer), the draw stream and the
+rows' slot order are those of the walk that moves and scores every
+proposal; only the work differs, counted in ``SearchResult.full_scores``.
 """
 
 from __future__ import annotations
@@ -296,17 +299,22 @@ class _Run:
         best_prefix = 0
         steps = self.trial_length if budget is None else min(self.trial_length, budget)
         for _ in range(steps):
-            rec = simple_mutation(cur, self.n, self.rng)
+            if cache is None:
+                rec = simple_mutation(cur, self.n, self.rng)
+            else:
+                kind, ops, path = cache.propose(self.rng)
             self.examined += 1
             u = self.rng.random()
             if cache is not None:
-                # reject without the full scorer only where the full test
-                # below must reject too: dc >= lo > 0 and u >= exp(-dc/theta)
-                dl, tau = cache.delta(rec)
+                # reject without the full scorer, and without making the
+                # move, only where the full test below must reject too:
+                # dc >= lo > 0 and u >= exp(-dc/theta)
+                dl, tau = cache.delta(kind, ops, path)
                 lo = dl - tau
                 if lo > 0 and u >= math.exp(-lo / self.theta) * (1 + 2**-48):
-                    apply_record(cur, rec.inverse())
                     continue
+                rec = MutationRecord(kind, ops)
+                apply_record(cur, rec)
             cnew = self.scorer.cost(cur)
             self.full_scores += 1
             dc = cnew - ccur

@@ -18,6 +18,7 @@ from quartet.matrix_io import FORMATS, format_matrix, parse_matrix
 from quartet.mutate import (
     MutationRecord,
     _RAND_BY_KIND,
+    _Draws,
     _near,
     _rand_subtree_interchange,
     _rand_subtree_transfer,
@@ -83,7 +84,7 @@ def test_hop_distances_match_floyd_warshall(n, seed, shape):
 def check_delta(rows, n, d, rec):
     """Delta of the move ``rec`` on the tree ``rows`` equals the difference of
     the full scorer's costs and of the naive scorer's costs, within tau."""
-    delta, tau = TreeCache(DeltaCost(d), rows).delta(rec)
+    delta, tau = TreeCache(DeltaCost(d), rows).delta(rec.kind, rec.operands)
     after = [row[:] for row in rows]
     apply_record(after, rec)
     cf = DistanceCostFunction(DistanceMatrix(d))
@@ -235,6 +236,57 @@ def test_subtree_samplers_pick_what_the_oracles_list_on_every_tree(n):
                 path = _bfs_path(rows, u, w)
                 rec = _rand_subtree_interchange([row[:] for row in rows], n, Scripted(du, dw))
                 assert rec.operands == (u, path[1], path[-2], w)
+
+
+def check_proposal(cache, rows, n, seed):
+    """``TreeCache.propose`` on the cache of ``rows`` draws the move that
+    ``simple_mutation`` makes on them, from the same draws, and leaves the
+    stream where ``simple_mutation`` leaves it; its path is the move's path
+    in the tree. Returns the move's record."""
+    ours, theirs = _Draws(seed), _Draws(seed)
+    kind, ops, path = cache.propose(ours)
+    rec = simple_mutation([row[:] for row in rows], n, theirs)
+    assert (kind, ops) == (rec.kind, rec.operands)
+    assert (ours.integers(2**32), ours.random()) == (theirs.integers(2**32), theirs.random())
+    if kind == "subtree_transfer":
+        _, a, _, _, e, f = ops
+        near, far = sorted((_bfs_path(rows, a, e), _bfs_path(rows, a, f)), key=len)
+        assert path == near + far[-1:]
+    else:
+        assert path == _bfs_path(rows, ops[0], ops[-1])
+    return rec
+
+
+def shuffled_rows(tree, n, rng):
+    rows = tree.copy_adjacency()
+    for row in rows[n:]:
+        rng.shuffle(row)  # any slot order, as the moves leave it
+    return rows
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_proposals_drawn_from_the_cache_are_the_moves_on_every_tree(n):
+    d = DeltaCost(np.ones((n, n)) - np.eye(n))
+    for i, tree in enumerate(enumerate_all_trees(n)):
+        rows = shuffled_rows(tree, n, rng_for(i))
+        before = [row[:] for row in rows]
+        cache = TreeCache(d, rows)
+        for seed in range(20):
+            check_proposal(cache, rows, n, seed)
+        assert rows == before
+
+
+@PROPERTY
+@given(n=st.integers(4, 64), seed=seeds, shape=st.sampled_from(["random", "caterpillar"]),
+       moves=st.integers(1, 30))
+def test_proposals_drawn_from_the_cache_are_the_moves_along_a_walk(n, seed, shape, moves):
+    rng = rng_for(seed)
+    tree = caterpillar(n) if shape == "caterpillar" else random_tree(n, rng)
+    rows = shuffled_rows(tree, n, rng)
+    d = DeltaCost(random_symmetric_matrix(n, rng).d)
+    for step in range(moves):  # each move on the tree the last one made
+        rec = check_proposal(TreeCache(d, rows), rows, n, seed + step)
+        apply_record(rows, rec)
 
 
 @PROPERTY

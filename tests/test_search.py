@@ -389,7 +389,7 @@ def test_delta_shortcut_leaves_metropolis_results_unchanged(tmp_path, monkeypatc
     res, out = delta_search_outputs(tmp_path / "delta", instance, n, overrides)
     assert res.terminated_by == stop
     # a delta that never rules a proposal out: every proposal is scored in full
-    monkeypatch.setattr(TreeCache, "delta", lambda self, rec: (0.0, 1.0))
+    monkeypatch.setattr(TreeCache, "delta", lambda self, kind, ops, path: (0.0, 1.0))
     full, out_full = delta_search_outputs(tmp_path / "full", instance, n, overrides)
     assert out == out_full
     assert full.full_scores == full.trees_examined

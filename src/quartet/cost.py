@@ -39,6 +39,7 @@ from . import fastcost
 from .trees import (
     QuartetTopology,
     Tree,
+    _adj_of,
     _check_names,
     enumerate_quartets,
     hop_distances,
@@ -321,12 +322,3 @@ def score(tree: Tree, cf: CostFunction) -> float:
     else:
         cost = tree_cost_naive(tree, cf)
     return score_from_cost(cost, b, b.may_be_perfect(cost) and is_min_perfect(tree, cf))
-
-
-def _adj_of(tree_or_adj, n: int | None) -> tuple[list[list[int]], int]:
-    """Neighbour rows and leaf count of a ``Tree``, or of rows as given."""
-    if isinstance(tree_or_adj, Tree):
-        return tree_or_adj.copy_adjacency(), tree_or_adj.n
-    if n is None:
-        n = (len(tree_or_adj) + 2) // 2
-    return tree_or_adj, n

@@ -1,5 +1,4 @@
-"""Tree mutations: the three simple moves, fat-tail k-mutations, and a
-constructive mutation path between any two trees.
+"""Tree mutations: the three simple moves and fat-tail k-mutations.
 
 Simple mutations keep the node census invariant (n labeled leaves, n-2
 ternary internal nodes): a leaf interchange swaps two non-sibling leaves, a
@@ -16,12 +15,7 @@ lets hill climbing escape local optima. Because that pmf has infinite mean,
 the sampler clamps draws at a cap k_max, which leaves P(k=j) exact for every
 j below the cap and puts the tail mass on k_max itself. The hill climber
 caps at max_path_moves(n) = 5n-16 by default, since no tree is more simple
-moves away than that.
-
-``mutation_path`` constructs an explicit sequence of at most 5n-16 moves
-(only leaf swaps and subtree-to-leaf swaps) turning one tree into another,
-by induction: normalize a cherry-path, glue it into a composite end node,
-recurse on n-1 leaves, then expand and fix up with at most three moves.
+moves away than that (the paper's appendix, by induction on n).
 
 The random moves, ``sample_k`` and ``trees.random_tree`` draw through any
 object with ``integers(high)`` and ``random()``. The search passes a
@@ -39,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import Tree, _bfs_path, _canonical_key, _replace_neighbor, trees_equal
+from .trees import Tree, _replace_neighbor
 
 __all__ = [
     "MutationRecord",
     "apply_record",
     "max_path_moves",
-    "mutation_path",
     "replay_records",
     "sample_k",
     "shifted_pmf_normalizer",
@@ -392,167 +385,9 @@ def sample_k(rng, k_max: int) -> int:
     return bisect_right(_k_cdf(k_max), rng.random()) + 1
 
 
-# ---------------------------------------------------------------------- #
-# Constructive mutation path (appendix induction)
-# ---------------------------------------------------------------------- #
-
-# Abstract ops used by the construction: ("leaf", u, v) swaps two non-sibling
-# leaves; ("subleaf", u, w) swaps the subtree hanging at node u with leaf w
-# at path distance >= 3. Operands are resolved against the current tree when
-# the op is applied, which keeps one op meaningful both on a glued view and
-# on the corresponding full tree. The construction works on {node: [neighbours]}
-# mappings, since gluing drops nodes.
-
-
-def _op_record(adj, op) -> MutationRecord:
-    """The simple mutation that carries out ``op`` on the tree ``adj``."""
-    if op[0] == "leaf":
-        return MutationRecord("leaf_interchange", (op[1], op[2]))
-    _, u, w = op
-    path = _bfs_path(adj, u, w)
-    assert len(path) >= 4, f"subtree swap needs distance >= 3, path {path}"
-    return MutationRecord("subtree_interchange", (u, path[1], path[-2], w))
-
-
-def _leaf_nbrs(adj, n, v):
-    return sorted(w for w in adj[v] if w < n)
-
-
-def _end_internals(adj, n):
-    return sorted(v for v in adj if v >= n and len(_leaf_nbrs(adj, n, v)) == 2)
-
-
-def _solve_path(W: dict[int, list[int]], T: dict[int, list[int]], n: int) -> list:
-    """Emit ops transforming W into (a tree leaf-label-isomorphic to) T.
-    Mutates W; T is never modified."""
-    ops: list = []
-
-    def emit(op) -> None:
-        apply_record(W, _op_record(W, op))
-        ops.append(op)
-
-    if _canonical_key(W, n) == _canonical_key(T, n):
-        return ops
-    leaves = sorted(v for v in W if v < n)
-    if len(leaves) == 4:
-        target = _canonical_key(T, n)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                u, v = leaves[i], leaves[j]
-                (pu,) = W[u]
-                (pv,) = W[v]
-                if pu == pv:
-                    continue
-                trial = {a: list(b) for a, b in W.items()}
-                _apply_leaf_swap(trial, u, v)
-                if _canonical_key(trial, n) == target:
-                    emit(("leaf", u, v))
-                    return ops
-        raise AssertionError("distinct 4-leaf trees always differ by one swap")
-
-    # normalize: an end internal node E whose internal neighbor M carries
-    # exactly one leaf
-    M = E = lhid = None
-    for Y in _end_internals(W, n):
-        X = next(w for w in W[Y] if w >= n)
-        xl = _leaf_nbrs(W, n, X)
-        if len(xl) == 1:
-            M, E, lhid = X, Y, xl[0]
-            break
-    if M is None:
-        ends = _end_internals(W, n)
-        Y, U = ends[0], ends[1]
-        a1, a2 = _leaf_nbrs(W, n, Y)
-        emit(("subleaf", U, a1))
-        M, E, lhid = Y, U, a2
-
-    # glue {M, l, E} into a composite end node kept under M's id
-    Wg = {v: list(nb) for v, nb in W.items() if v not in (E, lhid)}
-    slots = [w for w in W[E] if w != M]
-    _replace_neighbor(Wg, M, lhid, slots[0])
-    _replace_neighbor(Wg, M, E, slots[1])
-    for t in slots:
-        _replace_neighbor(Wg, t, E, M)
-
-    # target-side contraction
-    (N1,) = T[lhid]
-    n1_leaves = _leaf_nbrs(T, n, N1)
-    fix_swap = None
-    if len(n1_leaves) == 2:
-        lprime = next(x for x in n1_leaves if x != lhid)
-        P = next(w for w in T[N1] if w not in (lhid, lprime))
-        Tg = {v: list(nb) for v, nb in T.items() if v not in (lhid, N1)}
-        Tg[lprime] = [P]
-        _replace_neighbor(Tg, P, N1, lprime)
-    else:
-        e1 = min(_end_internals(T, n), key=lambda v: min(_leaf_nbrs(T, n, v)))
-        p_, q_ = _leaf_nbrs(T, n, e1)
-        lprime = p_
-        P = next(w for w in T[e1] if w >= n or w not in (p_, q_))
-        Tg = {v: list(nb) for v, nb in T.items() if v not in (q_, e1)}
-        Tg[lprime] = [P]
-        _replace_neighbor(Tg, P, e1, lprime)
-        # stand-in: label q_ takes l's place during the recursion
-        (pl,) = Tg[lhid]
-        _replace_neighbor(Tg, pl, lhid, q_)
-        Tg[q_] = Tg.pop(lhid)
-        fix_swap = (lhid, q_)
-
-    # Replay the child ops on the unglued tree. A child op naming the
-    # composite id M means "the component on M's side of the cut": when its
-    # path leaves through the glued-in node E, the physical cut edge is
-    # E-slot rather than M-E, so the op is re-anchored at E.
-    for op in _solve_path(Wg, Tg, n):
-        if op[0] == "subleaf" and op[1] == M and _bfs_path(W, M, op[2])[1] == E:
-            op = ("subleaf", E, op[2])
-        emit(op)
-
-    # expansion fix-up: route the composite's extra node to l'-position
-    zcur = next(w for w in W[M] if w not in (lhid, E))
-    pathml = _bfs_path(W, M, lprime)
-    if pathml[1] == E:
-        if lprime in W[E]:
-            other = next(w for w in W[E] if w not in (M, lprime))
-            emit(("leaf" if other < n else "subleaf", other, lhid))
-        else:
-            for op in (("subleaf", M, lprime),
-                       ("leaf" if zcur < n else "subleaf", zcur, lprime)):
-                emit(op)
-    elif zcur != lprime:
-        if len(pathml) == 3:  # l' hangs directly on M's third neighbor
-            emit(("subleaf", E, lprime))
-        else:
-            for op in (("subleaf", M, lprime), ("subleaf", E, lprime)):
-                emit(op)
-    # zcur == lprime: composite already sits at l'-position
-
-    if fix_swap is not None:
-        emit(("leaf", *fix_swap))
-
-    assert _canonical_key(W, n) == _canonical_key(T, n), "level did not reach its target"
-    return ops
-
-
 def max_path_moves(n: int) -> int:
     """5n-16: no tree on n >= 4 leaves is more simple moves away from another
-    than this, the bound ``mutation_path`` meets."""
+    than this, the bound the paper's appendix proves by induction on n with
+    leaf swaps and subtree-to-leaf swaps only; the test suite carries that
+    construction and checks the bound on it."""
     return 5 * n - 16
-
-
-def mutation_path(t0: Tree, t1: Tree) -> list[MutationRecord]:
-    """Records transforming t0 into t1 using only leaf swaps and
-    subtree-to-leaf swaps; at most max_path_moves(n) = 5n-16 of them.
-    Replaying them on t0 yields a tree equal to t1."""
-    if t0.n != t1.n:
-        raise ValueError(f"trees have different label sets (n={t0.n} vs n={t1.n})")
-    W, T = ({v: list(t.neighbors(v)) for v in range(t.node_count)} for t in (t0, t1))
-    ops = _solve_path(W, T, t0.n)
-    records = []
-    adj = t0.copy_adjacency()
-    for op in ops:
-        rec = _op_record(adj, op)
-        apply_record(adj, rec)
-        records.append(rec)
-    if not trees_equal(Tree(adj, validate=True), t1):  # pragma: no cover
-        raise AssertionError("mutation path failed to reach the target tree")
-    return records

@@ -10,17 +10,20 @@ three neighbors.
   (``Tree.adj_array``) with each internal row sorted ascending.
 * The writable working state is a list of 2n-2 neighbour lists, the layout
   of ``adj_array.tolist()``, from ``Tree.copy_adjacency()``. The moves, the
-  search, ``mutation_path`` and the scorers edit and walk these rows in
-  place, in whatever slot order the moves leave; ``Tree(rows)`` freezes them
-  again. Passes that compute on numbers (hop matrices, lca blocks, quartet
-  slabs) build numpy arrays from the rows.
+  search and the scorers edit and walk these rows in place, in whatever
+  slot order the moves leave; ``Tree(rows)`` freezes them again. Passes
+  that compute on numbers (hop matrices, lca blocks, quartet slabs) build
+  numpy arrays from the rows.
 
-Leaf-pair path lengths come from one walk and one fill. ``_rooted_walk``
-roots the rows at node n and gives every node its parent, edge depth, leaf
-count and walk-order range of the leaves below it. ``_lca_fill`` takes the
-walk and any integer node depth D and returns D(u) + D(v) - 2 D(lca(u, v))
-for every leaf pair, by tiling D(lca) over sibling-subtree blocks. With edge
-counts for D that is ``hop_distances``; ``fastcost`` passes the doubled
+One walk serves every pass over a whole tree. ``_rooted_walk`` roots the
+rows at node n and gives every node its parent, edge depth, leaf count and
+walk-order range of the leaves below it. ``Tree._validate`` finds a
+disconnected input as a node the walk leaves without a parent, and
+``_canonical_key`` encodes each edge's two sides over the walk's order.
+Leaf-pair path lengths come from the walk and one fill: ``_lca_fill`` takes
+the walk and any integer node depth D and returns D(u) + D(v) - 2 D(lca(u,
+v)) for every leaf pair, by tiling D(lca) over sibling-subtree blocks. With
+edge counts for D that is ``hop_distances``; ``fastcost`` passes the doubled
 quartet weights of its O(n^2) scorer and keeps the walk for its move deltas.
 
 Quartet topologies are canonical pairings uv|wx of four distinct labels; a
@@ -201,15 +204,9 @@ class Tree:
                 seen_edges.add((min(v, w), max(v, w)))
         if len(seen_edges) != m - 1:
             raise ValueError(f"tree needs {m - 1} edges, found {len(seen_edges)}")
-        # connected + |E| = |V|-1 implies acyclic
-        stack, seen = [0], {0}
-        while stack:
-            v = stack.pop()
-            for w in rows[v]:
-                if w >= 0 and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != m:
+        # connected + |E| = |V|-1 implies acyclic; every internal row now
+        # holds three valid neighbours, so the walk ends
+        if min(_rooted_walk(rows, n)[0]) < 0:
             raise ValueError("tree is not connected")
 
     # -- basic queries ---------------------------------------------------
@@ -258,10 +255,7 @@ class Tree:
         leaf-labeled trees (internal ids ignored).
         """
         if self._canon is None:
-            rows = self._adj.tolist()
-            self._canon = _canonical_key(
-                {v: [w for w in row if w >= 0] for v, row in enumerate(rows)}, self.n
-            )
+            self._canon = _canonical_key(self._adj.tolist(), self.n)
         return self._canon
 
     def __repr__(self) -> str:
@@ -278,38 +272,29 @@ def trees_equal(t1: Tree, t2: Tree) -> bool:
     return t1.canonical_key() == t2.canonical_key()
 
 
-def _canonical_key(adjacency: Mapping[int, Iterable[int]], n: int) -> str:
-    """Canonical key of the tree given as a {node: neighbours} mapping, in
-    which ids below n are leaves and other ids are arbitrary.
+def _canonical_key(rows: list[list[int]], n: int) -> str:
+    """Canonical key of the tree in neighbour rows over n leaves.
 
-    Each directed edge (p, v) gets the nested-parenthesis encoding of the
-    side of v seen from p: one walk from a leaf fills the edges pointing
-    away from it, leaves first, and a second pass in walk order fills the
-    edges pointing back. The key is the least "a|b" over all edges, with
-    a <= b the encodings of the edge's two sides.
+    Each directed edge gets the nested-parenthesis encoding of the side it
+    points to. On the walk from ``_rooted_walk``, the sides below each node
+    fill leaves first (reversed ``pre``), then the sides above it in walk
+    order. The key is the least "a|b" over the 2n-3 edges, with a <= b the
+    encodings of the edge's two sides, so no rooting shows in it.
     """
-    root = next(v for v in adjacency if v < n)
-    parent = {root: -1}
-    order = [root]
-    for v in order:
-        for w in adjacency[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    enc: dict[tuple[int, int], str] = {}
-
-    def side(p: int, v: int) -> str:
-        if v < n:
-            return str(v)
-        return "(" + ",".join(sorted(enc[v, w] for w in adjacency[v] if w != p)) + ")"
-
-    for v in reversed(order[1:]):
-        enc[parent[v], v] = side(parent[v], v)
-    for v in order:
-        for w in adjacency[v]:
-            if w != parent[v]:
-                enc[w, v] = side(w, v)
-    return min("|".join(sorted((a, enc[w, v]))) for (v, w), a in enc.items() if v < w)
+    parent, _, _, _, pre = _rooted_walk(rows, n)
+    down = [str(v) for v in range(n)] + [""] * (n - 2)  # v's side of v-parent[v]
+    for v in reversed(pre[1:]):
+        p = parent[v]
+        down[v] = "(" + ",".join(sorted([down[w] for w in rows[v] if w != p])) + ")"
+    up = [""] * (2 * n - 2)  # parent[v]'s side of v-parent[v]
+    for v in pre:
+        p = parent[v]
+        sides = [up[v] if w == p else down[w] for w in rows[v]]
+        for i, w in enumerate(rows[v]):
+            if w != p:
+                a, b = sides[i - 2], sides[i - 1]  # the other two slots
+                up[w] = f"({a},{b})" if a <= b else f"({b},{a})"
+    return min(f"{a}|{b}" if a <= b else f"{b}|{a}" for a, b in zip(down, up) if b)
 
 
 # ---------------------------------------------------------------------- #
@@ -362,30 +347,6 @@ def _replace_neighbor(adj, v: int, old: int, new: int) -> None:
 # ---------------------------------------------------------------------- #
 # Paths, distances, consistency
 # ---------------------------------------------------------------------- #
-
-
-def _bfs_path(adj, src: int, dst: int) -> list[int]:
-    """Vertex path src..dst inclusive (unique in a tree) in neighbour rows
-    ``adj``, a list or a {node: neighbours} mapping."""
-    if src == dst:
-        return [src]
-    prev = {src: -1}
-    queue = [src]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in adj[v]:
-                if w >= 0 and w not in prev:
-                    prev[w] = v
-                    if w == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(prev[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(w)
-        queue = nxt
-    raise ValueError(f"no path from {src} to {dst}")
 
 
 def _rooted_walk(adj: list[list[int]], n: int) -> tuple[list[int], ...]:
@@ -453,14 +414,20 @@ def _lca_fill(n: int, walk, depth) -> np.ndarray:
     return out
 
 
+def _adj_of(tree_or_adj, n: int | None = None) -> tuple[list[list[int]], int]:
+    """Neighbour rows and leaf count of a ``Tree``, or of rows as given (n
+    from their length when not given)."""
+    if isinstance(tree_or_adj, Tree):
+        return tree_or_adj.copy_adjacency(), tree_or_adj.n
+    if n is None:
+        n = (len(tree_or_adj) + 2) // 2
+    return tree_or_adj, n
+
+
 def hop_distances(tree_or_adj, n: int | None = None) -> np.ndarray:
     """Leaf-to-leaf path lengths in edges, as an (n, n) int32 matrix, of a
-    ``Tree`` or of neighbour rows over n leaves: the lca fill on edge depths."""
-    if isinstance(tree_or_adj, Tree):
-        rows, n = tree_or_adj.copy_adjacency(), tree_or_adj.n
-    else:
-        rows = tree_or_adj
-        assert n is not None
+    ``Tree`` or of neighbour rows: the lca fill on edge depths."""
+    rows, n = _adj_of(tree_or_adj, n)
     walk = _rooted_walk(rows, n)
     out = _lca_fill(n, walk, walk[1]).astype(np.int32)  # walk[1]: edge depths
     np.fill_diagonal(out, 0)

@@ -1,21 +1,31 @@
 """Shared helpers and the test-only oracles: tree shapes, exhaustive
-enumerations and the literal quartet-embedding checks the program's faster
-paths are compared against."""
+enumerations, the literal quartet-embedding checks the program's faster
+paths are compared against, a canonical key over {node: neighbours}
+mappings, and the appendix construction of a mutation path between any two
+trees, which shows the 5n-16 bound the hill climber's k cap rests on."""
 
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 import pytest
 
 from quartet.cost import DistanceMatrix, ExplicitCostFunction
-from quartet.mutate import _RAND_BY_KIND, KINDS, MutationRecord, _k_cdf, shifted_pmf_normalizer
+from quartet.mutate import (
+    _RAND_BY_KIND,
+    KINDS,
+    MutationRecord,
+    _apply_leaf_swap,
+    _k_cdf,
+    apply_record,
+    shifted_pmf_normalizer,
+)
 from quartet.trees import (
     QuartetTopology,
     Tree,
-    _bfs_path,
     _replace_neighbor,
     enumerate_quartets,
     topology_from_index,
+    trees_equal,
 )
 
 
@@ -106,6 +116,65 @@ def enumerate_all_trees(n: int) -> Iterator[Tree]:
     yield from grow(adj0, [(0, n), (1, n), (2, n)], 3, n + 1)
 
 
+def _bfs_path(adj, src: int, dst: int) -> list[int]:
+    """Vertex path src..dst inclusive (unique in a tree) in neighbour rows
+    ``adj``, a list or a {node: neighbours} mapping."""
+    if src == dst:
+        return [src]
+    prev = {src: -1}
+    queue = [src]
+    while queue:
+        nxt = []
+        for v in queue:
+            for w in adj[v]:
+                if w >= 0 and w not in prev:
+                    prev[w] = v
+                    if w == dst:
+                        path = [dst]
+                        while path[-1] != src:
+                            path.append(prev[path[-1]])
+                        path.reverse()
+                        return path
+                    nxt.append(w)
+        queue = nxt
+    raise ValueError(f"no path from {src} to {dst}")
+
+
+def mapping_canonical_key(adjacency: Mapping[int, Iterable[int]], n: int) -> str:
+    """Canonical key of the tree given as a {node: neighbours} mapping, in
+    which ids below n are leaves and other ids are arbitrary: the oracle for
+    ``Tree.canonical_key``, walked from a leaf.
+
+    Each directed edge (p, v) gets the nested-parenthesis encoding of the
+    side of v seen from p: one walk from a leaf fills the edges pointing
+    away from it, leaves first, and a second pass in walk order fills the
+    edges pointing back. The key is the least "a|b" over all edges, with
+    a <= b the encodings of the edge's two sides.
+    """
+    root = next(v for v in adjacency if v < n)
+    parent = {root: -1}
+    order = [root]
+    for v in order:
+        for w in adjacency[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    enc: dict[tuple[int, int], str] = {}
+
+    def side(p: int, v: int) -> str:
+        if v < n:
+            return str(v)
+        return "(" + ",".join(sorted(enc[v, w] for w in adjacency[v] if w != p)) + ")"
+
+    for v in reversed(order[1:]):
+        enc[parent[v], v] = side(parent[v], v)
+    for v in order:
+        for w in adjacency[v]:
+            if w != parent[v]:
+                enc[w, v] = side(w, v)
+    return min("|".join(sorted((a, enc[w, v]))) for (v, w), a in enc.items() if v < w)
+
+
 def is_consistent(tree: Tree, topo: QuartetTopology) -> bool:
     """Whether ``topo`` is embedded in ``tree``: the path joining its first
     pair must not share a vertex with the path joining its second pair."""
@@ -176,6 +245,168 @@ def five_leaf_target() -> Tree:
     return Tree.from_adjacency(
         {0: [5], 1: [5], 2: [6], 3: [6], 4: [7], 5: [0, 1, 7], 6: [2, 3, 7], 7: [4, 5, 6]}
     )
+
+
+# ---------------------------------------------------------------------- #
+# Constructive mutation path (appendix induction)
+# ---------------------------------------------------------------------- #
+
+# Abstract ops used by the construction: ("leaf", u, v) swaps two non-sibling
+# leaves; ("subleaf", u, w) swaps the subtree hanging at node u with leaf w
+# at path distance >= 3. Operands are resolved against the current tree when
+# the op is applied, which keeps one op meaningful both on a glued view and
+# on the corresponding full tree. The construction works on {node: [neighbours]}
+# mappings, since gluing drops nodes.
+
+
+def _op_record(adj, op) -> MutationRecord:
+    """The simple mutation that carries out ``op`` on the tree ``adj``."""
+    if op[0] == "leaf":
+        return MutationRecord("leaf_interchange", (op[1], op[2]))
+    _, u, w = op
+    path = _bfs_path(adj, u, w)
+    assert len(path) >= 4, f"subtree swap needs distance >= 3, path {path}"
+    return MutationRecord("subtree_interchange", (u, path[1], path[-2], w))
+
+
+def _leaf_nbrs(adj, n, v):
+    return sorted(w for w in adj[v] if w < n)
+
+
+def _end_internals(adj, n):
+    return sorted(v for v in adj if v >= n and len(_leaf_nbrs(adj, n, v)) == 2)
+
+
+def _solve_path(W: dict[int, list[int]], T: dict[int, list[int]], n: int) -> list:
+    """Emit ops transforming W into (a tree leaf-label-isomorphic to) T.
+    Mutates W; T is never modified."""
+    ops: list = []
+
+    def emit(op) -> None:
+        apply_record(W, _op_record(W, op))
+        ops.append(op)
+
+    if mapping_canonical_key(W, n) == mapping_canonical_key(T, n):
+        return ops
+    leaves = sorted(v for v in W if v < n)
+    if len(leaves) == 4:
+        target = mapping_canonical_key(T, n)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                u, v = leaves[i], leaves[j]
+                (pu,) = W[u]
+                (pv,) = W[v]
+                if pu == pv:
+                    continue
+                trial = {a: list(b) for a, b in W.items()}
+                _apply_leaf_swap(trial, u, v)
+                if mapping_canonical_key(trial, n) == target:
+                    emit(("leaf", u, v))
+                    return ops
+        raise AssertionError("distinct 4-leaf trees always differ by one swap")
+
+    # normalize: an end internal node E whose internal neighbor M carries
+    # exactly one leaf
+    M = E = lhid = None
+    for Y in _end_internals(W, n):
+        X = next(w for w in W[Y] if w >= n)
+        xl = _leaf_nbrs(W, n, X)
+        if len(xl) == 1:
+            M, E, lhid = X, Y, xl[0]
+            break
+    if M is None:
+        ends = _end_internals(W, n)
+        Y, U = ends[0], ends[1]
+        a1, a2 = _leaf_nbrs(W, n, Y)
+        emit(("subleaf", U, a1))
+        M, E, lhid = Y, U, a2
+
+    # glue {M, l, E} into a composite end node kept under M's id
+    Wg = {v: list(nb) for v, nb in W.items() if v not in (E, lhid)}
+    slots = [w for w in W[E] if w != M]
+    _replace_neighbor(Wg, M, lhid, slots[0])
+    _replace_neighbor(Wg, M, E, slots[1])
+    for t in slots:
+        _replace_neighbor(Wg, t, E, M)
+
+    # target-side contraction
+    (N1,) = T[lhid]
+    n1_leaves = _leaf_nbrs(T, n, N1)
+    fix_swap = None
+    if len(n1_leaves) == 2:
+        lprime = next(x for x in n1_leaves if x != lhid)
+        P = next(w for w in T[N1] if w not in (lhid, lprime))
+        Tg = {v: list(nb) for v, nb in T.items() if v not in (lhid, N1)}
+        Tg[lprime] = [P]
+        _replace_neighbor(Tg, P, N1, lprime)
+    else:
+        e1 = min(_end_internals(T, n), key=lambda v: min(_leaf_nbrs(T, n, v)))
+        p_, q_ = _leaf_nbrs(T, n, e1)
+        lprime = p_
+        P = next(w for w in T[e1] if w >= n or w not in (p_, q_))
+        Tg = {v: list(nb) for v, nb in T.items() if v not in (q_, e1)}
+        Tg[lprime] = [P]
+        _replace_neighbor(Tg, P, e1, lprime)
+        # stand-in: label q_ takes l's place during the recursion
+        (pl,) = Tg[lhid]
+        _replace_neighbor(Tg, pl, lhid, q_)
+        Tg[q_] = Tg.pop(lhid)
+        fix_swap = (lhid, q_)
+
+    # Replay the child ops on the unglued tree. A child op naming the
+    # composite id M means "the component on M's side of the cut": when its
+    # path leaves through the glued-in node E, the physical cut edge is
+    # E-slot rather than M-E, so the op is re-anchored at E.
+    for op in _solve_path(Wg, Tg, n):
+        if op[0] == "subleaf" and op[1] == M and _bfs_path(W, M, op[2])[1] == E:
+            op = ("subleaf", E, op[2])
+        emit(op)
+
+    # expansion fix-up: route the composite's extra node to l'-position
+    zcur = next(w for w in W[M] if w not in (lhid, E))
+    pathml = _bfs_path(W, M, lprime)
+    if pathml[1] == E:
+        if lprime in W[E]:
+            other = next(w for w in W[E] if w not in (M, lprime))
+            emit(("leaf" if other < n else "subleaf", other, lhid))
+        else:
+            for op in (("subleaf", M, lprime),
+                       ("leaf" if zcur < n else "subleaf", zcur, lprime)):
+                emit(op)
+    elif zcur != lprime:
+        if len(pathml) == 3:  # l' hangs directly on M's third neighbor
+            emit(("subleaf", E, lprime))
+        else:
+            for op in (("subleaf", M, lprime), ("subleaf", E, lprime)):
+                emit(op)
+    # zcur == lprime: composite already sits at l'-position
+
+    if fix_swap is not None:
+        emit(("leaf", *fix_swap))
+
+    assert mapping_canonical_key(W, n) == mapping_canonical_key(T, n), (
+        "level did not reach its target"
+    )
+    return ops
+
+
+def mutation_path(t0: Tree, t1: Tree) -> list[MutationRecord]:
+    """Records transforming t0 into t1 using only leaf swaps and
+    subtree-to-leaf swaps; at most max_path_moves(n) = 5n-16 of them.
+    Replaying them on t0 yields a tree equal to t1."""
+    if t0.n != t1.n:
+        raise ValueError(f"trees have different label sets (n={t0.n} vs n={t1.n})")
+    W, T = ({v: list(t.neighbors(v)) for v in range(t.node_count)} for t in (t0, t1))
+    ops = _solve_path(W, T, t0.n)
+    records = []
+    adj = t0.copy_adjacency()
+    for op in ops:
+        rec = _op_record(adj, op)
+        apply_record(adj, rec)
+        records.append(rec)
+    if not trees_equal(Tree(adj, validate=True), t1):  # pragma: no cover
+        raise AssertionError("mutation path failed to reach the target tree")
+    return records
 
 
 @pytest.fixture

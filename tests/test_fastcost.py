@@ -18,7 +18,7 @@ from quartet.trees import (
     tree_to_newick,
 )
 
-from conftest import embedded_quartets, random_symmetric_matrix, rng_for
+from conftest import _bfs_path, embedded_quartets, random_symmetric_matrix, rng_for
 
 
 def test_zero_matrix_costs_zero(rng):
@@ -163,8 +163,6 @@ def test_decomposition_buckets_cover_embedded_set(rng):
 
 def _splits_at(tree, p, u, v):
     # whether the u-v path passes through p
-    from quartet.trees import _bfs_path
-
     return p in _bfs_path(tree.adj_array, u, v)
 
 

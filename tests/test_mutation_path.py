@@ -1,9 +1,9 @@
 import pytest
 
-from quartet.mutate import mutation_path, replay_records
+from quartet.mutate import replay_records
 from quartet.trees import random_tree, trees_equal
 
-from conftest import enumerate_all_trees, rng_for
+from conftest import enumerate_all_trees, mutation_path, rng_for
 
 ALLOWED_KINDS = {"leaf_interchange", "subtree_interchange"}
 

@@ -23,14 +23,12 @@ from quartet.mutate import (
     _rand_subtree_interchange,
     _rand_subtree_transfer,
     apply_record,
-    mutation_path,
     replay_records,
     simple_mutation,
 )
 from quartet.search import replay_trace, search
 from quartet.trees import (
     Tree,
-    _bfs_path,
     hop_distances,
     random_tree,
     tree_from_newick,
@@ -39,9 +37,11 @@ from quartet.trees import (
 )
 
 from conftest import (
+    _bfs_path,
     caterpillar,
     enumerate_all_trees,
     floyd_warshall_leaf_hops,
+    mutation_path,
     random_symmetric_matrix,
     rng_for,
 )
@@ -81,7 +81,7 @@ def test_hop_distances_match_floyd_warshall(n, seed, shape):
     tree = caterpillar(n) if shape == "caterpillar" else random_tree(n, rng)
     rows = shuffled_rows(tree, n, rng)
     want = floyd_warshall_leaf_hops(tree)
-    for got in (hop_distances(rows, n), hop_distances(Tree(rows))):
+    for got in (hop_distances(rows, n), hop_distances(rows), hop_distances(Tree(rows))):
         assert got.dtype == np.int32
         assert np.array_equal(got, want)
 

@@ -23,6 +23,7 @@ from conftest import (
     embedded_quartets,
     enumerate_all_trees,
     is_consistent,
+    mapping_canonical_key,
     one_move,
     rng_for,
 )
@@ -84,11 +85,18 @@ def test_tree_invariants_enforced():
     # degree-4 internal node
     with pytest.raises(ValueError):
         Tree.from_adjacency({0: [4], 1: [4], 2: [4], 3: [4], 4: [0, 1, 2, 3], 5: []})
-    # disconnected but degree-correct is impossible with 2n-3 edges; break symmetry instead
+    # asymmetric rows
     adj = random_tree(5, rng_for(1)).copy_adjacency()
     adj[0][0] = 7 if adj[0][0] != 7 else 6
     with pytest.raises(ValueError):
         Tree(adj)
+    # degree-correct, symmetric and 2n-3 edges, yet disconnected: a triangle
+    # 6-7-8 holding leaves 0, 1 and 2, and node 9 holding leaves 3, 4 and 5
+    with pytest.raises(ValueError, match="tree is not connected"):
+        Tree.from_adjacency(
+            {0: [6], 1: [7], 2: [8], 3: [9], 4: [9], 5: [9],
+             6: [0, 7, 8], 7: [1, 6, 8], 8: [2, 6, 7], 9: [3, 4, 5]}
+        )
 
 
 def test_random_tree_structure(rng):
@@ -114,6 +122,22 @@ def test_random_tree_n4_hits_all_three_shapes():
     # uniform generator: each count within 5 sigma of 10000/3
     for c in counts.values():
         assert abs(c - 10_000 / 3) < 5 * math.sqrt(10_000 * (1 / 3) * (2 / 3))
+
+
+def test_canonical_key_matches_the_mapping_oracle():
+    # every tree on 4-7 leaves, then random trees and caterpillars up to
+    # n=256, each also under permuted internal ids
+    rng = rng_for(4096)
+    trees = [t for n in range(4, 8) for t in enumerate_all_trees(n)]
+    for n in (8, 9, 12, 17, 24, 33, 64, 96, 128, 256):
+        trees += [random_tree(n, rng), random_tree(n, rng), caterpillar(n)]
+    for t in trees:
+        n = t.n
+        perm = list(range(n)) + [n + int(x) for x in rng.permutation(n - 2)]
+        mapping = {perm[v]: [perm[w] for w in t.neighbors(v)] for v in range(t.node_count)}
+        want = mapping_canonical_key(mapping, n)
+        assert t.canonical_key() == want
+        assert Tree.from_adjacency(mapping).canonical_key() == want
 
 
 def test_enumerate_all_trees_counts_and_distinctness():

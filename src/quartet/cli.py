@@ -102,12 +102,12 @@ def _config_json(config: SearchConfig) -> dict:
     return out
 
 
-def _write_manifest(out_dir: Path, subcommand: str, config_json: dict | None,
+def _write_manifest(args, subcommand: str, config_json: dict | None,
                     seed: int | None, inputs: dict[str, str], outputs: list[str]) -> None:
     manifest = {
         "tool": f"quartet {__version__}",
         "backend": BACKEND,
-        "command": sys.argv,
+        "command": args.argv,
         "subcommand": subcommand,
         "master_seed": seed,
         "config": config_json,
@@ -116,7 +116,7 @@ def _write_manifest(out_dir: Path, subcommand: str, config_json: dict | None,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
     }
-    (out_dir / "manifest.json").write_text(
+    (Path(args.out_dir) / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
 
@@ -165,7 +165,7 @@ def _cmd_cluster(args) -> int:
         outputs.append("progress.tsv")
     if args.trace:
         outputs.append("trace.log")
-    _write_manifest(out_dir, "cluster", _config_json(config), config.seed,
+    _write_manifest(args, "cluster", _config_json(config), config.seed,
                     {str(matrix_path): _sha256(matrix_path)}, outputs)
     print(f"S(T) = {result.best_score!r}  trees examined = {result.trees_examined}  "
           f"terminated by {result.terminated_by}")
@@ -191,7 +191,7 @@ def _cmd_ncd(args) -> int:
         for it in items
     }
     _write_manifest(
-        out_dir, "ncd",
+        args, "ncd",
         {"compressor": z.name, "format": args.format, "threads": args.threads},
         None, digests, [out_name],
     )
@@ -246,7 +246,7 @@ def _cmd_bench_artificial(args) -> int:
         "master_seed": args.seed,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out_dir, "bench artificial", _config_json(config), args.seed, {},
+    _write_manifest(args, "bench artificial", _config_json(config), args.seed, {},
                     ["trials.jsonl", "summary.json"])
     print(f"{exact}/{args.trials} exact reconstructions (n={args.n})")
     return 0
@@ -276,7 +276,7 @@ def _cmd_bench_stats(args) -> int:
     results = collect_runs(cf, args.runs, config, master_seed=args.seed)
     stats = run_statistics(results, bin_width=args.bin_width)
     paths = write_statistics_csv(stats, out_dir)
-    _write_manifest(out_dir, "bench stats", _config_json(config), args.seed, inputs,
+    _write_manifest(args, "bench stats", _config_json(config), args.seed, inputs,
                     [p.name for p in paths.values()])
     scores = [r.best_score for r in results]
     print(f"{args.runs} runs: best S(T) {max(scores)!r}, "
@@ -357,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # the arguments parsed, also when main is called in-process
+    args.argv = sys.argv if argv is None else ["quartet", *argv]
     try:
         return args.func(args)
     except (MatrixParseError, ValueError, OSError) as exc:

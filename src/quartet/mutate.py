@@ -4,10 +4,13 @@ Simple mutations keep the node census invariant (n labeled leaves, n-2
 ternary internal nodes): a leaf interchange swaps two non-sibling leaves, a
 subtree interchange swaps the hanging subtrees of two nodes at path distance
 at least three, and a subtree transfer detaches a subtree (smoothing the
-degree-2 node left behind) and reattaches it on another edge. Every applied
-mutation yields a replayable, invertible MutationRecord. The surgery writes
-each new neighbour into the slot of the one it replaces, so applying a
-record's inverse restores the rows slot for slot.
+degree-2 node left behind) and reattaches it on another edge. The random
+moves return a bare (kind, operands) pair; a replayable, invertible
+MutationRecord is made from it only where the move is kept: by
+``simple_mutation``, and by the search for the moves that join its trace.
+``apply_record`` checks a record in full against the tree before it writes.
+The surgery writes each new neighbour into the slot of the one it replaces,
+so applying a record's inverse restores the rows slot for slot.
 
 k-mutations compose k simple mutations with k drawn from the shifted fat
 tail pmf p(k) proportional to 1/((k+2) ln^2(k+2)); the heavy tail is what
@@ -54,7 +57,9 @@ class MutationRecord:
 
     Operand layouts:
       leaf_interchange    (u, v)             swapped leaves
-      subtree_interchange (u, x, y, w)       cut u-x and y-w, add u-y and w-x
+      subtree_interchange (u, x, y, w)       cut u-x and y-w, add u-y and w-x;
+                                             x after u and y before w on the
+                                             u-w path, of 3 or more edges
       subtree_transfer    (s, a, b, c, e, f) cut a-s, smooth a into edge b-c,
                                              split edge e-f with a, attach s
     """
@@ -91,12 +96,13 @@ class MutationRecord:
 # ---------------------------------------------------------------------- #
 # Surgery on neighbour rows (a list, or a {node: list} mapping)
 # ---------------------------------------------------------------------- #
+# The three writers below trust their operands: the samplers derive them
+# from the rows they write to, and ``apply_record`` checks a record in full
+# before it writes anything.
 
 
 def _apply_leaf_swap(adj, u: int, v: int) -> None:
     pu, pv = adj[u][0], adj[v][0]
-    if pu == pv:
-        raise ValueError(f"leaves {u} and {v} are siblings")
     _replace_neighbor(adj, pu, u, v)
     _replace_neighbor(adj, pv, v, u)
     adj[u][0] = pv
@@ -111,11 +117,6 @@ def _apply_subtree_swap(adj, u: int, x: int, y: int, w: int) -> None:
 
 
 def _apply_transfer(adj, s: int, a: int, b: int, c: int, e: int, f: int) -> None:
-    have = {q for q in adj[a] if q >= 0}
-    if have != {s, b, c}:
-        raise ValueError(f"transfer record mismatch: node {a} has neighbors {sorted(have)}")
-    if f not in adj[e]:
-        raise ValueError(f"transfer record mismatch: no edge {e}-{f}")
     _replace_neighbor(adj, b, a, c)
     _replace_neighbor(adj, c, a, b)
     _replace_neighbor(adj, e, f, a)
@@ -127,21 +128,69 @@ def _apply_transfer(adj, s: int, a: int, b: int, c: int, e: int, f: int) -> None
     row[i], row[j] = e, f
 
 
+_APPLY = {
+    "leaf_interchange": _apply_leaf_swap,
+    "subtree_interchange": _apply_subtree_swap,
+    "subtree_transfer": _apply_transfer,
+}
+
+
+def _walk(adj, start: int, avoid: int, stop: int) -> dict[int, int]:
+    """Walk out of start, never into avoid, until stop is met or no node is
+    left: {node met: the node it was met from}, avoid included."""
+    came = {avoid: avoid, start: avoid}
+    stack = [start]
+    while stack and stop not in came:
+        v = stack.pop()
+        for q in adj[v]:
+            if q >= 0 and q not in came:
+                came[q] = v
+                stack.append(q)
+    return came
+
+
+def _check_move(adj, kind: str, ops: tuple[int, ...]) -> str | None:
+    """Why (kind, ops) is not a simple move on the tree ``adj``, as
+    ``MutationRecord`` lays its operands out; None when it is one."""
+    if kind not in _APPLY:
+        return f"unknown mutation kind {kind!r}"
+    try:
+        rows = [adj[q] for q in ops]
+    except (IndexError, KeyError):
+        rows = None
+    if rows is None or min(ops) < 0:  # -1 would index the last row
+        return "record names a node the tree does not have"
+    if kind == "leaf_interchange":
+        ru, rv = rows  # a leaf's row holds one neighbour, and -1 padding
+        if len(ru) - ru.count(-1) != 1 or len(rv) - rv.count(-1) != 1:
+            return "leaf interchange of a non-leaf"
+        if ru[0] == rv[0]:
+            return "leaves are siblings"
+    elif kind == "subtree_interchange":
+        # x after u and y before w on the u-w path, of 3 or more edges: the
+        # walk out of x away from u meets w from y
+        u, x, y, w = ops
+        if x not in rows[0] or w in (u, x) or x == y or _walk(adj, x, u, w).get(w) != y:
+            return "interchange record mismatch"
+    else:
+        # e-f an edge of the tree with neither end at a or on s's side
+        s, a, b, c, e, f = ops
+        if sorted(rows[1]) != sorted((s, b, c)):
+            return f"transfer record mismatch: node {a} has neighbors {rows[1]}"
+        if f not in rows[4] or a in (e, f) or e in _walk(adj, s, a, e):
+            return "transfer record mismatch"
+    return None
+
+
 def apply_record(adj, record: MutationRecord) -> None:
     """Replay one record in place on neighbour rows: the list from
     ``Tree.copy_adjacency()`` or a {node: neighbours} mapping of lists.
-    A record that does not match the tree raises ValueError."""
-    if record.kind == "leaf_interchange":
-        _apply_leaf_swap(adj, *record.operands)
-    elif record.kind == "subtree_interchange":
-        u, x, y, w = record.operands
-        if x not in adj[u] or w not in adj[y]:
-            raise ValueError(f"interchange record mismatch: {record.to_line()}")
-        _apply_subtree_swap(adj, u, x, y, w)
-    elif record.kind == "subtree_transfer":
-        _apply_transfer(adj, *record.operands)
-    else:
-        raise ValueError(f"unknown mutation kind {record.kind!r}")
+    A record that is not a simple move on the tree raises ValueError and
+    leaves the rows as they were."""
+    why = _check_move(adj, record.kind, record.operands)
+    if why is not None:
+        raise ValueError(f"{why}: {record.to_line()}")
+    _APPLY[record.kind](adj, *record.operands)
 
 
 def replay_records(tree: Tree, records) -> Tree:
@@ -221,113 +270,134 @@ class _Draws:
 # ---------------------------------------------------------------------- #
 # Random simple mutations (in place on neighbour rows)
 # ---------------------------------------------------------------------- #
+# Each sampler makes one move of its kind and returns it as a bare (kind,
+# operands) pair, or returns None, drawing nothing, when n = 4 leaves the
+# kind no move. ``rng.integers`` is taken to return Python ints, as the
+# search's ``_Draws`` does.
 
 
-def _rand_leaf_interchange(adj, n, rng) -> MutationRecord:
+def _rand_leaf_interchange(adj, n, rng):
+    integers = rng.integers
     while True:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u != v and adj[u][0] != adj[v][0]:
+        u = integers(n)
+        v = integers(n)
+        if adj[u][0] != adj[v][0]:  # also rules out u == v
             _apply_leaf_swap(adj, u, v)
-            return MutationRecord("leaf_interchange", (u, v))
+            return "leaf_interchange", (u, v)
 
 
-def _near(adj, u, w) -> bool:
-    """Path distance < 3: equal, adjacent, or sharing a neighbor."""
-    ru = adj[u]
-    if w in ru:
-        return True
-    for x in ru:
-        if x >= 0 and w in adj[x]:
-            return True
-    return False
-
-
-def _rand_subtree_interchange(adj, n, rng) -> MutationRecord | None:
-    m = 2 * n - 2
+def _rand_subtree_interchange(adj, n, rng):
+    """Internal u and any w at path distance >= 3; x and y are the nodes
+    after u and before w on the u-w path, from a walk out of u that stops
+    once it reaches w."""
     if n == 4:  # nothing is 3 steps from an internal node
         return None
+    integers = rng.integers
+    m = 2 * n - 2
     while True:
-        u = int(rng.integers(m))
-        w = int(rng.integers(m))
+        u = integers(m)
+        w = integers(m)
         if u == w or (u < n and w < n):
             continue
         if u < n:  # keep the internal node in the u role
             u, w = w, u
-        if _near(adj, u, w):
-            continue
-        x, y = _path_ends(adj, u, w)
+        ru = adj[u]
+        if w in ru or w in adj[ru[0]] or w in adj[ru[1]] or w in adj[ru[2]]:
+            continue  # distance < 3
+        parent = [-1] * m
+        parent[u] = u
+        stack = [u]  # internal nodes only, so their rows hold no -1
+        while parent[w] < 0:
+            v = stack.pop()
+            for q in adj[v]:
+                if parent[q] < 0:
+                    parent[q] = v
+                    if q >= n:
+                        stack.append(q)
+        y = x = parent[w]
+        while parent[x] != u:
+            x = parent[x]
         _apply_subtree_swap(adj, u, x, y, w)
-        return MutationRecord("subtree_interchange", (u, x, y, w))
+        return "subtree_interchange", (u, x, y, w)
 
 
-def _path_ends(adj, u, w) -> tuple[int, int]:
-    """(x, y): the nodes after u and before w on the u-w path, from a walk
-    out of u that stops once it reaches w."""
-    parent = [-1] * len(adj)
-    parent[u] = u
-    stack = [u]
-    while parent[w] < 0:
-        v = stack.pop()
-        for q in adj[v]:
-            if q >= 0 and parent[q] < 0:
-                parent[q] = v
-                stack.append(q)
-    x = w
-    while parent[x] != u:
-        x = parent[x]
-    return x, parent[w]
-
-
-def _rand_subtree_transfer(adj, n, rng) -> MutationRecord | None:
+def _rand_subtree_transfer(adj, n, rng):
     """Cut a-s, smooth a, and reattach on an edge with neither end in the
     detached side S or at a. Those 2(n - l) - 4 edges, l the leaves of S,
     are the edges of the smoothed rest but the one smoothing made, so a
     transfer always changes the tree; they are taken in (lower end, slot)
-    order."""
+    order. The only edge out of S is a-s, so an end outside S and not at a
+    has every neighbour outside S."""
     if n == 4:  # only recreates the same labeled tree
         return None
+    integers = rng.integers
+    m = 2 * n - 2
     while True:
-        a = n + int(rng.integers(n - 2))
-        s = adj[a][int(rng.integers(3))]
-        inside = bytearray(len(adj))
+        a = n + integers(n - 2)
+        row = adj[a]
+        slot = integers(3)
+        s = row[slot]
+        inside = bytearray(m)
         inside[s] = 1
-        leaves = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            if v < n:
-                leaves += 1
-                continue
-            for w in adj[v]:
-                if w != a and not inside[w]:
-                    inside[w] = 1
-                    stack.append(w)
+        leaves = 1
+        if s >= n:
+            leaves = 0
+            stack = [s]  # internal nodes only
+            while stack:
+                for q in adj[stack.pop()]:
+                    if q != a and not inside[q]:
+                        inside[q] = 1
+                        if q < n:
+                            leaves += 1
+                        else:
+                            stack.append(q)
         count = 2 * (n - leaves) - 4
-        if count == 0:
-            continue
-        e, f = _kth_edge_outside(adj, a, inside, int(rng.integers(count)))
-        b, c = sorted(q for q in adj[a] if q != s)
-        _apply_transfer(adj, s, a, b, c, e, f)
-        return MutationRecord("subtree_transfer", (s, a, b, c, e, f))
-
-
-def _kth_edge_outside(adj, a, inside, k) -> tuple[int, int]:
-    """The k-th edge (v, w), v < w, with no end in ``inside`` or at a, by v
-    and then by w's slot in v's row. The only edge out of S is a-s, so an
-    end v outside S and not a has every neighbour outside S."""
-    for v, row in enumerate(adj):
-        if inside[v] or v == a:
-            continue
-        for w in row:
-            if w > v and w != a:
-                if k == 0:
-                    return v, w
+        if count:
+            break
+    k = integers(count)
+    # the k-th edge (e, f), e < f, by e and then f's slot in e's row: a
+    # leaf's one edge goes up to its parent
+    for e in range(n):
+        if not inside[e]:
+            f = adj[e][0]
+            if f != a:
+                if not k:
+                    break
                 k -= 1
-    raise AssertionError("fewer transfer edges than counted")
+    else:
+        for e in range(n, m):
+            if inside[e] or e == a:
+                continue
+            for f in adj[e]:
+                if f > e and f != a:
+                    if not k:
+                        break
+                    k -= 1
+            else:
+                continue
+            break
+    b, c = row[slot - 2], row[slot - 1]
+    if b > c:
+        b, c = c, b
+    _apply_transfer(adj, s, a, b, c, e, f)
+    return "subtree_transfer", (s, a, b, c, e, f)
 
 
 _RAND_BY_KIND = (_rand_leaf_interchange, _rand_subtree_interchange, _rand_subtree_transfer)
+
+
+def _k_moves(adj, n: int, rng, k: int) -> list[tuple[str, tuple[int, ...]]]:
+    """k simple mutations in a row, in place on the rows, as (kind,
+    operands) pairs: each move's kind is uniform over the three, and an
+    ineligible kind (possible only at n = 4) is drawn again."""
+    integers = rng.integers
+    moves = []
+    for _ in range(k):
+        move = None
+        while move is None:
+            move = _RAND_BY_KIND[integers(3)](adj, n, rng)
+        moves.append(move)
+    return moves
 
 
 def simple_mutation(adj: list[list[int]], n: int, rng) -> MutationRecord:
@@ -336,10 +406,7 @@ def simple_mutation(adj: list[list[int]], n: int, rng) -> MutationRecord:
     three; ineligible draws (possible only at small n) resample the kind.
     The rows' slot order is part of the state: it picks a transfer's s and
     orders its candidate edges."""
-    while True:
-        rec = _RAND_BY_KIND[int(rng.integers(3))](adj, n, rng)
-        if rec is not None:
-            return rec
+    return MutationRecord(*_k_moves(adj, n, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------- #

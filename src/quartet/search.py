@@ -72,6 +72,7 @@ from .fastcost import BACKEND, DeltaCost, TreeCache, cost_distance_from_adj
 from .mutate import (
     MutationRecord,
     _Draws,
+    _k_moves,
     apply_record,
     max_path_moves,
     replay_records,
@@ -270,7 +271,7 @@ class _Run:
     def _gen_hill(self) -> None:
         k = sample_k(self.rng, self.k_max)
         work = [row[:] for row in self.best_adj]
-        recs = [simple_mutation(work, self.n, self.rng) for _ in range(k)]
+        moves = _k_moves(work, self.n, self.rng, k)
         c = self.scorer.cost(work)
         self.examined += 1
         self.full_scores += 1
@@ -280,7 +281,7 @@ class _Run:
             self._key = None
             self.improved = True
             self.k_accepted.append(k)
-            self.trace.extend(recs)
+            self.trace.extend(MutationRecord(kind, ops) for kind, ops in moves)
             if self.scorer.certify_perfect(self.best_adj, c):
                 self.perfect = True
         else:

@@ -1,8 +1,10 @@
 """Shared helpers and the test-only oracles: tree shapes, exhaustive
 enumerations, the literal quartet-embedding checks the program's faster
 paths are compared against, a canonical key over {node: neighbours}
-mappings, and the appendix construction of a mutation path between any two
-trees, which shows the 5n-16 bound the hill climber's k cap rests on."""
+mappings, the record-making random moves the samplers in ``mutate`` are
+checked against draw for draw, and the appendix construction of a mutation
+path between any two trees, which shows the 5n-16 bound the hill climber's
+k cap rests on."""
 
 from typing import Iterable, Iterator, Mapping
 
@@ -15,6 +17,8 @@ from quartet.mutate import (
     KINDS,
     MutationRecord,
     _apply_leaf_swap,
+    _apply_subtree_swap,
+    _apply_transfer,
     _k_cdf,
     apply_record,
     shifted_pmf_normalizer,
@@ -37,8 +41,8 @@ def one_move(tree: Tree, kind: str, rng: np.random.Generator) -> tuple[Tree, Mut
     """A random simple move of one kind on a copy of ``tree``: the new tree
     and its record, or ``tree`` and None when no move of that kind exists."""
     adj = tree.copy_adjacency()
-    rec = _RAND_BY_KIND[KINDS.index(kind)](adj, tree.n, rng)
-    return (tree, None) if rec is None else (Tree(adj), rec)
+    move = _RAND_BY_KIND[KINDS.index(kind)](adj, tree.n, rng)
+    return (tree, None) if move is None else (Tree(adj), MutationRecord(*move))
 
 
 def shifted_pmf(k, k_max: int | None = None):
@@ -114,6 +118,126 @@ def enumerate_all_trees(n: int) -> Iterator[Tree]:
         adj0[leaf][0] = n
         adj0[n][leaf] = leaf
     yield from grow(adj0, [(0, n), (1, n), (2, n)], 3, n + 1)
+
+
+# ---------------------------------------------------------------------- #
+# Random simple moves, one helper per step, each returning a record: the
+# oracle ``mutate``'s samplers must match draw for draw and slot for slot
+# ---------------------------------------------------------------------- #
+
+
+def oracle_leaf_interchange(adj, n, rng) -> MutationRecord:
+    while True:
+        u = int(rng.integers(n))
+        v = int(rng.integers(n))
+        if u != v and adj[u][0] != adj[v][0]:
+            _apply_leaf_swap(adj, u, v)
+            return MutationRecord("leaf_interchange", (u, v))
+
+
+def _near(adj, u, w) -> bool:
+    """Path distance < 3: equal, adjacent, or sharing a neighbor."""
+    ru = adj[u]
+    if w in ru:
+        return True
+    for x in ru:
+        if x >= 0 and w in adj[x]:
+            return True
+    return False
+
+
+def oracle_subtree_interchange(adj, n, rng) -> MutationRecord | None:
+    m = 2 * n - 2
+    if n == 4:  # nothing is 3 steps from an internal node
+        return None
+    while True:
+        u = int(rng.integers(m))
+        w = int(rng.integers(m))
+        if u == w or (u < n and w < n):
+            continue
+        if u < n:  # keep the internal node in the u role
+            u, w = w, u
+        if _near(adj, u, w):
+            continue
+        x, y = _path_ends(adj, u, w)
+        _apply_subtree_swap(adj, u, x, y, w)
+        return MutationRecord("subtree_interchange", (u, x, y, w))
+
+
+def _path_ends(adj, u, w) -> tuple[int, int]:
+    """(x, y): the nodes after u and before w on the u-w path, from a walk
+    out of u that stops once it reaches w."""
+    parent = [-1] * len(adj)
+    parent[u] = u
+    stack = [u]
+    while parent[w] < 0:
+        v = stack.pop()
+        for q in adj[v]:
+            if q >= 0 and parent[q] < 0:
+                parent[q] = v
+                stack.append(q)
+    x = w
+    while parent[x] != u:
+        x = parent[x]
+    return x, parent[w]
+
+
+def oracle_subtree_transfer(adj, n, rng) -> MutationRecord | None:
+    """Cut a-s, smooth a, and reattach on an edge with neither end in the
+    detached side S or at a, the k-th of those 2(n - l) - 4 edges in (lower
+    end, slot) order, l the leaves of S."""
+    if n == 4:  # only recreates the same labeled tree
+        return None
+    while True:
+        a = n + int(rng.integers(n - 2))
+        s = adj[a][int(rng.integers(3))]
+        inside = bytearray(len(adj))
+        inside[s] = 1
+        leaves = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            if v < n:
+                leaves += 1
+                continue
+            for w in adj[v]:
+                if w != a and not inside[w]:
+                    inside[w] = 1
+                    stack.append(w)
+        count = 2 * (n - leaves) - 4
+        if count == 0:
+            continue
+        e, f = _kth_edge_outside(adj, a, inside, int(rng.integers(count)))
+        b, c = sorted(q for q in adj[a] if q != s)
+        _apply_transfer(adj, s, a, b, c, e, f)
+        return MutationRecord("subtree_transfer", (s, a, b, c, e, f))
+
+
+def _kth_edge_outside(adj, a, inside, k) -> tuple[int, int]:
+    """The k-th edge (v, w), v < w, with no end in ``inside`` or at a, by v
+    and then by w's slot in v's row. The only edge out of S is a-s, so an
+    end v outside S and not a has every neighbour outside S."""
+    for v, row in enumerate(adj):
+        if inside[v] or v == a:
+            continue
+        for w in row:
+            if w > v and w != a:
+                if k == 0:
+                    return v, w
+                k -= 1
+    raise AssertionError("fewer transfer edges than counted")
+
+
+ORACLE_BY_KIND = (oracle_leaf_interchange, oracle_subtree_interchange, oracle_subtree_transfer)
+
+
+def oracle_simple_mutation(adj, n, rng) -> MutationRecord:
+    """One simple move, kind uniform over the three; a kind with no move
+    (n = 4) is drawn again."""
+    while True:
+        rec = ORACLE_BY_KIND[int(rng.integers(3))](adj, n, rng)
+        if rec is not None:
+            return rec
 
 
 def _bfs_path(adj, src: int, dst: int) -> list[int]:

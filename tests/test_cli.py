@@ -180,6 +180,15 @@ def test_cluster_records_hill_k_max(tmp_path, k_max):
     assert manifest["config"]["k_max"] == k_max
 
 
+def test_manifest_records_the_arguments_main_parsed(tmp_path):
+    matrix = planted_matrix(tmp_path / "m.csv")
+    argv = ["cluster", str(matrix), "--out-dir", str(tmp_path / "c"), "--max-trees", "50"]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest["command"] == ["quartet", *argv]
+    assert manifest["subcommand"] == "cluster"
+
+
 def test_cluster_result_counts_full_scores(tmp_path):
     matrix = planted_matrix(tmp_path / "m.csv", n=16)
     assert main(["cluster", str(matrix), "--out-dir", str(tmp_path / "c"), "--seed", "2"]) == 0

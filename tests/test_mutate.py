@@ -160,6 +160,16 @@ def test_apply_record_rejects_stale_records(rng):
         apply_record(adj, MutationRecord("subtree_interchange", (8, 0, 1, 9)))
 
 
+@pytest.mark.parametrize("ops", [(8, 10, 10, 0), (8, 1, 8, 1), (8, 1, 1, 8), (8, 1, 8, 8)])
+def test_apply_record_rejects_near_interchanges_before_writing(ops):
+    # at distance 2, adjacent, and a node with itself (twice)
+    adj = random_tree(8, _Draws(3)).copy_adjacency()
+    before = [row[:] for row in adj]
+    with pytest.raises(ValueError, match="interchange record mismatch"):
+        apply_record(adj, MutationRecord("subtree_interchange", ops))
+    assert adj == before
+
+
 # ------------------------------------------------------- fat-tail sampler
 
 

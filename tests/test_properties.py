@@ -19,11 +19,13 @@ from quartet.mutate import (
     MutationRecord,
     _RAND_BY_KIND,
     _Draws,
-    _near,
+    _k_moves,
     _rand_subtree_interchange,
     _rand_subtree_transfer,
     apply_record,
+    max_path_moves,
     replay_records,
+    sample_k,
     simple_mutation,
 )
 from quartet.search import replay_trace, search
@@ -38,10 +40,12 @@ from quartet.trees import (
 
 from conftest import (
     _bfs_path,
+    _near,
     caterpillar,
     enumerate_all_trees,
     floyd_warshall_leaf_hops,
     mutation_path,
+    oracle_simple_mutation,
     random_symmetric_matrix,
     rng_for,
 )
@@ -123,7 +127,7 @@ def test_move_delta_matches_full_and_naive_scorers(n, seed, shape, matrix, kind,
     rows, d, rng = delta_instance(n, seed, shape, matrix)
     for _ in range(moves):  # each move from the tree the last one made
         before = [row[:] for row in rows]
-        rec = _RAND_BY_KIND[kind](rows, n, rng)
+        rec = MutationRecord(*_RAND_BY_KIND[kind](rows, n, rng))
         check_delta(before, n, d, rec)
 
 
@@ -230,17 +234,17 @@ def test_subtree_samplers_pick_what_the_oracles_list_on_every_tree(n):
             b, c = sorted(q for q in rows[a] if q != s)
             for k, (e, f) in enumerate(edges):
                 draws = Scripted(a - n, slot, k)
-                rec = _rand_subtree_transfer([row[:] for row in rows], n, draws)
+                _, ops = _rand_subtree_transfer([row[:] for row in rows], n, draws)
                 assert draws.highs == [n - 2, 3, len(edges)]
-                assert rec.operands == (s, a, b, c, e, f)
+                assert ops == (s, a, b, c, e, f)
         for du in range(m):
             for dw in range(m):
                 u, w = (du, dw) if du >= n else (dw, du)
                 if u == w or u < n or _near(rows, u, w):
                     continue  # the sampler draws again
                 path = _bfs_path(rows, u, w)
-                rec = _rand_subtree_interchange([row[:] for row in rows], n, Scripted(du, dw))
-                assert rec.operands == (u, path[1], path[-2], w)
+                _, ops = _rand_subtree_interchange([row[:] for row in rows], n, Scripted(du, dw))
+                assert ops == (u, path[1], path[-2], w)
 
 
 def check_proposal(cache, rows, n, seed):
@@ -285,6 +289,107 @@ def test_proposals_drawn_from_the_cache_are_the_moves_along_a_walk(n, seed, shap
     for step in range(moves):  # each move on the tree the last one made
         rec = check_proposal(TreeCache(d, rows), rows, n, seed + step)
         apply_record(rows, rec)
+
+
+def check_against_oracle(rows, n, ours, theirs, k):
+    """k moves made in place on ``rows`` by ``_k_moves`` from the draws
+    ``ours`` are those the record-making oracle makes on a copy from the
+    same draws ``theirs``: the same (kind, operands) each, the same rows slot
+    for slot, and the streams left at the same place."""
+    want_rows = [row[:] for row in rows]
+    want = [oracle_simple_mutation(want_rows, n, theirs) for _ in range(k)]
+    got = _k_moves(rows, n, ours, k)
+    assert got == [(rec.kind, rec.operands) for rec in want]
+    assert rows == want_rows
+    assert (ours.integers(2**32), ours.random()) == (theirs.integers(2**32), theirs.random())
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_samplers_match_the_oracle_draw_for_draw_on_every_tree(n):
+    kinds = set()
+    for i, tree in enumerate(enumerate_all_trees(n)):
+        rows = shuffled_rows(tree, n, rng_for(i))
+        for seed in range(4 * i, 4 * i + 4):
+            work = [row[:] for row in rows]
+            check_against_oracle(work, n, _Draws(seed), _Draws(seed), 1)
+            ours, theirs = _Draws(seed), _Draws(seed)
+            rec = simple_mutation([row[:] for row in rows], n, ours)
+            assert rec == oracle_simple_mutation([row[:] for row in rows], n, theirs)
+            assert ours.random() == theirs.random()
+            kinds.add(rec.kind)
+    assert len(kinds) == 3
+
+
+@PROPERTY
+@given(n=st.integers(4, 64), seed=seeds, shape=st.sampled_from(["random", "caterpillar"]),
+       data=st.data())
+def test_k_mutations_match_the_oracle_along_a_walk(n, seed, shape, data):
+    rng = rng_for(seed)
+    tree = caterpillar(n) if shape == "caterpillar" else random_tree(n, rng)
+    rows = shuffled_rows(tree, n, rng)
+    moves = data.draw(st.integers(1, max_path_moves(n)))
+    ours, theirs = _Draws(seed), _Draws(seed)
+    while moves > 0:  # k-mutations as the hill climber draws them
+        k = sample_k(ours, max_path_moves(n))
+        assert sample_k(theirs, max_path_moves(n)) == k
+        k = min(k, moves)
+        check_against_oracle(rows, n, ours, theirs, k)
+        moves -= k
+
+
+def near_records(rows, n):
+    """Records that name no simple move of the tree: sibling leaves, leaf
+    interchanges naming an internal node, interchanges of nodes at distance
+    under three with any neighbours as x and y, and transfers onto an edge
+    at a or on s's side."""
+    m = 2 * n - 2
+    for u in range(m):
+        for v in range(m):
+            if u >= n or v >= n or rows[u][0] == rows[v][0]:
+                yield MutationRecord("leaf_interchange", (u, v))
+    for u in range(n, m):
+        for w in range(m):
+            if _near(rows, u, w):
+                for x in rows[u]:
+                    for y in rows[w]:
+                        if y >= 0:
+                            yield MutationRecord("subtree_interchange", (u, x, y, w))
+    for a in range(n, m):
+        for s in rows[a]:
+            b, c = sorted(q for q in rows[a] if q != s)
+            off = cut_side(rows, a, s) | {a}
+            for e in range(m):
+                for f in rows[e]:
+                    if f > e and (e in off or f in off):
+                        yield MutationRecord("subtree_transfer", (s, a, b, c, e, f))
+
+
+def test_apply_record_takes_the_moves_of_the_tree_and_nothing_else():
+    # stale records (the moves of the tree before) and near records of each
+    # kind on every tree at n=6: a record either is a move of this tree, and
+    # its inverse undoes it, or raises before it writes anything
+    n = 6
+    trees = list(enumerate_all_trees(n))
+    applied = raised = 0
+    for i, tree in enumerate(trees):
+        rows = shuffled_rows(tree, n, rng_for(i))
+        moves = set(all_moves(rows, n))
+        moves |= {MutationRecord(rec.kind, rec.operands[::-1])  # named from w's end
+                  for rec in moves if rec.kind == "subtree_interchange"}
+        stale = all_moves(trees[i - 1].copy_adjacency(), n)
+        for rec in [*stale, *near_records(rows, n)]:
+            work = [row[:] for row in rows]
+            if rec in moves:
+                apply_record(work, rec)
+                Tree(work)  # validates degree, symmetry and connectivity
+                apply_record(work, rec.inverse())
+                applied += 1
+            else:
+                with pytest.raises(ValueError):
+                    apply_record(work, rec)
+                raised += 1
+            assert work == rows, rec
+    assert applied and raised
 
 
 @PROPERTY

@@ -157,13 +157,16 @@ GOLDEN_SEARCHES = [  # (instance, overrides, trees_examined, terminated_by, full
      304, "patience", 304, "(((0,1),4),2)|3"),
     (("adversarial", 0.25), dict(termination="agreement", seed=8),
      136, "agreement", 136, "(((0,1),4),2)|3"),
+    (("planted", 12, 47), dict(mode="hill_climb", termination="agreement", seed=10),
+     1933, "perfect_score", 1933, "((((((((2,9),1),11),4),7),(0,10)),(3,6)),5)|8"),
 ]
 
 
 @pytest.mark.parametrize(
     "instance,overrides,trees,stop,full,key", GOLDEN_SEARCHES,
     ids=["hill-noisy-10", "metropolis-noisy-12", "metropolis-planted-24", "hill-agreement-noisy-9",
-         "metropolis-agreement-noisy-16", "hill-explicit-5", "metropolis-agreement-explicit-5"],
+         "metropolis-agreement-noisy-16", "hill-explicit-5", "metropolis-agreement-explicit-5",
+         "hill-agreement-planted-12"],
 )
 def test_search_outcomes_are_pinned(instance, overrides, trees, stop, full, key):
     kind, *args = instance

@@ -41,7 +41,7 @@ from .trees import (
     Tree,
     _adj_of,
     _check_names,
-    enumerate_quartets,
+    _colex_triples,
     hop_distances,
     pick_embedded,
     quartet_pair_sums,
@@ -226,10 +226,12 @@ def cost_from_mqc(n: int, p_set: Iterable[QuartetTopology]) -> ExplicitCostFunct
 
 
 def _unrank_quartet(n: int, rank: int) -> tuple[int, int, int, int]:
-    for quartet_rank_, quartet in enumerate(enumerate_quartets(n)):
-        if quartet_rank_ == rank:
-            return quartet
-    raise ValueError(f"rank {rank} out of range")
+    """The quartet a<b<c<x of colex rank ``rank`` among the C(n,4): x is the
+    largest label with C(x,4) <= rank, and (a, b, c) the triple of colex
+    rank rank - C(x,4)."""
+    x = max(x for x in range(3, n) if math.comb(x, 4) <= rank)
+    a, b, c = (int(labels[rank - math.comb(x, 4)]) for labels in _colex_triples(n - 1))
+    return a, b, c, x
 
 
 # ---------------------------------------------------------------------- #

@@ -91,7 +91,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .trees import Tree, _lca_fill, _rooted_walk
+from .trees import Tree, _lca_fill, _rooted_walk, _tree_path
 
 BACKEND = "numpy"
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -228,25 +228,6 @@ class TreeCache:
         self.cnt2 = pad + (cnt * (cnt - 1) // 2).tolist()
         self.opp = pad + opp.tolist()
 
-    def _path(self, a: int, b: int) -> list[int]:
-        """The nodes on the tree path from a to b, both included."""
-        parent, depth = self.parent, self.depth
-        up, down = [a], [b]
-        while depth[a] > depth[b]:
-            a = parent[a]
-            up.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            down.append(b)
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            up.append(a)
-            down.append(b)
-        down.pop()
-        up.extend(reversed(down))
-        return up
-
     def _side(self, p: int, q: int) -> tuple[int, int, bool, int]:
         """The leaves on q's side of edge p-q: (r0, r1, complement, count),
         the walk-order range r0:r1 or its complement."""
@@ -269,9 +250,9 @@ class TreeCache:
         operands): u to w for an interchange; for a subtree transfer, a to
         the nearer end of e-f and on to the farther one."""
         if kind != "subtree_transfer":
-            return self._path(ops[0], ops[-1])
+            return _tree_path(self.parent, self.depth, ops[0], ops[-1])
         _, a, _, _, e, f = ops
-        path = self._path(a, e)
+        path = _tree_path(self.parent, self.depth, a, e)
         if path[-2] != f:
             path.append(f)
         return path
@@ -291,7 +272,7 @@ class TreeCache:
         is the fixpoint of j = k + (excluded indices <= j). When s is a's
         parent, they are the edges below a but a's two child edges."""
         n = self.cost.n
-        parent = self.parent
+        parent, depth = self.parent, self.depth
         while True:
             kind = rng.integers(3)
             if kind == 0:
@@ -299,7 +280,7 @@ class TreeCache:
                     u = rng.integers(n)
                     v = rng.integers(n)
                     if u != v and parent[u] != parent[v]:
-                        return "leaf_interchange", (u, v), self._path(u, v)
+                        return "leaf_interchange", (u, v), _tree_path(parent, depth, u, v)
             if n == 4:  # neither subtree move changes a 4-leaf tree
                 continue
             if kind == 1:
@@ -311,7 +292,7 @@ class TreeCache:
                         continue
                     if u < n:  # keep the internal node in the u role
                         u, w = w, u
-                    path = self._path(u, w)
+                    path = _tree_path(parent, depth, u, w)
                     if len(path) > 3:
                         return "subtree_interchange", (u, path[1], path[-2], w), path
             size, lo, up, at = self.size, self.lo, self.up, self.at

@@ -8,9 +8,10 @@ degree-2 node left behind) and reattaches it on another edge. The random
 moves return a bare (kind, operands) pair; a replayable, invertible
 MutationRecord is made from it only where the move is kept: by
 ``simple_mutation``, and by the search for the moves that join its trace.
-``apply_record`` checks a record in full against the tree before it writes.
-The surgery writes each new neighbour into the slot of the one it replaces,
-so applying a record's inverse restores the rows slot for slot.
+``apply_record`` checks a record in full against the working rows before it
+writes, on the tree's rooted walk (``trees._rooted_walk``). The surgery
+writes each new neighbour into the slot of the one it replaces, so the move
+with the inverse operands (``_inverse``) restores the rows slot for slot.
 
 k-mutations compose k simple mutations with k drawn from the shifted fat
 tail pmf p(k) proportional to 1/((k+2) ln^2(k+2)); the heavy tail is what
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import Tree, _replace_neighbor
+from .trees import Tree, _replace_neighbor, _rooted_walk, _tree_path
 
 __all__ = [
     "MutationRecord",
@@ -68,13 +69,7 @@ class MutationRecord:
     operands: tuple[int, ...]
 
     def inverse(self) -> "MutationRecord":
-        if self.kind == "leaf_interchange":
-            return self
-        if self.kind == "subtree_interchange":
-            u, x, y, w = self.operands
-            return MutationRecord(self.kind, (u, y, x, w))
-        s, a, b, c, e, f = self.operands
-        return MutationRecord(self.kind, (s, a, e, f, b, c))
+        return MutationRecord(self.kind, _inverse(self.kind, self.operands))
 
     def to_line(self) -> str:
         return " ".join([self.kind, *map(str, self.operands)])
@@ -96,9 +91,10 @@ class MutationRecord:
 # ---------------------------------------------------------------------- #
 # Surgery on neighbour rows (a list, or a {node: list} mapping)
 # ---------------------------------------------------------------------- #
-# The three writers below trust their operands: the samplers derive them
-# from the rows they write to, and ``apply_record`` checks a record in full
-# before it writes anything.
+# The three writers below trust their operands: the samplers, and the
+# search's proposals (``fastcost.TreeCache.propose``), derive them from the
+# rows they write to, the search undoes its own moves with ``_inverse``, and
+# ``apply_record`` checks a record in full before it writes anything.
 
 
 def _apply_leaf_swap(adj, u: int, v: int) -> None:
@@ -135,28 +131,25 @@ _APPLY = {
 }
 
 
-def _walk(adj, start: int, avoid: int, stop: int) -> dict[int, int]:
-    """Walk out of start, never into avoid, until stop is met or no node is
-    left: {node met: the node it was met from}, avoid included."""
-    came = {avoid: avoid, start: avoid}
-    stack = [start]
-    while stack and stop not in came:
-        v = stack.pop()
-        for q in adj[v]:
-            if q >= 0 and q not in came:
-                came[q] = v
-                stack.append(q)
-    return came
+def _inverse(kind: str, ops: tuple[int, ...]) -> tuple[int, ...]:
+    """The operands of the move of the same kind that undoes (kind, ops)."""
+    if kind == "leaf_interchange":
+        return ops
+    if kind == "subtree_interchange":
+        u, x, y, w = ops
+        return u, y, x, w
+    s, a, b, c, e, f = ops
+    return s, a, e, f, b, c
 
 
-def _check_move(adj, kind: str, ops: tuple[int, ...]) -> str | None:
+def _check_move(adj: list[list[int]], kind: str, ops: tuple[int, ...]) -> str | None:
     """Why (kind, ops) is not a simple move on the tree ``adj``, as
     ``MutationRecord`` lays its operands out; None when it is one."""
     if kind not in _APPLY:
         return f"unknown mutation kind {kind!r}"
     try:
         rows = [adj[q] for q in ops]
-    except (IndexError, KeyError):
+    except IndexError:
         rows = None
     if rows is None or min(ops) < 0:  # -1 would index the last row
         return "record names a node the tree does not have"
@@ -166,27 +159,29 @@ def _check_move(adj, kind: str, ops: tuple[int, ...]) -> str | None:
             return "leaf interchange of a non-leaf"
         if ru[0] == rv[0]:
             return "leaves are siblings"
-    elif kind == "subtree_interchange":
-        # x after u and y before w on the u-w path, of 3 or more edges: the
-        # walk out of x away from u meets w from y
+        return None
+    parent, depth, *_ = _rooted_walk(adj, (len(adj) + 2) // 2)
+    if kind == "subtree_interchange":
+        # x after u and y before w on the u-w path, of 3 or more edges
         u, x, y, w = ops
-        if x not in rows[0] or w in (u, x) or x == y or _walk(adj, x, u, w).get(w) != y:
+        path = _tree_path(parent, depth, u, w)
+        if len(path) < 4 or path[1] != x or path[-2] != y:
             return "interchange record mismatch"
     else:
-        # e-f an edge of the tree with neither end at a or on s's side
+        # e-f an edge of the tree with neither end at a or on s's side, where
+        # the path from a to e would leave through s
         s, a, b, c, e, f = ops
         if sorted(rows[1]) != sorted((s, b, c)):
             return f"transfer record mismatch: node {a} has neighbors {rows[1]}"
-        if f not in rows[4] or a in (e, f) or e in _walk(adj, s, a, e):
+        if f not in rows[4] or a in (e, f) or _tree_path(parent, depth, a, e)[1] == s:
             return "transfer record mismatch"
     return None
 
 
-def apply_record(adj, record: MutationRecord) -> None:
-    """Replay one record in place on neighbour rows: the list from
-    ``Tree.copy_adjacency()`` or a {node: neighbours} mapping of lists.
-    A record that is not a simple move on the tree raises ValueError and
-    leaves the rows as they were."""
+def apply_record(adj: list[list[int]], record: MutationRecord) -> None:
+    """Replay one record in place on the working rows from
+    ``Tree.copy_adjacency()``. A record that is not a simple move on the tree
+    raises ValueError and leaves the rows as they were."""
     why = _check_move(adj, record.kind, record.operands)
     if why is not None:
         raise ValueError(f"{why}: {record.to_line()}")

@@ -43,12 +43,17 @@ the move, untouched and unscored, only when lo = Delta - tau > 0 and
 u >= exp(-lo/theta) (1 + 2^-48): then dc >= lo > 0, so exp(-dc/theta) <=
 exp(-lo/theta) up to exp's rounding of under one ulp each, which the 2^-48
 margin covers, and the full test (dc <= 0 or u < exp(-dc/theta)) would
-reject as well. Every other step makes its move, runs the full scorer and
-that full test unchanged, and rolls a rejected move back with its inverse
-record, which restores the rows slot for slot. So every decision, every
+reject as well. Every other step makes its move by the surgery alone, since
+the cache drew it from the rows, runs the full scorer and that full test
+unchanged, and rolls a rejected move back by the surgery with its inverse
+operands, which restores the rows slot for slot. So every decision, every
 accepted and best cost (all from the full scorer), the draw stream and the
 rows' slot order are those of the walk that moves and scores every
 proposal; only the work differs, counted in ``SearchResult.full_scores``.
+The walk keeps its accepted moves as bare (kind, operands) pairs, as the
+hill climber keeps its k moves, and makes ``MutationRecord``s only of the
+moves that join the trace. An explicit-cost walk draws with
+``simple_mutation`` and rolls back with ``apply_record``.
 """
 
 from __future__ import annotations
@@ -70,8 +75,10 @@ from .cost import (
 )
 from .fastcost import BACKEND, DeltaCost, TreeCache, cost_distance_from_adj
 from .mutate import (
+    _APPLY,
     MutationRecord,
     _Draws,
+    _inverse,
     _k_moves,
     apply_record,
     max_path_moves,
@@ -296,12 +303,13 @@ class _Run:
         ccur = self.best_cost
         walk_cost = self.best_cost
         walk_best = self.best_adj
-        recs: list[MutationRecord] = []
+        moves: list[tuple[str, tuple[int, ...]]] = []
         best_prefix = 0
         steps = self.trial_length if budget is None else min(self.trial_length, budget)
         for _ in range(steps):
             if cache is None:
                 rec = simple_mutation(cur, self.n, self.rng)
+                kind, ops = rec.kind, rec.operands
             else:
                 kind, ops, path = cache.propose(self.rng)
             self.examined += 1
@@ -314,33 +322,34 @@ class _Run:
                 lo = dl - tau
                 if lo > 0 and u >= math.exp(-lo / self.theta) * (1 + 2**-48):
                     continue
-                rec = MutationRecord(kind, ops)
-                apply_record(cur, rec)
+                _APPLY[kind](cur, *ops)
             cnew = self.scorer.cost(cur)
             self.full_scores += 1
             dc = cnew - ccur
             if dc <= 0 or u < math.exp(-dc / self.theta):
                 ccur = cnew
-                recs.append(rec)
+                moves.append((kind, ops))
                 if dcost is not None:
                     cache = TreeCache(dcost, cur)
                 if ccur < walk_cost:
                     walk_cost = ccur
                     walk_best = [row[:] for row in cur]
                     walk_cache = cache
-                    best_prefix = len(recs)
+                    best_prefix = len(moves)
                     if self.scorer.certify_perfect(cur, ccur):
                         self.perfect = True
                         break
-            else:
+            elif cache is None:
                 apply_record(cur, rec.inverse())
+            else:
+                _APPLY[kind](cur, *_inverse(kind, ops))
         if walk_cost < self.best_cost:
             self.best_adj = walk_best
             self.best_cost = walk_cost
             self.best_cache = walk_cache
             self._key = None
             self.improved = True
-            self.trace.extend(recs[:best_prefix])
+            self.trace.extend(MutationRecord(kind, ops) for kind, ops in moves[:best_prefix])
 
     def best_key(self) -> str:
         if self._key is None:
@@ -457,11 +466,10 @@ def _write_trace(path, run: _Run) -> None:
         fh.write("# quartet trace v1\n")
         fh.write(f"# n {run.n}\n")
         fh.write(f"# initial {tree_to_newick(tree)}\n")
-        adj = tree.adj_array
-        for v in range(tree.node_count):
-            for w in adj[v]:
-                if int(w) > v:
-                    fh.write(f"# edge {v} {int(w)}\n")
+        for v, row in enumerate(tree.copy_adjacency()):
+            for w in row:
+                if w > v:
+                    fh.write(f"# edge {v} {w}\n")
         for rec in run.trace:
             fh.write(rec.to_line() + "\n")
 

@@ -2,29 +2,29 @@
 
 A tree over n >= 4 items has n leaves labeled 0..n-1 (node ids equal labels)
 and n-2 unlabeled internal nodes with ids n..2n-3, every internal node of
-degree 3. The adjacency has two layouts, both with three slots per node: leaf
-rows hold their single neighbor in slot 0 (-1 elsewhere), internal rows their
-three neighbors.
-
-* Inside a ``Tree`` it is frozen storage, a read-only (2n-2, 3) int32 array
-  (``Tree.adj_array``) with each internal row sorted ascending.
-* The writable working state is a list of 2n-2 neighbour lists, the layout
-  of ``adj_array.tolist()``, from ``Tree.copy_adjacency()``. The moves, the
-  search and the scorers edit and walk these rows in place, in whatever
-  slot order the moves leave; ``Tree(rows)`` freezes them again. Passes
-  that compute on numbers (hop matrices, lca blocks, quartet slabs) build
-  numpy arrays from the rows.
+degree 3. The adjacency has one layout: 2n-2 neighbour rows of three slots,
+leaf rows holding their single neighbor in slot 0 (-1 elsewhere), internal
+rows their three neighbors. A ``Tree`` keeps its rows as frozen tuples, each
+internal row sorted ascending; ``Tree.copy_adjacency()`` hands them out as
+writable lists, the working state that the moves, the search and the
+scorers edit and walk in place, in whatever slot order the moves leave, and
+``Tree(rows)`` freezes them again. Passes that compute on numbers (hop
+matrices, lca blocks, quartet slabs) build numpy arrays from the rows.
 
 One walk serves every pass over a whole tree. ``_rooted_walk`` roots the
-rows at node n and gives every node its parent, edge depth, leaf count and
-walk-order range of the leaves below it. ``Tree._validate`` finds a
-disconnected input as a node the walk leaves without a parent, and
-``_canonical_key`` encodes each edge's two sides over the walk's order.
-Leaf-pair path lengths come from the walk and one fill: ``_lca_fill`` takes
-the walk and any integer node depth D and returns D(u) + D(v) - 2 D(lca(u,
-v)) for every leaf pair, by tiling D(lca) over sibling-subtree blocks. With
-edge counts for D that is ``hop_distances``; ``fastcost`` passes the doubled
-quartet weights of its O(n^2) scorer and keeps the walk for its move deltas.
+rows at an internal node, node n unless told otherwise, and gives every node
+its parent, edge depth, leaf count and walk-order range of the leaves below
+it; ``_tree_path`` follows its parents and depths from two nodes to the path
+between them. ``Tree._validate`` finds a disconnected input as a node the
+walk leaves without a parent, ``_canonical_key`` encodes each edge's two
+sides over the walk's order, and the Newick writer roots the walk at leaf
+0's neighbour and writes each clade after the clades below it. Leaf-pair
+path lengths come from the walk and one fill: ``_lca_fill`` takes the walk
+and any integer node depth D and returns D(u) + D(v) - 2 D(lca(u, v)) for
+every leaf pair, by tiling D(lca) over sibling-subtree blocks. With edge
+counts for D that is ``hop_distances``; ``fastcost`` passes the doubled
+quartet weights of its O(n^2) scorer and keeps the walk for its move deltas
+and proposals.
 
 Quartet topologies are canonical pairings uv|wx of four distinct labels; a
 topology is embedded in a tree when the u-v and w-x paths share no vertex.
@@ -145,22 +145,17 @@ def enumerate_quartets(n: int) -> Iterator[tuple[int, int, int, int]]:
 class Tree:
     """Immutable unrooted ternary tree; see module docstring for the layout."""
 
-    __slots__ = ("n", "_adj", "_canon")
+    __slots__ = ("n", "_rows", "_canon")
 
     def __init__(self, adj, *, validate: bool = True):
-        adj = np.array(adj, dtype=np.int32)
-        if adj.ndim != 2 or adj.shape[1] != 3 or adj.shape[0] % 2 != 0:
-            raise ValueError(f"adjacency array has shape {adj.shape}, expected (2n-2, 3)")
-        n = (adj.shape[0] + 2) // 2
-        # normalize: internal neighbor lists sorted, leaf rows padded with -1
-        for v in range(n, 2 * n - 2):
-            adj[v].sort()
+        if len(adj) % 2 != 0 or any(len(row) != 3 for row in adj):
+            raise ValueError(f"adjacency needs 2n-2 rows of 3 slots, got {len(adj)} rows")
+        n = (len(adj) + 2) // 2
         self.n = n
-        self._adj = adj
+        self._rows = tuple(map(tuple, adj[:n])) + tuple(tuple(sorted(row)) for row in adj[n:])
         self._canon: str | None = None
         if validate:
             self._validate()
-        adj.setflags(write=False)
 
     @classmethod
     def from_adjacency(cls, adjacency: Mapping[int, Iterable[int]]) -> "Tree":
@@ -184,15 +179,14 @@ class Tree:
         return cls(adj, validate=True)
 
     def _validate(self) -> None:
-        n, rows = self.n, self._adj.tolist()
+        n, rows = self.n, self._rows
         if n < 4:
             raise ValueError(f"need at least 4 leaves, got n={n}")
         m = 2 * n - 2
-        seen_edges = set()
         for v, row in enumerate(rows):
             nbrs = [x for x in row if x >= 0]
             want = 1 if v < n else 3
-            if len(nbrs) != want or (v < n and row[1:] != [-1, -1]):
+            if len(nbrs) != want or (v < n and row[1:] != (-1, -1)):
                 raise ValueError(f"node {v} has degree {len(nbrs)}, expected {want}")
             if len(set(nbrs)) != len(nbrs):
                 raise ValueError(f"node {v} has a repeated neighbor")
@@ -201,11 +195,10 @@ class Tree:
                     raise ValueError(f"node {v} has invalid neighbor {w}")
                 if v not in rows[w]:
                     raise ValueError(f"edge {v}-{w} is not symmetric")
-                seen_edges.add((min(v, w), max(v, w)))
-        if len(seen_edges) != m - 1:
-            raise ValueError(f"tree needs {m - 1} edges, found {len(seen_edges)}")
-        # connected + |E| = |V|-1 implies acyclic; every internal row now
-        # holds three valid neighbours, so the walk ends
+        # Every row now holds its degree in distinct, symmetric neighbours, so
+        # the n + 3(n-2) row entries name each edge twice: 2n-3 = |V|-1 edges.
+        # Connected with that many edges means acyclic; every internal row
+        # holds three valid neighbours, so the walk ends.
         if min(_rooted_walk(rows, n)[0]) < 0:
             raise ValueError("tree is not connected")
 
@@ -233,17 +226,20 @@ class Tree:
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.node_count:
             raise ValueError(f"node {v} out of range")
-        return tuple(int(x) for x in self._adj[v] if x >= 0)
+        return tuple(x for x in self._rows[v] if x >= 0)
 
     @property
     def adj_array(self) -> np.ndarray:
-        """Read-only (2n-2, 3) int32 adjacency; -1 pads leaf rows."""
-        return self._adj
+        """The rows as a read-only (2n-2, 3) int32 array, built on each call;
+        -1 pads leaf rows."""
+        adj = np.array(self._rows, dtype=np.int32)
+        adj.setflags(write=False)
+        return adj
 
     def copy_adjacency(self) -> list[list[int]]:
-        """The writable working state: a fresh list of 2n-2 neighbour lists,
-        ``adj_array.tolist()`` (leaf rows ``[p, -1, -1]``)."""
-        return self._adj.tolist()
+        """The writable working state: a fresh list of 2n-2 neighbour lists
+        (leaf rows ``[p, -1, -1]``, internal rows sorted ascending)."""
+        return list(map(list, self._rows))
 
     # -- identity ----------------------------------------------------------
 
@@ -255,7 +251,7 @@ class Tree:
         leaf-labeled trees (internal ids ignored).
         """
         if self._canon is None:
-            self._canon = _canonical_key(self._adj.tolist(), self.n)
+            self._canon = _canonical_key(self._rows, self.n)
         return self._canon
 
     def __repr__(self) -> str:
@@ -272,7 +268,7 @@ def trees_equal(t1: Tree, t2: Tree) -> bool:
     return t1.canonical_key() == t2.canonical_key()
 
 
-def _canonical_key(rows: list[list[int]], n: int) -> str:
+def _canonical_key(rows: Sequence[Sequence[int]], n: int) -> str:
     """Canonical key of the tree in neighbour rows over n leaves.
 
     Each directed edge gets the nested-parenthesis encoding of the side it
@@ -349,15 +345,20 @@ def _replace_neighbor(adj, v: int, old: int, new: int) -> None:
 # ---------------------------------------------------------------------- #
 
 
-def _rooted_walk(adj: list[list[int]], n: int) -> tuple[list[int], ...]:
-    """Walk the internal nodes from node n: (parent, depth, size, lo, pre).
+def _rooted_walk(
+    adj: Sequence[Sequence[int]], n: int, root: int | None = None
+) -> tuple[list[int], ...]:
+    """Walk the internal nodes of the rows ``adj`` from the internal node
+    ``root``, node n by default: (parent, depth, size, lo, pre).
 
-    ``parent[n]`` is n itself, ``depth[v]`` counts the edges from n to v,
-    ``size[v]`` the leaves below v, and ``pre`` lists the internal nodes in
-    walk order. A leaf takes the next walk-order position when its parent is
-    expanded, so the leaves below node v fill positions lo[v] : lo[v] + size[v]."""
+    ``parent[root]`` is root itself, ``depth[v]`` counts the edges from root
+    to v, ``size[v]`` the leaves below v, and ``pre`` lists the internal nodes
+    in walk order. A leaf takes the next walk-order position when its parent
+    is expanded, so the leaves below node v fill positions lo[v] : lo[v] +
+    size[v]."""
     m = 2 * n - 2
-    root = n
+    if root is None:
+        root = n
     parent = [-1] * m
     parent[root] = root
     depth = [0] * m
@@ -384,6 +385,26 @@ def _rooted_walk(adj: list[list[int]], n: int) -> tuple[list[int], ...]:
     for v in reversed(pre[1:]):
         size[parent[v]] += size[v]
     return parent, depth, size, lo, pre
+
+
+def _tree_path(parent: list[int], depth: list[int], a: int, b: int) -> list[int]:
+    """The nodes on the tree path from a to b, both included, from the
+    parents and depths of a ``_rooted_walk``."""
+    up, down = [a], [b]
+    while depth[a] > depth[b]:
+        a = parent[a]
+        up.append(a)
+    while depth[b] > depth[a]:
+        b = parent[b]
+        down.append(b)
+    while a != b:
+        a = parent[a]
+        b = parent[b]
+        up.append(a)
+        down.append(b)
+    down.pop()
+    up.extend(reversed(down))
+    return up
 
 
 def _lca_fill(n: int, walk, depth) -> np.ndarray:
@@ -502,25 +523,17 @@ def _colex_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def tree_to_newick(tree: Tree, names: Sequence[str] | None = None) -> str:
-    """Newick string rooted (for presentation only) at leaf 0's neighbor."""
+    """Newick string rooted (for presentation only) at leaf 0's neighbor,
+    each clade's children in the order of its row."""
     n = tree.n
     names = _check_names(n, names)
-    adj = tree.adj_array.tolist()
-    root = adj[0][0]
-    # children follow their parent in ``order``, so walking it backwards
-    # writes every subtree before the clade that holds it, without recursion
-    parent = [-1] * len(adj)
-    order = [root]
-    for v in order:
-        if v >= n:
-            kids = [w for w in adj[v] if w != parent[v]]
-            for w in kids:
-                parent[w] = v
-            order += kids
+    rows = tree._rows
+    root = rows[0][0]
+    parent, _, _, _, pre = _rooted_walk(rows, n, root)
     text = [_quote_name(nm) for nm in names] + [""] * (n - 2)
-    for v in reversed(order):
-        if v >= n:
-            text[v] = "(" + ",".join(text[w] for w in adj[v] if w != parent[v]) + ")"
+    # the walk lists every clade before the clades below it
+    for v in reversed(pre):
+        text[v] = "(" + ",".join(text[w] for w in rows[v] if w != parent[v]) + ")"
     return text[root] + ";"
 
 
@@ -696,10 +709,8 @@ def tree_to_dot(tree: Tree, names: Sequence[str] | None = None) -> str:
         lines.append(f'  n{v} [label="{names[v]}" shape=box];')
     for j, v in enumerate(tree.internal_nodes, start=1):
         lines.append(f'  n{v} [label="k{j}"];')
-    adj = tree.adj_array
-    for v in range(tree.node_count):
-        for w in adj[v]:
-            w = int(w)
+    for v, row in enumerate(tree._rows):
+        for w in row:
             if w > v:
                 lines.append(f"  n{v} -- n{w};")
     lines.append("}")

@@ -1,10 +1,11 @@
 """Shared helpers and the test-only oracles: tree shapes, exhaustive
 enumerations, the literal quartet-embedding checks the program's faster
 paths are compared against, a canonical key over {node: neighbours}
-mappings, the record-making random moves the samplers in ``mutate`` are
-checked against draw for draw, and the appendix construction of a mutation
-path between any two trees, which shows the 5n-16 bound the hill climber's
-k cap rests on."""
+mappings, a breadth-first Newick writer and a record check on walks of its
+own that the program's walk-based ones are compared against, the
+record-making random moves the samplers in ``mutate`` are checked against
+draw for draw, and the appendix construction of a mutation path between any
+two trees, which shows the 5n-16 bound the hill climber's k cap rests on."""
 
 from typing import Iterable, Iterator, Mapping
 
@@ -13,6 +14,7 @@ import pytest
 
 from quartet.cost import DistanceMatrix, ExplicitCostFunction
 from quartet.mutate import (
+    _APPLY,
     _RAND_BY_KIND,
     KINDS,
     MutationRecord,
@@ -26,6 +28,8 @@ from quartet.mutate import (
 from quartet.trees import (
     QuartetTopology,
     Tree,
+    _check_names,
+    _quote_name,
     _replace_neighbor,
     enumerate_quartets,
     topology_from_index,
@@ -299,6 +303,78 @@ def mapping_canonical_key(adjacency: Mapping[int, Iterable[int]], n: int) -> str
     return min("|".join(sorted((a, enc[w, v]))) for (v, w), a in enc.items() if v < w)
 
 
+def oracle_tree_to_newick(tree: Tree, names=None) -> str:
+    """Newick text rooted at leaf 0's neighbour by a breadth-first walk of
+    its own, children in row order: the oracle for ``trees.tree_to_newick``."""
+    n = tree.n
+    names = _check_names(n, names)
+    adj = tree.copy_adjacency()
+    root = adj[0][0]
+    # children follow their parent in ``order``, so walking it backwards
+    # writes every subtree before the clade that holds it, without recursion
+    parent = [-1] * len(adj)
+    order = [root]
+    for v in order:
+        if v >= n:
+            kids = [w for w in adj[v] if w != parent[v]]
+            for w in kids:
+                parent[w] = v
+            order += kids
+    text = [_quote_name(nm) for nm in names] + [""] * (n - 2)
+    for v in reversed(order):
+        if v >= n:
+            text[v] = "(" + ",".join(text[w] for w in adj[v] if w != parent[v]) + ")"
+    return text[root] + ";"
+
+
+def _walk(adj, start: int, avoid: int, stop: int) -> dict[int, int]:
+    """Walk out of start, never into avoid, until stop is met or no node is
+    left: {node met: the node it was met from}, avoid included."""
+    came = {avoid: avoid, start: avoid}
+    stack = [start]
+    while stack and stop not in came:
+        v = stack.pop()
+        for q in adj[v]:
+            if q >= 0 and q not in came:
+                came[q] = v
+                stack.append(q)
+    return came
+
+
+def oracle_check_move(adj, kind: str, ops: tuple[int, ...]) -> str | None:
+    """Why (kind, ops) is not a simple move on the rows ``adj``, by walks out
+    of the move's own nodes; None when it is one: the oracle for
+    ``mutate._check_move``, which reads the tree's rooted walk instead."""
+    if kind not in _APPLY:
+        return f"unknown mutation kind {kind!r}"
+    try:
+        rows = [adj[q] for q in ops]
+    except IndexError:
+        rows = None
+    if rows is None or min(ops) < 0:  # -1 would index the last row
+        return "record names a node the tree does not have"
+    if kind == "leaf_interchange":
+        ru, rv = rows  # a leaf's row holds one neighbour, and -1 padding
+        if len(ru) - ru.count(-1) != 1 or len(rv) - rv.count(-1) != 1:
+            return "leaf interchange of a non-leaf"
+        if ru[0] == rv[0]:
+            return "leaves are siblings"
+    elif kind == "subtree_interchange":
+        # x after u and y before w on the u-w path, of 3 or more edges: the
+        # walk out of x away from u meets w from y
+        u, x, y, w = ops
+        if x not in rows[0] or w in (u, x) or x == y or _walk(adj, x, u, w).get(w) != y:
+            return "interchange record mismatch"
+    else:
+        # e-f an edge of the tree with neither end at a or on s's side
+        s, a, b, c, e, f = ops
+        if sorted(rows[1]) != sorted((s, b, c)):
+            return f"transfer record mismatch: node {a} has neighbors {rows[1]}"
+        if f not in rows[4] or a in (e, f) or e in _walk(adj, s, a, e):
+            return "transfer record mismatch"
+    return None
+
+
 def is_consistent(tree: Tree, topo: QuartetTopology) -> bool:
     """Whether ``topo`` is embedded in ``tree``: the path joining its first
     pair must not share a vertex with the path joining its second pair."""
@@ -407,7 +483,8 @@ def _solve_path(W: dict[int, list[int]], T: dict[int, list[int]], n: int) -> lis
     ops: list = []
 
     def emit(op) -> None:
-        apply_record(W, _op_record(W, op))
+        rec = _op_record(W, op)  # operands from W's own path, as the samplers take theirs
+        _APPLY[rec.kind](W, *rec.operands)
         ops.append(op)
 
     if mapping_canonical_key(W, n) == mapping_canonical_key(T, n):

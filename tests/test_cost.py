@@ -28,6 +28,7 @@ from quartet.trees import (
 
 from conftest import (
     adversarial_five_costs,
+    all_topologies,
     embedded_quartets,
     enumerate_all_trees,
     five_leaf_target,
@@ -91,6 +92,17 @@ def test_cost_of_distance_backed():
 def test_explicit_mapping_must_be_total():
     with pytest.raises(IncompleteCostFunctionError):
         ExplicitCostFunction.from_mapping(4, {QuartetTopology((0, 1), (2, 3)): 1.0})
+
+
+@pytest.mark.parametrize("rank", [0, 247, 494])  # the first, a middle and the last of C(12,4)
+def test_incomplete_mapping_names_the_missing_topology(rank):
+    n = 12
+    hole = topology_from_index(list(enumerate_quartets(n))[rank], 1)
+    mapping = {topo: 1.0 for topo in all_topologies(n)}
+    del mapping[hole]
+    with pytest.raises(IncompleteCostFunctionError) as err:
+        ExplicitCostFunction.from_mapping(n, mapping)
+    assert str(err.value) == f"no cost assigned to topology {hole} (1 topologies missing in total)"
 
 
 def test_cost_from_mqc():

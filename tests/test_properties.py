@@ -1,9 +1,10 @@
 """Property tests: the simple moves on the neighbour-list working state,
-record inversion, move deltas, mutation paths, search trace replay, and the
-Newick and matrix text formats.
+record checks and inversion, move deltas, mutation paths, search trace
+replay, and the Newick and matrix text formats.
 
 Examples are derandomized, so every run checks the same cases."""
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from quartet.cost import DistanceCostFunction, DistanceMatrix, tree_cost_naive
 from quartet.fastcost import DeltaCost, TreeCache, cost_distance_from_adj, tree_cost_fast
 from quartet.matrix_io import FORMATS, format_matrix, parse_matrix
 from quartet.mutate import (
+    _APPLY,
     MutationRecord,
     _RAND_BY_KIND,
     _Draws,
@@ -45,6 +47,7 @@ from conftest import (
     enumerate_all_trees,
     floyd_warshall_leaf_hops,
     mutation_path,
+    oracle_check_move,
     oracle_simple_mutation,
     random_symmetric_matrix,
     rng_for,
@@ -390,6 +393,57 @@ def test_apply_record_takes_the_moves_of_the_tree_and_nothing_else():
                 raised += 1
             assert work == rows, rec
     assert applied and raised
+
+
+def oracle_verdict(rows, kind, ops) -> bool:
+    """``apply_record`` on a copy of ``rows`` makes the move (kind, ops)
+    exactly when the oracle check passes it, and otherwise raises with the
+    oracle's reason and leaves the rows as they were. Whether it applied."""
+    rec = MutationRecord(kind, ops)
+    why = oracle_check_move(rows, kind, ops)
+    work = [row[:] for row in rows]
+    try:
+        apply_record(work, rec)
+    except ValueError as err:
+        assert (str(err), work) == (f"{why}: {rec.to_line()}", rows)
+        return False
+    want = [row[:] for row in rows]
+    _APPLY[kind](want, *ops)
+    assert (why, work) == (None, want), rec
+    return True
+
+
+def test_apply_record_gives_the_oracle_verdict_on_every_interchange_at_n5():
+    n, m = 5, 8
+    verdicts = []
+    for i, tree in enumerate(enumerate_all_trees(n)):
+        rows = shuffled_rows(tree, n, rng_for(i))
+        for ops in itertools.product(range(m), repeat=2):
+            verdicts.append(oracle_verdict(rows, "leaf_interchange", ops))
+        for ops in itertools.product(range(m), repeat=4):
+            verdicts.append(oracle_verdict(rows, "subtree_interchange", ops))
+    assert i == 14 and any(verdicts) and not all(verdicts)
+
+
+def test_apply_record_gives_the_oracle_verdict_on_transfers_at_n6():
+    # every well-formed transfer (b, c in both orders, e-f either way round),
+    # then random operands, node ids out of range included
+    n, m = 6, 10
+    rng = rng_for(6)
+    trees = list(enumerate_all_trees(n))[::8]
+    verdicts = []
+    for i, tree in enumerate(trees):
+        rows = shuffled_rows(tree, n, rng)
+        for a in range(n, m):
+            for s in rows[a]:
+                b, c = [q for q in rows[a] if q != s]
+                for e, row in enumerate(rows):
+                    for f in row[:1] if e < n else row:
+                        for ops in ((s, a, b, c, e, f), (s, a, c, b, e, f)):
+                            verdicts.append(oracle_verdict(rows, "subtree_transfer", ops))
+        for ops in rng.integers(-1, m + 1, (20_000 // len(trees) + 1, 6)).tolist():
+            verdicts.append(oracle_verdict(rows, "subtree_transfer", tuple(ops)))
+    assert len(trees) >= 12 and any(verdicts) and not all(verdicts)
 
 
 @PROPERTY

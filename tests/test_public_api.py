@@ -1,9 +1,12 @@
 """The exported surface: every name a module lists in ``__all__`` exists.
 ``quartet.cli`` exports ``main`` through the package's script entry and
-lists no ``__all__``."""
+lists no ``__all__``. And no module imports a name it neither uses nor
+exports."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ import quartet
 MODULES = ["quartet"] + [
     f"quartet.{m.name}" for m in pkgutil.iter_modules(quartet.__path__) if m.name != "cli"
 ]
+SOURCES = sorted(Path(quartet.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,3 +30,24 @@ def test_star_import_gives_the_package_exports():
     namespace: dict = {}
     exec("from quartet import *", namespace)
     assert set(quartet.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    """A name kept imported after its last use is gone fails here, and so
+    does a program function the benchmark's tracer wraps at its importing
+    module (``perfbench/spans.py``) but that module no longer calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    assert sorted(imported - used - exported) == []

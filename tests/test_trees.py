@@ -25,6 +25,7 @@ from conftest import (
     is_consistent,
     mapping_canonical_key,
     one_move,
+    oracle_tree_to_newick,
     rng_for,
 )
 
@@ -254,6 +255,27 @@ def test_newick_writes_deep_trees():
     assert text.count("(") == 598
     back, _ = tree_from_newick(text, [str(i) for i in range(600)])
     assert trees_equal(t, back)
+
+
+def permute_internal_ids(tree, rng):
+    n = tree.n
+    perm = list(range(n)) + [n + int(x) for x in rng.permutation(n - 2)]
+    return Tree.from_adjacency(
+        {perm[v]: [perm[w] for w in tree.neighbors(v)] for v in range(tree.node_count)}
+    )
+
+
+def test_newick_writer_matches_the_breadth_first_oracle():
+    # byte for byte: the same rooting, and each clade's children in row order
+    rng = rng_for(15)
+    trees = [t for n in range(4, 8) for t in enumerate_all_trees(n)]
+    for n in (8, 13, 24, 64, 128, 256, 600):
+        trees += [random_tree(n, rng), caterpillar(n)]
+    for tree in trees:
+        names = [f"s {i}" if i % 2 else f"s{i}" for i in range(tree.n)]
+        for t in (tree, permute_internal_ids(tree, rng)):
+            assert tree_to_newick(t) == oracle_tree_to_newick(t)
+            assert tree_to_newick(t, names) == oracle_tree_to_newick(t, names)
 
 
 def test_newick_rooted_binary_input_is_unrooted():

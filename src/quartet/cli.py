@@ -4,6 +4,13 @@ Subcommands: ``cluster`` (distance matrix -> best tree), ``ncd`` (corpus ->
 distance matrix), ``score`` (matrix + Newick tree -> S(T) report), and
 ``bench`` (``artificial`` reconstruction trials / ``stats`` run statistics).
 
+The search flags of ``cluster`` and ``bench`` each set the ``SearchConfig``
+field they name: ``--temperature`` sets ``metropolis_temperature``, the
+agreement run count (``--runs``, ``--agreement-runs`` under ``bench stats``)
+sets ``runs_r``, and ``--mode hill`` sets mode ``hill_climb``. A field with
+no flag given keeps its default, which ``bench stats`` sets to hill climbing
+with agreement termination.
+
 Every file-producing invocation writes a ``manifest.json`` capturing the
 command, config snapshot, master seed, and input digests, which is enough
 to reproduce the outputs bit for bit (wall-time fields aside).
@@ -18,7 +25,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +55,7 @@ from .trees import tree_from_newick, tree_to_dot, tree_to_newick
 RESULT_VERSION = 1
 
 _EXT_BY_FORMAT = {"csv": ".csv", "phylip": ".phy", "nexus": ".nex"}
+_MODES = {"hill": "hill_climb", "metropolis": "metropolis"}  # --mode value: SearchConfig.mode
 
 
 def _sha256(path: Path) -> str:
@@ -54,43 +63,31 @@ def _sha256(path: Path) -> str:
 
 
 def _add_search_flags(p: argparse.ArgumentParser, runs_flag: str = "--runs") -> None:
+    # each flag's dest is its SearchConfig field; but for --seed, a flag not
+    # given leaves no attribute, so its field keeps its default
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--termination", choices=["simple", "agreement"], default=None)
-    p.add_argument("--patience", type=int, default=None,
-                   help="examined trees without improvement before stopping (default 100000)")
-    p.add_argument("--max-trees", type=int, default=None)
-    p.add_argument("--mode", choices=["hill", "metropolis"], default=None)
-    p.add_argument(runs_flag, type=int, default=None, dest="runs_r",
-                   help="override the agreement run count r")
-    p.add_argument("--trial-length", type=int, default=None,
-                   help="Metropolis walk length (default: n)")
-    p.add_argument("--temperature", type=float, default=None,
-                   help="Metropolis temperature on raw costs (default (M-m)/C(n,4))")
-    p.add_argument("--k-max", type=int, default=None,
-                   help="cap on fat-tail mutation counts "
-                        "(default 5n-16, the most moves between any two trees)")
+    flag = partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--termination", choices=["simple", "agreement"])
+    flag("--patience", type=int,
+         help="examined trees without improvement before stopping (default 100000)")
+    flag("--max-trees", type=int)
+    flag("--mode", choices=list(_MODES))
+    flag(runs_flag, type=int, dest="runs_r", help="override the agreement run count r")
+    flag("--trial-length", type=int, help="Metropolis walk length (default: n)")
+    flag("--temperature", type=float, dest="metropolis_temperature", metavar="TEMPERATURE",
+         help="Metropolis temperature on raw costs (default (M-m)/C(n,4))")
+    flag("--k-max", type=int,
+         help="cap on fat-tail mutation counts "
+              "(default 5n-16, the most moves between any two trees)")
 
 
-def _config_from_args(args) -> SearchConfig:
-    kw = {}
-    if args.termination is not None:
-        kw["termination"] = args.termination
-    if args.patience is not None:
-        kw["patience"] = args.patience
-    if args.max_trees is not None:
-        kw["max_trees"] = args.max_trees
-    if args.mode is not None:
-        kw["mode"] = {"hill": "hill_climb", "metropolis": "metropolis"}[args.mode]
-    if args.runs_r is not None:
-        kw["runs_r"] = args.runs_r
-    if args.trial_length is not None:
-        kw["trial_length"] = args.trial_length
-    if args.temperature is not None:
-        kw["metropolis_temperature"] = args.temperature
-    if args.k_max is not None:
-        kw["k_max"] = args.k_max
-    kw["seed"] = args.seed
-    return SearchConfig(**kw)
+def _config_from_args(args, **defaults) -> SearchConfig:
+    """The search flags given, laid over ``defaults`` and then over the
+    ``SearchConfig`` defaults."""
+    given = {f.name: getattr(args, f.name) for f in fields(SearchConfig) if hasattr(args, f.name)}
+    if "mode" in given:
+        given["mode"] = _MODES[given["mode"]]
+    return SearchConfig(**(defaults | given))
 
 
 def _config_json(config: SearchConfig) -> dict:
@@ -268,11 +265,8 @@ def _cmd_bench_stats(args) -> int:
         rng = np.random.Generator(np.random.PCG64(args.instance_seed))
         _, dm = generate_artificial(args.n, rng)
     cf = DistanceCostFunction(dm)
-    config = _config_from_args(args)
-    if args.mode is None:  # k-mutation statistics need the hill climber
-        config = replace(config, mode="hill_climb")
-    if args.termination is None:
-        config = replace(config, termination="agreement")
+    # k-mutation statistics need the hill climber
+    config = _config_from_args(args, mode="hill_climb", termination="agreement")
     results = collect_runs(cf, args.runs, config, master_seed=args.seed)
     stats = run_statistics(results, bin_width=args.bin_width)
     paths = write_statistics_csv(stats, out_dir)

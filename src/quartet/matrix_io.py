@@ -10,6 +10,12 @@ on names its reader would change or misread: names with commas, line breaks
 or blanks at either end, a first name starting with '#', or all-numeric
 names. The PHYLIP writer raises it on names that collide or become empty
 once blanks are written as '_'.
+
+One rule says what a number is: a token Python's ``float`` accepts, so
+``1e5``, ``nan`` and ``inf`` are numbers. A CSV first row is a header
+unless every cell is a number; a Nexus matrix token starts a row when it is
+quoted or not a number; and the writers keep names from reading back as
+numbers (CSV refuses all-numeric names, Nexus quotes a numeric name).
 """
 
 from __future__ import annotations
@@ -51,6 +57,14 @@ def _fmt_value(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_float(token: str, line: int, col: int | None = None) -> float:
     try:
         return float(token)
@@ -82,15 +96,12 @@ def _parse_csv(text: str) -> DistanceMatrix:
     names = None
     # Row 1 names the items only when one row per name follows it, so a typo
     # in the first row of a headerless matrix is reported where it is.
-    if len(lines) == len(lines[0][1]) + 1:
+    if len(lines) == len(lines[0][1]) + 1 and not all(map(_is_number, lines[0][1])):
+        ln, names = lines.pop(0)
         try:
-            [float(c) for c in lines[0][1]]
-        except ValueError:
-            ln, names = lines.pop(0)
-            try:
-                _check_names(len(names), names)
-            except ValueError as exc:
-                raise MatrixParseError(str(exc), ln) from None
+            _check_names(len(names), names)
+        except ValueError as exc:
+            raise MatrixParseError(str(exc), ln) from None
     rows = [[_parse_float(c, ln, i + 1) for i, c in enumerate(cells)] for ln, cells in lines]
     n = len(rows)
     for (ln, _), row in zip(lines, rows):
@@ -112,14 +123,7 @@ def _format_csv(dm: DistanceMatrix) -> str:
             )
         if dm.names[0].startswith("#"):
             raise ValueError(f"CSV cannot hold a first name starting with '#': {dm.names[0]!r}")
-        numeric = True
-        for nm in dm.names:
-            try:
-                float(nm)
-            except ValueError:
-                numeric = False
-                break
-        if numeric:
+        if all(map(_is_number, dm.names)):
             raise ValueError(
                 "CSV cannot hold all-numeric item names (the header would parse "
                 "as a matrix row); use the phylip or nexus format"
@@ -260,19 +264,14 @@ def _parse_nexus(text: str) -> DistanceMatrix:
         tok, line, quoted = toks[i]
         if tok == ";" and not quoted:
             break
-        is_number = True
-        try:
-            float(tok)
-        except ValueError:
-            is_number = False
-        if quoted or not is_number:
+        if quoted or not _is_number(tok):
             if cur_name is not None:
                 rows.append((cur_name, cur_vals, cur_line))
             cur_name, cur_vals, cur_line = tok, [], line
         else:
             if cur_name is None:
                 raise MatrixParseError("matrix value before any taxon label", line)
-            cur_vals.append(_parse_float(tok, line))
+            cur_vals.append(float(tok))
         i += 1
     else:
         raise MatrixParseError("MATRIX command not terminated by ';'")
@@ -285,26 +284,15 @@ def _parse_nexus(text: str) -> DistanceMatrix:
     names = [r[0] for r in rows]
     values = np.zeros((n, n), dtype=np.float64)
     for idx, (name, vals, line) in enumerate(rows):
-        if triangle == "BOTH":
-            want = n
-        elif triangle == "LOWER":
-            want = idx + (1 if diagonal else 0)
-        else:  # UPPER
-            want = n - idx - (0 if diagonal else 1)
+        first = idx + (not diagonal) if triangle == "UPPER" else 0
+        want = idx + diagonal if triangle == "LOWER" else n - first
         if len(vals) != want:
             raise MatrixParseError(
                 f"row {name!r}: expected {want} values for TRIANGLE={triangle}"
                 f"{'' if diagonal else ' NODIAGONAL'}, got {len(vals)}",
                 line,
             )
-        if triangle == "BOTH":
-            values[idx, :] = vals
-        elif triangle == "LOWER":
-            j0 = 0
-            values[idx, j0 : j0 + len(vals)] = vals
-        else:
-            j0 = idx + (0 if diagonal else 1)
-            values[idx, j0 : j0 + len(vals)] = vals
+        values[idx, first : first + want] = vals
     if triangle != "BOTH":
         values = values + values.T
         if diagonal:
@@ -316,12 +304,7 @@ def _format_nexus(dm: DistanceMatrix) -> str:
     names = dm.names or [str(i) for i in range(dm.n)]
 
     def q(name: str) -> str:
-        numeric = True
-        try:
-            float(name)
-        except ValueError:
-            numeric = False
-        if name and not numeric and all(ch.isalnum() or ch in "._-" for ch in name):
+        if name and not _is_number(name) and all(ch.isalnum() or ch in "._-" for ch in name):
             return name
         return "'" + name.replace("'", "''") + "'"
 

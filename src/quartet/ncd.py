@@ -46,36 +46,31 @@ class Compressor(Protocol):
 
 
 class ZlibCompressor:
-    """Deflate at maximum effort (the default codec)."""
+    """Deflate at maximum effort, level 9 (the default codec)."""
 
-    def __init__(self, level: int = 9):
-        self.level = level
-        self.name = "zlib"
+    name = "zlib"
 
     def compressed_length(self, data: bytes) -> int:
-        return len(zlib.compress(data, self.level))
+        return len(zlib.compress(data, 9))
 
 
 class Bz2Compressor:
-    """Block-sorting codec; often tighter than deflate on text."""
+    """Block-sorting codec at level 9; often tighter than deflate on text."""
 
-    def __init__(self, level: int = 9):
-        self.level = level
-        self.name = "bz2"
+    name = "bz2"
 
     def compressed_length(self, data: bytes) -> int:
-        return len(bz2.compress(data, self.level))
+        return len(bz2.compress(data, 9))
 
 
 class LzmaCompressor:
-    """LZMA with a large dictionary; strongest of the built-in codecs."""
+    """LZMA at preset 6, with a large dictionary; strongest of the built-in
+    codecs."""
 
-    def __init__(self, preset: int = 6):
-        self.preset = preset
-        self.name = "lzma"
+    name = "lzma"
 
     def compressed_length(self, data: bytes) -> int:
-        return len(lzma.compress(data, preset=self.preset))
+        return len(lzma.compress(data, preset=6))
 
 
 COMPRESSORS = {"zlib": ZlibCompressor, "bz2": Bz2Compressor, "lzma": LzmaCompressor}
@@ -100,20 +95,25 @@ class CorpusItem:
             raise ValueError(f"corpus item {self.name!r} is empty")
 
 
-def ncd(x: bytes, y: bytes, z: Compressor | None = None) -> float:
-    """Normalized compression distance of two byte strings.
+def _ncd_value(zxy: int, zx: int, zy: int) -> float:
+    """NCD from the compressed lengths of a concatenation and of its parts."""
+    return (zxy - min(zx, zy)) / max(zx, zy)
 
-    The concatenation is raw bytes with no separator. The value is not
-    clamped: real codecs can exceed 1 slightly and may go marginally
-    negative for near-identical inputs.
+
+def ncd(x: bytes, y: bytes, z: Compressor | None = None) -> float:
+    """Normalized compression distance of two byte strings, from the one
+    concatenation x + y (raw bytes, no separator).
+
+    The value is not clamped: real codecs can exceed 1 slightly and may go
+    marginally negative for near-identical inputs. Codecs are not symmetric,
+    so ``ncd(y, x)`` may differ; ``ncd_matrix`` enters
+    ``max(min(ncd(x, y), ncd(y, x)), 0.0)`` for the pair, bit for bit.
     """
     if not x or not y:
         raise ValueError("ncd needs nonempty byte strings")
     z = z or ZlibCompressor()
-    zx = z.compressed_length(x)
-    zy = z.compressed_length(y)
-    zxy = z.compressed_length(x + y)
-    return (zxy - min(zx, zy)) / max(zx, zy)
+    zx, zy = z.compressed_length(x), z.compressed_length(y)
+    return _ncd_value(z.compressed_length(x + y), zx, zy)
 
 
 def ncd_matrix(
@@ -156,9 +156,7 @@ def ncd_matrix(
     d = np.zeros((n, n), dtype=np.float64)
     clamped = 0
     for (i, j), (zxy, zyx) in zip(pairs, joint):
-        zx, zy = lengths[i], lengths[j]
-        lo, hi = min(zx, zy), max(zx, zy)
-        value = (min(zxy, zyx) - lo) / hi
+        value = _ncd_value(min(zxy, zyx), lengths[i], lengths[j])
         if value < 0:
             clamped += 1
             value = 0.0

@@ -220,9 +220,6 @@ class Tree:
     def internal_nodes(self) -> range:
         return range(self.n, 2 * self.n - 2)
 
-    def is_leaf(self, v: int) -> bool:
-        return 0 <= v < self.n
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 <= v < self.node_count:
             raise ValueError(f"node {v} out of range")
@@ -545,15 +542,14 @@ def tree_from_newick(
     Branch lengths and internal labels are read and discarded, and so are
     bracketed comments; the closing ';' may be left out. A rooted binary
     tree (degree-2 root) is unrooted by smoothing the root. Leaf labels must
-    be non-empty and unique. Syntax errors give the character offset. When
-    ``names`` is given, leaf labels are assigned by position in it and the
-    tree's leaf set must match exactly.
+    be non-empty and unique. Syntax errors give the character offset. Each
+    leaf is labelled by its position in ``names``, whose set must match the
+    tree's leaf set exactly; without ``names``, in the sorted leaf names.
 
     Returns (tree, leaf names by label).
     """
     nodes, leaves = _parse_newick_topology(text)
-    leaf_ids = list(leaves.values())
-    internal_ids = sorted(nodes.keys() - leaf_ids)
+    internal_ids = sorted(nodes.keys() - leaves.values())
     # smooth any degree-2 nodes (rooted input)
     for v in list(internal_ids):
         if len(nodes[v]) == 2:
@@ -568,33 +564,25 @@ def tree_from_newick(
                 f"internal node of degree {len(nodes[v])}: only ternary trees "
                 "(binary rooted or trifurcating unrooted) are supported"
             )
-    n = len(leaf_ids)
+    n = len(leaves)
     if n < 4:
         raise ValueError(f"need at least 4 leaves, got {n}")
     if len(internal_ids) != n - 2:
         raise ValueError(f"{n} leaves need {n - 2} internal nodes, got {len(internal_ids)}")
-    found = list(leaves)
     if names is None:
-        order = sorted(range(n), key=lambda i: found[i])
-        out_names = [found[i] for i in order]
+        names = sorted(leaves)
     else:
         names = list(names)
-        if sorted(names) != sorted(found):
-            missing = sorted(set(names) - set(found))
-            extra = sorted(set(found) - set(names))
+        if sorted(names) != sorted(leaves):
+            missing = sorted(set(names) - set(leaves))
+            extra = sorted(set(leaves) - set(names))
             raise ValueError(
                 f"tree leaves do not match expected names; missing={missing} extra={extra}"
             )
-        pos = {nm: i for i, nm in enumerate(names)}
-        order = sorted(range(n), key=lambda i: pos[found[i]])
-        out_names = names
-    relabel = {}
-    for new_label, old_idx in enumerate(order):
-        relabel[leaf_ids[old_idx]] = new_label
-    for new_id, v in enumerate(internal_ids, start=n):
-        relabel[v] = new_id
+    relabel = {leaves[nm]: label for label, nm in enumerate(names)}
+    relabel.update((v, new_id) for new_id, v in enumerate(internal_ids, start=n))
     adjacency = {relabel[v]: [relabel[w] for w in nbrs] for v, nbrs in nodes.items()}
-    return Tree.from_adjacency(adjacency), list(out_names)
+    return Tree.from_adjacency(adjacency), names
 
 
 def _parse_newick_topology(text: str):
@@ -702,11 +690,13 @@ def _tokens(text: str, punct: str) -> Iterator[tuple[str, int, bool]]:
 
 
 def tree_to_dot(tree: Tree, names: Sequence[str] | None = None) -> str:
-    """Graphviz source; internal nodes are rendered k1..k(n-2)."""
+    """Graphviz source; internal nodes are rendered k1..k(n-2). Leaf labels
+    are DOT quoted strings, with each ``\\`` and ``"`` escaped by a backslash."""
     names = _check_names(tree.n, names)
     lines = ["graph tree {", "  node [shape=circle];"]
     for v in tree.leaves:
-        lines.append(f'  n{v} [label="{names[v]}" shape=box];')
+        label = names[v].replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{v} [label="{label}" shape=box];')
     for j, v in enumerate(tree.internal_nodes, start=1):
         lines.append(f'  n{v} [label="k{j}"];')
     for v, row in enumerate(tree._rows):

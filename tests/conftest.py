@@ -2,11 +2,13 @@
 enumerations, the literal quartet-embedding checks the program's faster
 paths are compared against, a canonical key over {node: neighbours}
 mappings, a breadth-first Newick writer and a record check on walks of its
-own that the program's walk-based ones are compared against, the
-record-making random moves the samplers in ``mutate`` are checked against
-draw for draw, and the appendix construction of a mutation path between any
-two trees, which shows the 5n-16 bound the hill climber's k cap rests on."""
+own that the program's walk-based ones are compared against, a reader of
+Graphviz leaf labels, the record-making random moves the samplers in
+``mutate`` are checked against draw for draw, and the appendix construction
+of a mutation path between any two trees, which shows the 5n-16 bound the
+hill climber's k cap rests on."""
 
+import re
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -325,6 +327,16 @@ def oracle_tree_to_newick(tree: Tree, names=None) -> str:
         if v >= n:
             text[v] = "(" + ",".join(text[w] for w in adj[v] if w != parent[v]) + ")"
     return text[root] + ";"
+
+
+_DOT_LEAF = re.compile(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)" shape=box\];\n')
+
+
+def dot_leaf_labels(dot: str) -> dict[int, str]:
+    """Leaf id -> label of each leaf line of ``tree_to_dot`` text whose label
+    is a DOT quoted string (any character but ``"`` and ``\\``, or a
+    backslash pair), with its backslash escapes undone."""
+    return {int(m[1]): re.sub(r"\\(.)", r"\1", m[2], flags=re.S) for m in _DOT_LEAF.finditer(dot)}
 
 
 def _walk(adj, start: int, avoid: int, stop: int) -> dict[int, int]:

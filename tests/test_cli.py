@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from quartet.cli import main
 from quartet.cost import DistanceMatrix
 from quartet.matrix_io import write_distance_matrix
+from quartet.search import SearchConfig
 from quartet.trees import hop_distances, random_tree
 
-from conftest import rng_for
+from conftest import dot_leaf_labels, rng_for
 from test_ncd import dna_corpus
 
 
@@ -20,11 +22,12 @@ def write_corpus(directory, count=8, length=1200, seed=5):
     return directory
 
 
-def planted_matrix(path, n=9, seed=3):
+def planted_matrix(path, n=9, seed=3, names=None):
     t = random_tree(n, rng_for(seed))
     d = (hop_distances(t).astype(float) + 1.0) / n
     np.fill_diagonal(d, 0.0)
-    write_distance_matrix(DistanceMatrix(d, [f"s{i}" for i in range(n)]), path, "csv")
+    names = names or [f"s{i}" for i in range(n)]
+    write_distance_matrix(DistanceMatrix(d, names), path, "csv")
     return path
 
 
@@ -224,3 +227,49 @@ def test_bench_stats_writes_documented_tables(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["mode"] == "hill_climb"
     assert manifest["config"]["termination"] == "agreement"
+
+
+def test_cluster_dot_labels_read_back_as_the_matrix_names(tmp_path):
+    names = ['a"b', "c\\d", "e f", "ü漢", '"', "\\", '\\"', "end\\"]
+    matrix = planted_matrix(tmp_path / "m.csv", n=8, names=names)
+    assert main(["cluster", str(matrix), "--out-dir", str(tmp_path / "c")]) == 0
+    labels = dot_leaf_labels((tmp_path / "c" / "tree.dot").read_text(encoding="utf-8"))
+    result = json.loads((tmp_path / "c" / "result.json").read_text(encoding="utf-8"))
+    assert result["names"] == names and labels == dict(enumerate(names))
+
+
+# (flags, SearchConfig field, value); "RUNS" is --runs, or --agreement-runs under bench stats
+SEARCH_FLAGS = [
+    (["--seed", "3"], "seed", 3),
+    (["--termination", "simple"], "termination", "simple"),
+    (["--termination", "agreement"], "termination", "agreement"),
+    (["--patience", "7"], "patience", 7),
+    (["--max-trees", "40"], "max_trees", 40),
+    (["--mode", "hill"], "mode", "hill_climb"),
+    (["--mode", "metropolis"], "mode", "metropolis"),
+    (["RUNS", "2"], "runs_r", 2),
+    (["--trial-length", "3"], "trial_length", 3),
+    (["--temperature", "0.5"], "metropolis_temperature", 0.5),
+    (["--k-max", "4"], "k_max", 4),
+]
+
+
+@pytest.mark.parametrize("flag", [None, *SEARCH_FLAGS],
+                         ids=lambda f: "none" if f is None else f"{f[1]}={f[0][1]}")
+@pytest.mark.parametrize("command", ["cluster", "stats"])
+def test_each_search_flag_sets_its_config_field(tmp_path, command, flag):
+    out = tmp_path / "o"
+    if command == "cluster":
+        argv = ["cluster", str(planted_matrix(tmp_path / "m.csv", n=6)), "--out-dir", str(out)]
+        expected = SearchConfig()
+    else:
+        argv = ["bench", "stats", "--runs", "1", "--n", "5", "--out-dir", str(out)]
+        expected = SearchConfig(mode="hill_climb", termination="agreement")
+    if flag is not None:
+        flags, field, value = flag
+        runs = "--runs" if command == "cluster" else "--agreement-runs"
+        argv += [runs if f == "RUNS" else f for f in flags]
+        expected = replace(expected, **{field: value})
+    assert main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"] == asdict(expected)

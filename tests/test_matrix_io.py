@@ -151,3 +151,42 @@ def test_17_digit_round_trip_values():
     for fmt in FORMATS:
         back = parse_matrix(format_matrix(dm, fmt), fmt)
         assert np.array_equal(back.d, vals), fmt
+
+
+def nexus_triangle(d, names, triangle, diagonal, short_row=None):
+    """Nexus text of d in one TRIANGLE x DIAGONAL layout, written cell by
+    cell; row ``short_row`` loses its last value."""
+    n = len(d)
+    rows = []
+    for i in range(n):
+        if triangle == "BOTH":
+            cols = range(n)
+        elif triangle == "LOWER":
+            cols = range(i + 1 if diagonal else i)
+        else:
+            cols = range(i if diagonal else i + 1, n)
+        vals = [repr(float(d[i, j])) for j in cols]
+        if i == short_row:
+            vals.pop()
+        rows.append(f"    '{names[i]}' " + " ".join(vals))
+    return "\n".join([
+        "#NEXUS", "BEGIN DISTANCES;", f"  DIMENSIONS NTAX={n};",
+        f"  FORMAT TRIANGLE={triangle} {'DIAGONAL' if diagonal else 'NODIAGONAL'};",
+        "  MATRIX", *rows, "  ;", "END;",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+@pytest.mark.parametrize("triangle", ["BOTH", "LOWER", "UPPER"])
+def test_nexus_reads_every_triangle_layout(triangle, diagonal):
+    dm = random_symmetric_matrix(6, rng_for(41))
+    names = [f"t {i}" for i in range(6)]
+    back = parse_matrix(nexus_triangle(dm.d, names, triangle, diagonal), "nexus")
+    assert back.names == names and np.array_equal(back.d, dm.d)
+    # row 't 2' is on line 8 and holds these many values in this layout
+    want = {"BOTH": 6, "LOWER": 2 + diagonal, "UPPER": 4 - (not diagonal)}[triangle]
+    layout = triangle + ("" if diagonal else " NODIAGONAL")
+    message = f"line 8: row 't 2': expected {want} values for TRIANGLE={layout}, got {want - 1}"
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(nexus_triangle(dm.d, names, triangle, diagonal, short_row=2), "nexus")
+    assert str(exc.value) == message

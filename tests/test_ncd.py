@@ -56,3 +56,16 @@ def test_worker_count_does_not_change_matrix():
     two = ncd_matrix(items, z, workers=2)
     assert one.names == two.names
     assert one.d.tobytes() == two.d.tobytes()
+
+
+@pytest.mark.parametrize("codec", ["zlib", "bz2", "lzma"])
+def test_matrix_keeps_the_smaller_order_of_ncd(codec):
+    items = dna_corpus(6, 1500, 1)
+    z = get_compressor(codec)
+    dm = ncd_matrix(items, z)
+    want = np.zeros((6, 6))
+    for i, x in enumerate(items):
+        for j, y in enumerate(items):
+            if i != j:
+                want[i, j] = max(min(ncd(x.data, y.data, z), ncd(y.data, x.data, z)), 0.0)
+    assert dm.d.tobytes() == want.tobytes()

@@ -1,7 +1,8 @@
 """The exported surface: every name a module lists in ``__all__`` exists.
 ``quartet.cli`` exports ``main`` through the package's script entry and
-lists no ``__all__``. And no module imports a name it neither uses nor
-exports."""
+lists no ``__all__``. No module imports a name it neither uses nor
+exports, and no function, class or method goes unnamed by the code and
+tests."""
 
 import ast
 import importlib
@@ -51,3 +52,39 @@ def test_every_import_is_used_or_exported(path):
         ):
             exported |= set(ast.literal_eval(node.value))
     assert sorted(imported - used - exported) == []
+
+
+def _mentions(path: Path) -> set[str]:
+    """Every identifier a file names: variables, attributes, imported names
+    and string constants that are identifiers (``__all__`` entries, the
+    tracer's site names)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def test_every_definition_is_named_somewhere():
+    """A function, class or method of ``src/quartet`` that nothing in
+    ``src/``, ``tests/`` or ``perfbench/`` names is dead code (dunder methods
+    are called by Python itself)."""
+    root = Path(__file__).resolve().parents[1]
+    named = set().union(*(_mentions(p) for d in ("src", "tests", "perfbench")
+                          for p in (root / d).rglob("*.py")))
+    dead = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if not dunder and node.name not in named:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert dead == []

@@ -20,6 +20,7 @@ from quartet.trees import (
 from conftest import (
     all_topologies,
     caterpillar,
+    dot_leaf_labels,
     embedded_quartets,
     enumerate_all_trees,
     is_consistent,
@@ -310,6 +311,14 @@ def test_dot_output_names_internal_nodes(rng):
     for j in range(1, 5):
         assert f'label="k{j}"' in dot
     assert dot.count(" -- ") == 2 * 6 - 3
+
+
+def test_dot_labels_are_quoted_strings_that_read_back_as_the_names(rng):
+    names = ['a"b', "c\\d", "e f", "tab\tx", "ü漢字", '"', "\\", '\\"', 'x\\\\"y"', "end\\",
+             "plain", "0"]
+    t = random_tree(len(names), rng)
+    assert dot_leaf_labels(tree_to_dot(t, names)) == dict(enumerate(names))
+    assert dot_leaf_labels(tree_to_dot(t)) == {v: str(v) for v in range(len(names))}
 
 
 def test_hop_distances_symmetric(rng):

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -164,34 +165,21 @@ def run_statistics(results: Sequence[SearchResult], bin_width: int | None = None
         raise ValueError("need at least one run")
     if bin_width is not None and bin_width < 1:
         raise ValueError(f"bin_width must be >= 1, got {bin_width}")
-    examined = [r.trees_examined for r in results]
+    top = max(r.trees_examined for r in results)
     if bin_width is None:
-        bin_width = max(1, int(math.ceil(max(examined) / 25.0)))
-    top = (max(examined) // bin_width + 1) * bin_width
-    edges = list(range(0, top + bin_width, bin_width))
-    counts = [0] * (len(edges) - 1)
-    for x in examined:
-        counts[min(x // bin_width, len(counts) - 1)] += 1
-    hist = [(edges[i], edges[i + 1], counts[i]) for i in range(len(counts))]
+        bin_width = max(1, int(math.ceil(top / 25.0)))
+    bins = Counter(r.trees_examined // bin_width for r in results)
+    hist = [(i * bin_width, (i + 1) * bin_width, bins[i]) for i in range(top // bin_width + 1)]
 
-    acc: dict[int, int] = {}
-    rej: dict[int, int] = {}
-    for r in results:
-        for k in r.k_accepted:
-            acc[k] = acc.get(k, 0) + 1
-        for k in r.k_rejected:
-            rej[k] = rej.get(k, 0) + 1
-    tot_a = sum(acc.values())
-    tot_r = sum(rej.values())
-    ks = sorted(set(acc) | set(rej))
+    acc = Counter(k for r in results for k in r.k_accepted)
+    rej = Counter(k for r in results for k in r.k_rejected)
+    tot_a, tot_r = acc.total(), rej.total()
     k_pmf = [
-        (k, (acc.get(k, 0) / tot_a) if tot_a else 0.0, (rej.get(k, 0) / tot_r) if tot_r else 0.0)
-        for k in ks
+        (k, acc[k] / tot_a if tot_a else 0.0, rej[k] / tot_r if tot_r else 0.0)
+        for k in sorted(acc.keys() | rej.keys())
     ]
 
-    progress = [
-        (run_id, t, s) for run_id, r in enumerate(results) for t, s in r.history
-    ]
+    progress = [(run_id, t, s) for run_id, r in enumerate(results) for t, s in r.history]
     return {
         "runs": len(results),
         "bin_width": bin_width,
@@ -201,32 +189,25 @@ def run_statistics(results: Sequence[SearchResult], bin_width: int | None = None
     }
 
 
+# (run_statistics table, CSV file stem, header)
+_CSV_TABLES = (
+    ("trees_examined_hist", "trees_examined_hist", ("bin_lo", "bin_hi", "count")),
+    ("k_pmf", "k_mutation_pmf", ("k", "accepted_pmf", "rejected_pmf")),
+    ("progress", "progress", ("run_id", "trees_examined", "score")),
+)
+
+
 def write_statistics_csv(stats: dict, out_dir: str | Path) -> dict[str, Path]:
-    """Write the run_statistics tables as CSV files with documented headers."""
+    """Write the run_statistics tables as CSV files with documented headers,
+    floats to 17 significant digits; the paths by file stem."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-
-    p = out_dir / "trees_examined_hist.csv"
-    with open(p, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count"])
-        w.writerows(stats["trees_examined_hist"])
-    paths["trees_examined_hist"] = p
-
-    p = out_dir / "k_mutation_pmf.csv"
-    with open(p, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "accepted_pmf", "rejected_pmf"])
-        for k, a, r in stats["k_pmf"]:
-            w.writerow([k, format(a, ".17g"), format(r, ".17g")])
-    paths["k_mutation_pmf"] = p
-
-    p = out_dir / "progress.csv"
-    with open(p, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run_id", "trees_examined", "score"])
-        for run_id, t, s in stats["progress"]:
-            w.writerow([run_id, t, format(s, ".17g")])
-    paths["progress"] = p
+    for table, stem, header in _CSV_TABLES:
+        paths[stem] = p = out_dir / f"{stem}.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row]
+                        for row in stats[table])
     return paths

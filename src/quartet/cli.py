@@ -48,7 +48,7 @@ from .matrix_io import (
     read_distance_matrix,
     write_distance_matrix,
 )
-from .ncd import get_compressor, load_corpus, ncd_matrix
+from .ncd import COMPRESSORS, get_compressor, load_corpus, ncd_matrix
 from .search import SearchConfig, search
 from .trees import tree_from_newick, tree_to_dot, tree_to_newick
 
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="directory of files, or manifest with --manifest")
     p.add_argument("--manifest", action="store_true",
                    help="treat CORPUS as a text file listing one path per line")
-    p.add_argument("--compressor", choices=["zlib", "bz2", "lzma"], default="zlib")
+    p.add_argument("--compressor", choices=list(COMPRESSORS), default="zlib")
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--out-name", default=None, help="matrix filename (default matrix.<ext>)")

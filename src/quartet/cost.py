@@ -77,9 +77,27 @@ def quartet_rank(a: int, b: int, c: int, d: int) -> int:
     return a + math.comb(b, 2) + math.comb(c, 3) + math.comb(d, 4)
 
 
+def _slot(n: int, topo: QuartetTopology) -> tuple[int, int]:
+    """Where a cost array over n items holds ``topo``: its quartet's colex
+    rank and its topology index. Raises ValueError when ``topo`` uses a label
+    outside 0..n-1."""
+    a, b, c, d = topo.labels
+    if d >= n:
+        raise ValueError(f"topology {topo} uses label {d} outside 0..{n - 1}")
+    return quartet_rank(a, b, c, d), topo.topo_index
+
+
 # ---------------------------------------------------------------------- #
 # Distance matrices
 # ---------------------------------------------------------------------- #
+
+
+class _CellError(ValueError):
+    """A ``DistanceMatrix`` check that failed at the cell d[i,j], ``cell``."""
+
+    def __init__(self, message: str, cell: tuple[int, int]):
+        super().__init__(message)
+        self.cell = cell
 
 
 class DistanceMatrix:
@@ -92,20 +110,16 @@ class DistanceMatrix:
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {d.shape}")
         n = d.shape[0]
-        if not np.all(np.isfinite(d)):
-            raise ValueError("distance matrix contains non-finite values")
-        if np.any(d < 0):
-            i, j = np.argwhere(d < 0)[0]
-            raise ValueError(f"negative distance d[{i},{j}] = {d[i, j]}")
-        if np.any(np.diag(d) != 0):
-            i = int(np.argwhere(np.diag(d) != 0)[0][0])
-            raise ValueError(f"nonzero diagonal entry d[{i},{i}] = {d[i, i]}")
-        mism = np.argwhere(d != d.T)
-        if mism.size:
-            i, j = (int(x) for x in mism[0])
-            raise ValueError(
-                f"matrix is not symmetric: d[{i},{j}]={d[i, j]:.17g} != d[{j},{i}]={d[j, i]:.17g}"
-            )
+        # each check fails at its first bad cell in row-major order
+        for bad, message in (
+            (~np.isfinite(d), "distance matrix contains non-finite values"),
+            (d < 0, "negative distance d[{i},{j}] = {v}"),
+            (np.diag(np.diag(d) != 0), "nonzero diagonal entry d[{i},{j}] = {v}"),
+            (d != d.T, "matrix is not symmetric: d[{i},{j}]={v:.17g} != d[{j},{i}]={w:.17g}"),
+        ):
+            if bad.any():
+                i, j = (int(x) for x in np.argwhere(bad)[0])
+                raise _CellError(message.format(i=i, j=j, v=d[i, j], w=d[j, i]), (i, j))
         self.n = n
         self.d = d
         d.setflags(write=False)
@@ -133,12 +147,6 @@ class CostFunction:
         topologies 0, 1 and 2, in colex rank order."""
         raise NotImplementedError
 
-    def _check_labels(self, topo: QuartetTopology) -> None:
-        if topo.labels[-1] >= self.n:
-            raise ValueError(
-                f"topology {topo} uses label {topo.labels[-1]} outside 0..{self.n - 1}"
-            )
-
 
 class ExplicitCostFunction(CostFunction):
     """Costs in a flat (C(n,4), 3) array; row = quartet colex rank."""
@@ -165,10 +173,8 @@ class ExplicitCostFunction(CostFunction):
         q = math.comb(n, 4)
         costs = np.full((q, 3), np.nan)
         for topo, value in mapping.items():
-            a, b, c, d = topo.labels
-            if d >= n:
-                raise ValueError(f"topology {topo} uses label {d} outside 0..{n - 1}")
-            costs[quartet_rank(a, b, c, d), topo.topo_index] = float(value)
+            slot = _slot(n, topo)
+            costs[slot] = float(value)
         holes = np.argwhere(np.isnan(costs))
         if holes.size:
             rank, idx = (int(x) for x in holes[0])
@@ -180,8 +186,7 @@ class ExplicitCostFunction(CostFunction):
         return cls(n, costs)
 
     def cost_of(self, topo: QuartetTopology) -> float:
-        self._check_labels(topo)
-        return float(self.costs[quartet_rank(*topo.labels), topo.topo_index])
+        return float(self.costs[_slot(self.n, topo)])
 
     def slab_costs(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         # the quartets with largest label x hold ranks C(x,4) .. C(x+1,4)-1
@@ -202,7 +207,7 @@ class DistanceCostFunction(CostFunction):
         self.dm = dm
 
     def cost_of(self, topo: QuartetTopology) -> float:
-        self._check_labels(topo)
+        _slot(self.n, topo)  # the label check
         d = self.dm.d
         (u, v), (w, x) = topo.pair_a, topo.pair_b
         return float(d[u, v] + d[w, x])
@@ -218,10 +223,7 @@ def cost_from_mqc(n: int, p_set: Iterable[QuartetTopology]) -> ExplicitCostFunct
     q = math.comb(n, 4)
     costs = np.ones((q, 3))
     for topo in p_set:
-        a, b, c, d = topo.labels
-        if d >= n:
-            raise ValueError(f"topology {topo} uses label {d} outside 0..{n - 1}")
-        costs[quartet_rank(a, b, c, d), topo.topo_index] = 0.0
+        costs[_slot(n, topo)] = 0.0
     return ExplicitCostFunction(n, costs)
 
 

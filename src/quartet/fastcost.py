@@ -91,7 +91,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .trees import Tree, _lca_fill, _rooted_walk, _tree_path
+from .trees import Tree, _lca_fill, _move_path, _rooted_walk, _tree_path
 
 BACKEND = "numpy"
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -245,18 +245,6 @@ class TreeCache:
         m = sat[r1] - sat[r0]
         return sat[-1] - m if comp else m
 
-    def _move_path(self, kind: str, ops: tuple[int, ...]) -> list[int]:
-        """The path Delta walks for a simple move (``MutationRecord`` kind and
-        operands): u to w for an interchange; for a subtree transfer, a to
-        the nearer end of e-f and on to the farther one."""
-        if kind != "subtree_transfer":
-            return _tree_path(self.parent, self.depth, ops[0], ops[-1])
-        _, a, _, _, e, f = ops
-        path = _tree_path(self.parent, self.depth, a, e)
-        if path[-2] != f:
-            path.append(f)
-        return path
-
     def propose(self, rng) -> tuple[str, tuple[int, ...], list[int]]:
         """Draw a simple move on this tree without touching it: (kind,
         operands, path), with the draws, kind and operands of
@@ -324,18 +312,19 @@ class TreeCache:
                 j = edges[k]
             e, f = self.ends[j]
             ops = (s, a, b, c, e, f)
-            return "subtree_transfer", ops, self._move_path("subtree_transfer", ops)
+            return "subtree_transfer", ops, _move_path(parent, depth, "subtree_transfer", ops)
 
     def delta(self, kind: str, ops: tuple[int, ...], path: list[int] | None = None) -> tuple[float, float]:
         """(Delta, tau) of a simple move on this tree, given by its
-        ``MutationRecord`` kind and operands, and the path ``propose``
-        gave with them, if any: C after the move minus C before, and a bound on how far
-        Delta may lie from the difference of the two full scores."""
+        ``MutationRecord`` kind and operands, and the path ``propose`` gave
+        with them, if any (else ``trees._move_path``): C after the move minus
+        C before, and a bound on how far Delta may lie from the difference of
+        the two full scores."""
         n = self.cost.n
         parent, lo, size = self.parent, self.lo, self.size
         nbr, cnt, cnt2, opp = self.nbr, self.cnt, self.cnt2, self.opp
         if path is None:
-            path = self._move_path(kind, ops)
+            path = _move_path(parent, self.depth, kind, ops)
         transfer = kind == "subtree_transfer"
         # X moves from the path's first end to its last, Y the other way
         if transfer:

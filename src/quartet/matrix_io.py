@@ -4,12 +4,14 @@ Readers are whitespace-tolerant; writers emit 17-significant-digit values so
 matrices round-trip exactly through any of the three formats. Nexus is read
 through the Newick reader's tokenizer (``trees._tokens``), so both formats
 share one rule for quoted labels (``''`` is a quote) and nested ``[...]``
-comments; its errors give the line. Names pass ``DistanceMatrix``'s check
-(as many as the items, unique, non-empty). The CSV writer raises ValueError
-on names its reader would change or misread: names with commas, line breaks
-or blanks at either end, a first name starting with '#', or all-numeric
-names. The PHYLIP writer raises it on names that collide or become empty
-once blanks are written as '_'.
+comments; its errors give the line. Values and names pass
+``DistanceMatrix``'s checks (as many names as items, unique, non-empty); a
+check that fails at a cell gives, in every format, the line of the input row
+that holds the cell. The CSV writer raises ValueError on names its reader
+would change or misread: names with commas, line breaks or blanks at either
+end, a first name starting with '#', or all-numeric names. The PHYLIP writer
+raises it on names that collide or become empty once blanks are written as
+'_'.
 
 One rule says what a number is: a token Python's ``float`` accepts, so
 ``1e5``, ``nan`` and ``inf`` are numbers. A CSV first row is a header
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import DistanceMatrix
+from .cost import DistanceMatrix, _CellError
 from .trees import _check_names, _LexError, _tokens
 
 __all__ = [
@@ -72,11 +74,18 @@ def _parse_float(token: str, line: int, col: int | None = None) -> float:
         raise MatrixParseError(f"expected a number, got {token!r}", line, col) from None
 
 
-def _build(values: np.ndarray, names, line_hint: int | None = None) -> DistanceMatrix:
+def _build(values: np.ndarray, names, lines: list[int], lower: bool = False) -> DistanceMatrix:
+    """The checked matrix of ``values`` read from rows on ``lines``. A check
+    that fails at a cell d[i,j] gives the line of the row holding it: row i,
+    or row j of a lower triangle, whose first failing cell (i <= j, as the
+    mirrored cell fails too) lies above the diagonal."""
     try:
         return DistanceMatrix(values, names)
+    except _CellError as exc:
+        i, j = exc.cell
+        raise MatrixParseError(str(exc), lines[j if lower else i]) from exc
     except ValueError as exc:
-        raise MatrixParseError(str(exc), line_hint) from exc
+        raise MatrixParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------- #
@@ -107,7 +116,7 @@ def _parse_csv(text: str) -> DistanceMatrix:
     for (ln, _), row in zip(lines, rows):
         if len(row) != n:
             raise MatrixParseError(f"row has {len(row)} values but the matrix has {n} rows", ln)
-    return _build(np.array(rows, dtype=np.float64), names, lines[0][0])
+    return _build(np.array(rows, dtype=np.float64), names, [ln for ln, _ in lines])
 
 
 def _format_csv(dm: DistanceMatrix) -> str:
@@ -155,7 +164,7 @@ def _parse_phylip(text: str) -> DistanceMatrix:
         raise MatrixParseError(f"expected item count, got {head!r}", head_line) from None
     if n < 1:
         raise MatrixParseError(f"bad item count {n}", head_line)
-    names = []
+    names, lines = [], []
     values = np.empty((n, n), dtype=np.float64)
     for i in range(n):
         if pos >= len(tokens):
@@ -163,6 +172,7 @@ def _parse_phylip(text: str) -> DistanceMatrix:
         name, line = tokens[pos]
         pos += 1
         names.append(name)
+        lines.append(line)
         for j in range(n):
             if pos >= len(tokens):
                 raise MatrixParseError(
@@ -173,7 +183,7 @@ def _parse_phylip(text: str) -> DistanceMatrix:
             values[i, j] = _parse_float(tok, line)
     if pos != len(tokens):
         raise MatrixParseError(f"unexpected trailing token {tokens[pos][0]!r}", tokens[pos][1])
-    return _build(values, names)
+    return _build(values, names, lines)
 
 
 def _format_phylip(dm: DistanceMatrix) -> str:
@@ -249,11 +259,12 @@ def _parse_nexus(text: str) -> DistanceMatrix:
             raise MatrixParseError("DISTANCES block has no MATRIX command", toks[i][1])
         i += 1
     if i >= len(toks):
-        raise MatrixParseError("DISTANCES block has no MATRIX command")
+        raise MatrixParseError("DISTANCES block has no MATRIX command", toks[start][1])
+    matrix_line = toks[i][1]
     if triangle not in ("BOTH", "LOWER", "UPPER"):
-        raise MatrixParseError(f"unsupported TRIANGLE={triangle}", toks[i][1])
+        raise MatrixParseError(f"unsupported TRIANGLE={triangle}", matrix_line)
     if not labels:
-        raise MatrixParseError("NOLABELS distance matrices are not supported", toks[i][1])
+        raise MatrixParseError("NOLABELS distance matrices are not supported", matrix_line)
     i += 1  # past MATRIX
 
     rows: list[tuple[str, list[float], int]] = []
@@ -274,13 +285,13 @@ def _parse_nexus(text: str) -> DistanceMatrix:
             cur_vals.append(float(tok))
         i += 1
     else:
-        raise MatrixParseError("MATRIX command not terminated by ';'")
+        raise MatrixParseError("MATRIX command not terminated by ';'", matrix_line)
     if cur_name is not None:
         rows.append((cur_name, cur_vals, cur_line))
 
     n = ntax if ntax is not None else len(rows)
     if len(rows) != n:
-        raise MatrixParseError(f"expected {n} matrix rows, found {len(rows)}")
+        raise MatrixParseError(f"expected {n} matrix rows, found {len(rows)}", line)  # the ';' line
     names = [r[0] for r in rows]
     values = np.zeros((n, n), dtype=np.float64)
     for idx, (name, vals, line) in enumerate(rows):
@@ -297,7 +308,7 @@ def _parse_nexus(text: str) -> DistanceMatrix:
         values = values + values.T
         if diagonal:
             values[np.diag_indices(n)] /= 2.0
-    return _build(values, names)
+    return _build(values, names, [r[2] for r in rows], lower=triangle == "LOWER")
 
 
 def _format_nexus(dm: DistanceMatrix) -> str:

@@ -8,8 +8,10 @@ degree-2 node left behind) and reattaches it on another edge. The random
 moves return a bare (kind, operands) pair; a replayable, invertible
 MutationRecord is made from it only where the move is kept: by
 ``simple_mutation``, and by the search for the moves that join its trace.
-``apply_record`` checks a record in full against the working rows before it
-writes, on the tree's rooted walk (``trees._rooted_walk``). The surgery
+One table, ``_OPERAND_COUNTS``, names the kinds in the order a kind draw
+indexes them (``KINDS``) and gives each its operand count. ``apply_record``
+checks a record in full against the working rows before it writes, on the
+tree's rooted walk and the move's path (``trees._move_path``). The surgery
 writes each new neighbour into the slot of the one it replaces, so the move
 with the inverse operands (``_inverse``) restores the rows slot for slot.
 
@@ -31,13 +33,14 @@ depend on PCG64's raw stream and on the order of the draws.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import Tree, _replace_neighbor, _rooted_walk, _tree_path
+from .trees import Tree, _move_path, _replace_neighbor, _rooted_walk
 
 __all__ = [
     "MutationRecord",
@@ -49,7 +52,9 @@ __all__ = [
     "simple_mutation",
 ]
 
-KINDS = ("leaf_interchange", "subtree_interchange", "subtree_transfer")
+# kind -> operand count, in the order a kind draw indexes the kinds
+_OPERAND_COUNTS = {"leaf_interchange": 2, "subtree_interchange": 4, "subtree_transfer": 6}
+KINDS = tuple(_OPERAND_COUNTS)
 
 
 @dataclass(frozen=True)
@@ -77,12 +82,12 @@ class MutationRecord:
     @classmethod
     def from_line(cls, line: str) -> "MutationRecord":
         parts = line.split()
-        if not parts or parts[0] not in KINDS:
+        if not parts or parts[0] not in _OPERAND_COUNTS:
             raise ValueError(f"bad mutation record line: {line!r}")
-        want = {"leaf_interchange": 2, "subtree_interchange": 4, "subtree_transfer": 6}
+        want = _OPERAND_COUNTS[parts[0]]
         ops = tuple(int(x) for x in parts[1:])
-        if len(ops) != want[parts[0]]:
-            raise ValueError(f"{parts[0]} needs {want[parts[0]]} operands: {line!r}")
+        if len(ops) != want:
+            raise ValueError(f"{parts[0]} needs {want} operands: {line!r}")
         if min(ops) < 0:  # -1 pads leaf rows, so it must not pass for a node
             raise ValueError(f"negative node id in mutation record: {line!r}")
         return cls(parts[0], ops)
@@ -163,17 +168,17 @@ def _check_move(adj: list[list[int]], kind: str, ops: tuple[int, ...]) -> str | 
     parent, depth, *_ = _rooted_walk(adj, (len(adj) + 2) // 2)
     if kind == "subtree_interchange":
         # x after u and y before w on the u-w path, of 3 or more edges
-        u, x, y, w = ops
-        path = _tree_path(parent, depth, u, w)
+        _, x, y, _ = ops
+        path = _move_path(parent, depth, kind, ops)
         if len(path) < 4 or path[1] != x or path[-2] != y:
             return "interchange record mismatch"
     else:
         # e-f an edge of the tree with neither end at a or on s's side, where
-        # the path from a to e would leave through s
+        # the path from a to e-f would leave through s
         s, a, b, c, e, f = ops
         if sorted(rows[1]) != sorted((s, b, c)):
             return f"transfer record mismatch: node {a} has neighbors {rows[1]}"
-        if f not in rows[4] or a in (e, f) or _tree_path(parent, depth, a, e)[1] == s:
+        if f not in rows[4] or a in (e, f) or _move_path(parent, depth, kind, ops)[1] == s:
             return "transfer record mismatch"
     return None
 
@@ -408,37 +413,28 @@ def simple_mutation(adj: list[list[int]], n: int, rng) -> MutationRecord:
 # Fat-tail mutation-count sampler
 # ---------------------------------------------------------------------- #
 
-_NORMALIZER: float | None = None
-_CDF_CACHE: dict[int, tuple[float, ...]] = {}
-
-
+@functools.cache
 def shifted_pmf_normalizer() -> float:
     """Normalizing constant of 1/((k+2) ln^2(k+2)) over k >= 1, i.e. the sum
     of 1/(j ln^2 j) for j >= 3, via partial sum plus Euler-Maclaurin tail
     (accurate to well below 1e-12)."""
-    global _NORMALIZER
-    if _NORMALIZER is None:
-        J = 1 << 20
-        j = np.arange(3, J, dtype=np.float64)
-        partial = float(np.sum(1.0 / (j * np.log(j) ** 2)))
-        lj = math.log(J)
-        tail = 1.0 / lj + 1.0 / (2 * J * lj**2) + (lj + 2.0) / (12 * J**2 * lj**3)
-        _NORMALIZER = partial + tail
-    return _NORMALIZER
+    J = 1 << 20
+    j = np.arange(3, J, dtype=np.float64)
+    partial = float(np.sum(1.0 / (j * np.log(j) ** 2)))
+    lj = math.log(J)
+    tail = 1.0 / lj + 1.0 / (2 * J * lj**2) + (lj + 2.0) / (12 * J**2 * lj**3)
+    return partial + tail
 
 
+@functools.cache
 def _k_cdf(k_max: int) -> tuple[float, ...]:
     """P(k <= j) for j = 1..k_max, the last one clamped to 1."""
-    cdf = _CDF_CACHE.get(k_max)
-    if cdf is None:
-        if k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {k_max}")
-        k = np.arange(1, k_max + 1, dtype=np.float64)
-        p = 1.0 / ((k + 2.0) * np.log(k + 2.0) ** 2) / shifted_pmf_normalizer()
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0  # clamp: overflow mass belongs to k_max
-        cdf = _CDF_CACHE[k_max] = tuple(cdf.tolist())
-    return cdf
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k = np.arange(1, k_max + 1, dtype=np.float64)
+    cdf = np.cumsum(1.0 / ((k + 2.0) * np.log(k + 2.0) ** 2) / shifted_pmf_normalizer())
+    cdf[-1] = 1.0  # clamp: overflow mass belongs to k_max
+    return tuple(cdf.tolist())
 
 
 def sample_k(rng, k_max: int) -> int:

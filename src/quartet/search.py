@@ -199,7 +199,6 @@ class _Scorer:
         self.n = cf.n
         self.bounds = cost_bounds(cf)
         self._d = cf.dm.d if isinstance(cf, DistanceCostFunction) else None
-        self.which = "naive" if self._d is None else "fast"
         self.delta_cost = None if self._d is None else DeltaCost(self._d)
 
     def cost(self, adj: list[list[int]]) -> float:
@@ -209,9 +208,6 @@ class _Scorer:
 
     def certify_perfect(self, adj: list[list[int]], cost: float) -> bool:
         return self.bounds.may_be_perfect(cost) and is_min_perfect(adj, self.cf, self.n)
-
-    def score(self, cost: float, perfect: bool) -> float:
-        return score_from_cost(cost, self.bounds, perfect)
 
 
 def _temperature(config: SearchConfig, scorer: _Scorer) -> float:
@@ -244,7 +240,6 @@ class _Run:
         self.best_cost = math.inf
         self.perfect = False
         self.improved = False
-        self.initialized = False
         self._key: str | None = None
         self.k_accepted: list[int] = []
         self.k_rejected: list[int] = []
@@ -254,26 +249,35 @@ class _Run:
     def advance(self, budget: int | None) -> None:
         """One generation (or initialization) in place; sets self.improved."""
         self.improved = False
-        if not self.initialized:
+        if self.initial_tree is None:
             self._start()
+        elif self.perfect:
             return
-        if self.perfect:
-            return
-        if self.cfg.mode == "hill_climb":
+        elif self.cfg.mode == "hill_climb":
             self._gen_hill()
         else:
             self._gen_metropolis(budget)
 
+    def _commit(self, adj, cost: float, moves, perfect: bool, cache: TreeCache | None = None) -> None:
+        """Make ``adj``, costing ``cost`` and reached from the best tree by
+        the (kind, operands) ``moves``, the run's new best tree; ``perfect``
+        is its certificate, ``cache`` its ``TreeCache`` if one was built."""
+        self.best_adj = adj
+        self.best_cost = cost
+        self.best_cache = cache
+        self.perfect = perfect
+        self._key = None
+        self.improved = True
+        self.trace.extend(MutationRecord(kind, ops) for kind, ops in moves)
+
     def _start(self) -> None:
         """Examine a random tree as the run's first best tree."""
         self.initial_tree = random_tree(self.n, self.rng)
-        self.best_adj = self.initial_tree.copy_adjacency()
-        self.best_cost = self.scorer.cost(self.best_adj)
+        adj = self.initial_tree.copy_adjacency()
+        c = self.scorer.cost(adj)
         self.examined += 1
         self.full_scores += 1
-        self.improved = True
-        self.initialized = True
-        self.perfect = self.scorer.certify_perfect(self.best_adj, self.best_cost)
+        self._commit(adj, c, (), self.scorer.certify_perfect(adj, c))
 
     def _gen_hill(self) -> None:
         k = sample_k(self.rng, self.k_max)
@@ -283,14 +287,8 @@ class _Run:
         self.examined += 1
         self.full_scores += 1
         if c < self.best_cost:
-            self.best_adj = work
-            self.best_cost = c
-            self._key = None
-            self.improved = True
             self.k_accepted.append(k)
-            self.trace.extend(MutationRecord(kind, ops) for kind, ops in moves)
-            if self.scorer.certify_perfect(self.best_adj, c):
-                self.perfect = True
+            self._commit(work, c, moves, self.scorer.certify_perfect(work, c))
         else:
             self.k_rejected.append(k)
 
@@ -305,6 +303,7 @@ class _Run:
         walk_best = self.best_adj
         moves: list[tuple[str, tuple[int, ...]]] = []
         best_prefix = 0
+        perfect = False
         steps = self.trial_length if budget is None else min(self.trial_length, budget)
         for _ in range(steps):
             if cache is None:
@@ -336,20 +335,15 @@ class _Run:
                     walk_best = [row[:] for row in cur]
                     walk_cache = cache
                     best_prefix = len(moves)
-                    if self.scorer.certify_perfect(cur, ccur):
-                        self.perfect = True
+                    perfect = self.scorer.certify_perfect(cur, ccur)
+                    if perfect:
                         break
             elif cache is None:
                 apply_record(cur, rec.inverse())
             else:
                 _APPLY[kind](cur, *_inverse(kind, ops))
         if walk_cost < self.best_cost:
-            self.best_adj = walk_best
-            self.best_cost = walk_cost
-            self.best_cache = walk_cache
-            self._key = None
-            self.improved = True
-            self.trace.extend(MutationRecord(kind, ops) for kind, ops in moves[:best_prefix])
+            self._commit(walk_best, walk_cost, moves[:best_prefix], perfect, walk_cache)
 
     def best_key(self) -> str:
         if self._key is None:
@@ -398,7 +392,7 @@ def search(cf: CostFunction, config: SearchConfig | None = None, **overrides) ->
             last_improve = total
             if run.best_cost < gb_cost:
                 gb, gb_cost = i, run.best_cost
-                s = scorer.score(run.best_cost, run.perfect)
+                s = score_from_cost(run.best_cost, b, run.perfect)
                 history.append((total, s))
                 if progress is not None:
                     progress.write(f"{total}\t{s!r}\n")
@@ -407,7 +401,7 @@ def search(cf: CostFunction, config: SearchConfig | None = None, **overrides) ->
         if (
             config.termination == "agreement"
             and run.improved
-            and all(x.initialized for x in runs)
+            and all(x.initial_tree is not None for x in runs)  # costs may overflow to inf
             and all(x.best_cost == run.best_cost for x in runs)
         ):
             key = run.best_key()
@@ -432,10 +426,9 @@ def search(cf: CostFunction, config: SearchConfig | None = None, **overrides) ->
     reason, winner = stop
 
     win = runs[winner if winner >= 0 else 0]
-    best_score = scorer.score(win.best_cost, win.perfect)
     result = SearchResult(
         best_tree=win.best_tree(),
-        best_score=best_score,
+        best_score=score_from_cost(win.best_cost, b, win.perfect),
         best_cost=win.best_cost,
         trees_examined=total,
         history=history,
@@ -443,7 +436,7 @@ def search(cf: CostFunction, config: SearchConfig | None = None, **overrides) ->
         terminated_by=reason,
         bounds=b,
         mode=config.mode,
-        scorer=scorer.which,
+        scorer="naive" if scorer.delta_cost is None else "fast",
         k_accepted=[k for run in runs for k in run.k_accepted],
         k_rejected=[k for run in runs for k in run.k_rejected],
         full_scores=sum(run.full_scores for run in runs),

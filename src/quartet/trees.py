@@ -15,16 +15,17 @@ One walk serves every pass over a whole tree. ``_rooted_walk`` roots the
 rows at an internal node, node n unless told otherwise, and gives every node
 its parent, edge depth, leaf count and walk-order range of the leaves below
 it; ``_tree_path`` follows its parents and depths from two nodes to the path
-between them. ``Tree._validate`` finds a disconnected input as a node the
-walk leaves without a parent, ``_canonical_key`` encodes each edge's two
-sides over the walk's order, and the Newick writer roots the walk at leaf
-0's neighbour and writes each clade after the clades below it. Leaf-pair
-path lengths come from the walk and one fill: ``_lca_fill`` takes the walk
-and any integer node depth D and returns D(u) + D(v) - 2 D(lca(u, v)) for
-every leaf pair, by tiling D(lca) over sibling-subtree blocks. With edge
-counts for D that is ``hop_distances``; ``fastcost`` passes the doubled
-quartet weights of its O(n^2) scorer and keeps the walk for its move deltas
-and proposals.
+between them, and ``_move_path`` from a simple move's operands to the path
+that the move's record check and its cost change (``fastcost``) read.
+``Tree._validate`` finds a disconnected input as a node the walk leaves
+without a parent, ``_canonical_key`` encodes each edge's two sides over the
+walk's order, and the Newick writer roots the walk at leaf 0's neighbour and
+writes each clade after the clades below it. Leaf-pair path lengths come
+from the walk and one fill: ``_lca_fill`` takes the walk and any integer
+node depth D and returns D(u) + D(v) - 2 D(lca(u, v)) for every leaf pair,
+by tiling D(lca) over sibling-subtree blocks. With edge counts for D that is
+``hop_distances``; ``fastcost`` passes the doubled quartet weights of its
+O(n^2) scorer and keeps the walk for its move deltas and proposals.
 
 Quartet topologies are canonical pairings uv|wx of four distinct labels; a
 topology is embedded in a tree when the u-v and w-x paths share no vertex.
@@ -103,26 +104,23 @@ class QuartetTopology:
         """Index 0..2 of this pairing within its quartet.
 
         For sorted labels a<b<c<d: 0 is ab|cd, 1 is ac|bd, 2 is ad|bc,
-        i.e. the index names the partner of the smallest label.
+        i.e. the index is the position of the smallest label's partner
+        among b, c, d.
         """
-        a, b, c, d = self.labels
-        partner = self.pair_a[1]
-        return 0 if partner == b else (1 if partner == c else 2)
+        return self.labels.index(self.pair_a[1]) - 1
 
     def __str__(self) -> str:
         return f"{self.pair_a[0]},{self.pair_a[1]}|{self.pair_b[0]},{self.pair_b[1]}"
 
 
 def topology_from_index(quartet: Sequence[int], topo_index: int) -> QuartetTopology:
-    """Inverse of ``QuartetTopology.topo_index`` for a sorted 4-tuple."""
+    """Inverse of ``QuartetTopology.topo_index``: the smallest label paired
+    with the other labels' ``topo_index``-th, in ascending order."""
     a, b, c, d = sorted(quartet)
-    if topo_index == 0:
-        return QuartetTopology((a, b), (c, d))
-    if topo_index == 1:
-        return QuartetTopology((a, c), (b, d))
-    if topo_index == 2:
-        return QuartetTopology((a, d), (b, c))
-    raise ValueError(f"topology index must be 0, 1 or 2, got {topo_index}")
+    if topo_index not in (0, 1, 2):
+        raise ValueError(f"topology index must be 0, 1 or 2, got {topo_index}")
+    rest = [b, c, d]
+    return QuartetTopology((a, rest.pop(topo_index)), rest)
 
 
 def enumerate_quartets(n: int) -> Iterator[tuple[int, int, int, int]]:
@@ -402,6 +400,19 @@ def _tree_path(parent: list[int], depth: list[int], a: int, b: int) -> list[int]
     down.pop()
     up.extend(reversed(down))
     return up
+
+
+def _move_path(parent: list[int], depth: list[int], kind: str, ops: tuple[int, ...]) -> list[int]:
+    """The path of a simple move (``MutationRecord`` kind and operands) from a
+    ``_rooted_walk``'s parents and depths: u to w for an interchange; for a
+    transfer, a to the nearer end of e-f and on to the farther one."""
+    if kind != "subtree_transfer":
+        return _tree_path(parent, depth, ops[0], ops[-1])
+    _, a, _, _, e, f = ops
+    path = _tree_path(parent, depth, a, e)
+    if path[-2] != f:
+        path.append(f)
+    return path
 
 
 def _lca_fill(n: int, walk, depth) -> np.ndarray:

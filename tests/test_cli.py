@@ -1,11 +1,13 @@
 import csv
 import json
+import shlex
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quartet.cli import main
+from quartet.cli import build_parser, main
 from quartet.cost import DistanceMatrix
 from quartet.matrix_io import write_distance_matrix
 from quartet.search import SearchConfig
@@ -273,3 +275,13 @@ def test_each_search_flag_sets_its_config_field(tmp_path, command, flag):
     assert main(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"] == asdict(expected)
+
+
+def test_every_readme_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [line for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("quartet ")]
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).func.__name__ for line in examples}
+    assert commands == {"_cmd_ncd", "_cmd_cluster", "_cmd_score", "_cmd_bench_artificial",
+                        "_cmd_bench_stats"}

@@ -10,6 +10,7 @@ from quartet.cost import (
     ExplicitCostFunction,
     IncompleteCostFunctionError,
     ScoreBounds,
+    _unrank_quartet,
     bounds,
     cost_from_mqc,
     is_min_perfect,
@@ -61,6 +62,29 @@ def explicit_n4(c01, c02, c03):
 def test_quartet_rank_is_colex_order():
     for want, quartet in enumerate(enumerate_quartets(8)):
         assert quartet_rank(*quartet) == want
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_unrank_inverts_quartet_rank(n):
+    quartets = list(enumerate_quartets(n))
+    assert [_unrank_quartet(n, quartet_rank(*q)) for q in quartets] == quartets
+
+
+def label_checks(n, topo):
+    """The four entry points that check a topology's labels against n."""
+    yield lambda: DistanceCostFunction(DistanceMatrix(1.0 - np.eye(n))).cost_of(topo)
+    yield lambda: ExplicitCostFunction(n, np.ones((math.comb(n, 4), 3))).cost_of(topo)
+    yield lambda: ExplicitCostFunction.from_mapping(n, {topo: 0.0})
+    yield lambda: cost_from_mqc(n, [topo])
+
+
+@pytest.mark.parametrize("pairs, label", [(((0, 1), (2, 6)), 6), (((9, 1), (7, 3)), 9)])
+def test_every_label_check_gives_one_message(pairs, label):
+    topo = QuartetTopology(*pairs)
+    for call in label_checks(6, topo):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"topology {topo} uses label {label} outside 0..5"
 
 
 def test_distance_matrix_validation():

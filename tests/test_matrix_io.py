@@ -190,3 +190,73 @@ def test_nexus_reads_every_triangle_layout(triangle, diagonal):
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(nexus_triangle(dm.d, names, triangle, diagonal, short_row=2), "nexus")
     assert str(exc.value) == message
+
+
+def csv_text(d, names):
+    """A comment line and a header, then row i on line 3 + i."""
+    rows = [",".join(repr(float(x)) for x in row) for row in d]
+    return "\n".join(["# distances", ",".join(names), *rows]) + "\n"
+
+
+def phylip_text(d, names):
+    """The item count, then row i on line 2 + i."""
+    rows = [f"{nm} " + " ".join(repr(float(x)) for x in row) for nm, row in zip(names, d)]
+    return "\n".join([str(len(d)), *rows]) + "\n"
+
+
+WRITERS = {  # format: (text writer, line of row 0)
+    "csv": (csv_text, 3),
+    "phylip": (phylip_text, 2),
+    "nexus": (lambda d, names: nexus_triangle(d, names, "BOTH", True), 6),
+}
+# (cell set, value, message, row of the reported cell): each of the
+# DistanceMatrix checks, failing first at one cell
+CELL_CHECKS = [
+    ((2, 1), float("nan"), "distance matrix contains non-finite values", 2),
+    ((2, 1), -1.0, "negative distance d[2,1] = -1.0", 2),
+    ((2, 2), 0.5, "nonzero diagonal entry d[2,2] = 0.5", 2),
+    ((2, 1), 7.0, "matrix is not symmetric: d[1,2]=1 != d[2,1]=7", 1),
+]
+
+
+@pytest.mark.parametrize("cell, value, message, row", CELL_CHECKS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_matrix_checks_give_the_line_of_the_failing_row(fmt, cell, value, message, row):
+    write, first_line = WRITERS[fmt]
+    d = 1.0 - np.eye(4)
+    d[cell] = value
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(write(d, ["a", "b", "c", "d"]), fmt)
+    assert str(exc.value) == f"line {first_line + row}: {message}"
+
+
+@pytest.mark.parametrize("triangle, diagonal, cell, value, message", [
+    (triangle, diagonal, cell if triangle == "LOWER" else cell[::-1], value, message)
+    for triangle in ("LOWER", "UPPER") for diagonal in (True, False)
+    for cell, value, message, _ in CELL_CHECKS[:3] if diagonal or cell[0] != cell[1]
+])
+def test_triangle_checks_give_the_line_of_the_row_holding_the_cell(triangle, diagonal, cell, value,
+                                                                    message):
+    # the cell's mirror fails too, and comes first in the message when the
+    # cell lies below the diagonal; the line is that of the row holding it
+    d = 1.0 - np.eye(4)
+    d[cell] = value
+    first, second = sorted(cell)
+    message = message.replace("d[2,1]", f"d[{first},{second}]")
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(nexus_triangle(d, ["a", "b", "c", "d"], triangle, diagonal), "nexus")
+    assert str(exc.value) == f"line {6 + cell[0]}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=2;\nMATRIX\na 0 1\nb 1 0\n",
+     "line 4: MATRIX command not terminated by ';'"),
+    ("#NEXUS\n\nBEGIN DISTANCES;\nDIMENSIONS NTAX=2;\n",
+     "line 3: DISTANCES block has no MATRIX command"),
+    ("#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=3;\nMATRIX\na 0 1\nb 1 0\n  ;\nEND;\n",
+     "line 7: expected 3 matrix rows, found 2"),
+])
+def test_nexus_block_errors_give_a_line(text, message):
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(text, "nexus")
+    assert str(exc.value) == message

@@ -33,6 +33,8 @@ from quartet.mutate import (
 from quartet.search import replay_trace, search
 from quartet.trees import (
     Tree,
+    _move_path,
+    _rooted_walk,
     hop_distances,
     random_tree,
     tree_from_newick,
@@ -203,6 +205,24 @@ def test_every_move_and_its_inverse_restore_the_rows_slot_for_slot(n):
                 _, _, b, c, e, f = rec.operands
                 touching += e == c or f == b
     assert touching
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_move_path_is_the_tree_path_of_every_move(n):
+    # an interchange's path runs from its first operand to its last; a
+    # transfer's from a to the nearer end of e-f and on to the farther one
+    for i, tree in enumerate(enumerate_all_trees(n)):
+        rows = shuffled_rows(tree, n, rng_for(i))
+        parent, depth, *_ = _rooted_walk(rows, n)
+        for rec in all_moves(rows, n):
+            kind, ops = rec.kind, rec.operands
+            if kind == "subtree_transfer":
+                _, a, _, _, e, f = ops
+                near, far = sorted((_bfs_path(rows, a, e), _bfs_path(rows, a, f)), key=len)
+                want = near + far[-1:]
+            else:
+                want = _bfs_path(rows, ops[0], ops[-1])
+            assert _move_path(parent, depth, kind, ops) == want, rec
 
 
 class Scripted:

@@ -283,6 +283,15 @@ def test_agreement_terminates_on_suboptimal_consensus():
     assert trees_equal(res.best_tree, five_leaf_target())
 
 
+def test_agreement_waits_for_every_run_when_costs_overflow():
+    # every tree costs inf, as a run not yet started holds, so equal costs
+    # do not show that every run has a tree to compare
+    cf = ExplicitCostFunction(5, rng_for(0).uniform(1e307, 1.7e308, (5, 3)))
+    with np.errstate(over="ignore"):
+        res = search(cf, termination="agreement", patience=50, seed=1)
+    assert (res.terminated_by, res.best_cost) == ("patience", math.inf)
+
+
 # ------------------------------------------------------------ io surfaces
 
 

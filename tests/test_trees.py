@@ -54,6 +54,12 @@ def test_topology_index_round_trip(quartet):
         assert topo.labels == tuple(sorted(quartet))
 
 
+@pytest.mark.parametrize("idx", [3, -1])
+def test_topology_index_outside_0_to_2_is_rejected(idx):
+    with pytest.raises(ValueError, match=f"topology index must be 0, 1 or 2, got {idx}$"):
+        topology_from_index((0, 1, 2, 3), idx)
+
+
 def test_enumerate_counts():
     assert len(list(enumerate_quartets(4))) == 1
     assert len(all_topologies(4)) == 3

@@ -19,9 +19,10 @@ from .cost import (
     bounds,
     cost_from_mqc,
     score,
+    tree_cost_fast,
     tree_cost_naive,
 )
-from .fastcost import BACKEND, tree_cost_fast
+from .fastcost import BACKEND
 from .trees import (
     QuartetTopology,
     Tree,

@@ -40,9 +40,10 @@ from .bench import (
     run_statistics,
     write_statistics_csv,
 )
-from .cost import DistanceCostFunction, bounds, is_min_perfect, score_from_cost
-from .fastcost import BACKEND, tree_cost_fast
+from .cost import DistanceCostFunction, bounds, is_min_perfect, score_from_cost, tree_cost_fast
+from .fastcost import BACKEND
 from .matrix_io import (
+    _FORMATS,
     FORMATS,
     MatrixParseError,
     read_distance_matrix,
@@ -54,7 +55,6 @@ from .trees import tree_from_newick, tree_to_dot, tree_to_newick
 
 RESULT_VERSION = 1
 
-_EXT_BY_FORMAT = {"csv": ".csv", "phylip": ".phy", "nexus": ".nex"}
 _MODES = {"hill": "hill_climb", "metropolis": "metropolis"}  # --mode value: SearchConfig.mode
 
 
@@ -180,7 +180,7 @@ def _cmd_ncd(args) -> int:
     dm = ncd_matrix(items, z, workers=args.threads)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out_name = args.out_name or ("matrix" + _EXT_BY_FORMAT[args.format])
+    out_name = args.out_name or ("matrix" + _FORMATS[args.format].extensions[0])
     out_path = out_dir / out_name
     write_distance_matrix(dm, out_path, args.format)
     digests = {

@@ -35,11 +35,12 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import fastcost
+from .fastcost import cost_distance_from_adj
 from .trees import (
     QuartetTopology,
     Tree,
     _adj_of,
+    _CellError,
     _check_names,
     _colex_triples,
     hop_distances,
@@ -61,6 +62,7 @@ __all__ = [
     "quartet_rank",
     "score",
     "score_from_cost",
+    "tree_cost_fast",
     "tree_cost_naive",
 ]
 
@@ -90,14 +92,6 @@ def _slot(n: int, topo: QuartetTopology) -> tuple[int, int]:
 # ---------------------------------------------------------------------- #
 # Distance matrices
 # ---------------------------------------------------------------------- #
-
-
-class _CellError(ValueError):
-    """A ``DistanceMatrix`` check that failed at the cell d[i,j], ``cell``."""
-
-    def __init__(self, message: str, cell: tuple[int, int]):
-        super().__init__(message)
-        self.cell = cell
 
 
 class DistanceMatrix:
@@ -282,13 +276,33 @@ def tree_cost_naive(tree_or_adj, cf: CostFunction, n: int | None = None) -> floa
     return total
 
 
+def tree_cost_fast(tree: Tree, dm) -> float:
+    """C_T for the distance matrix ``dm``, a ``DistanceMatrix`` or an array
+    that passes its checks; equals the naive scorer up to float summation
+    order (<= 1e-9 relative)."""
+    if not isinstance(dm, DistanceMatrix):
+        dm = DistanceMatrix(dm)
+    if dm.n != tree.n:
+        raise ValueError(f"tree has {tree.n} leaves but distance matrix is {dm.n}x{dm.n}")
+    return cost_distance_from_adj(tree.copy_adjacency(), tree.n, dm.d)
+
+
 def bounds(cf: CostFunction) -> ScoreBounds:
-    """Summed per-quartet minima and maxima of the three topology costs."""
+    """Summed per-quartet minima and maxima of the three topology costs.
+
+    Raises ValueError unless 8 max(|m|, |M|) is finite, so that no sum a
+    scorer forms can overflow: the fast scorer's partial sums stay below
+    2 C_T <= 2M, ``DeltaCost``'s total of d is at most 6M (a quartet's
+    largest pairing sum is at least a third of its six distances), and the
+    naive scorer's slab sums lie between those of m and M."""
     lo = 0.0
     hi = 0.0
-    for c0, c1, c2 in cf.slab_costs():
-        lo += float(np.minimum(np.minimum(c0, c1), c2).sum())
-        hi += float(np.maximum(np.maximum(c0, c1), c2).sum())
+    with np.errstate(over="ignore"):  # an overflow fails below
+        for c0, c1, c2 in cf.slab_costs():
+            lo += float(np.minimum(np.minimum(c0, c1), c2).sum())
+            hi += float(np.maximum(np.maximum(c0, c1), c2).sum())
+    if not (math.isfinite(8 * lo) and math.isfinite(8 * hi)):
+        raise ValueError(f"costs too large: 8*max(|m|, |M|) must be finite, got m={lo!r}, M={hi!r}")
     return ScoreBounds(lo, hi)
 
 
@@ -322,7 +336,7 @@ def score(tree: Tree, cf: CostFunction) -> float:
     """S(T) in [0, 1]; exactly 1.0 iff the tree is certified optimal."""
     b = bounds(cf)
     if isinstance(cf, DistanceCostFunction):
-        cost = fastcost.tree_cost_fast(tree, cf.dm)
+        cost = tree_cost_fast(tree, cf.dm)
     else:
         cost = tree_cost_naive(tree, cf)
     return score_from_cost(cost, b, b.may_be_perfect(cost) and is_min_perfect(tree, cf))

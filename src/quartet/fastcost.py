@@ -91,7 +91,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .trees import Tree, _lca_fill, _move_path, _rooted_walk, _tree_path
+from .trees import _lca_fill, _move_path, _rooted_walk, _tree_path
 
 BACKEND = "numpy"
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -101,7 +101,6 @@ __all__ = [
     "DeltaCost",
     "TreeCache",
     "cost_distance_from_adj",
-    "tree_cost_fast",
 ]
 
 
@@ -314,17 +313,15 @@ class TreeCache:
             ops = (s, a, b, c, e, f)
             return "subtree_transfer", ops, _move_path(parent, depth, "subtree_transfer", ops)
 
-    def delta(self, kind: str, ops: tuple[int, ...], path: list[int] | None = None) -> tuple[float, float]:
+    def delta(self, kind: str, ops: tuple[int, ...], path: list[int]) -> tuple[float, float]:
         """(Delta, tau) of a simple move on this tree, given by its
-        ``MutationRecord`` kind and operands, and the path ``propose`` gave
-        with them, if any (else ``trees._move_path``): C after the move minus
-        C before, and a bound on how far Delta may lie from the difference of
-        the two full scores."""
+        ``MutationRecord`` kind and operands and its path (the one
+        ``propose`` gives, ``trees._move_path`` on the cache's walk): C after
+        the move minus C before, and a bound on how far Delta may lie from
+        the difference of the two full scores."""
         n = self.cost.n
         parent, lo, size = self.parent, self.lo, self.size
         nbr, cnt, cnt2, opp = self.nbr, self.cnt, self.cnt2, self.opp
-        if path is None:
-            path = _move_path(parent, self.depth, kind, ops)
         transfer = kind == "subtree_transfer"
         # X moves from the path's first end to its last, Y the other way
         if transfer:
@@ -402,15 +399,3 @@ class TreeCache:
         dl = math.ldexp(float(acc), -self.cost.k)
         return dl, self.cost.tau + abs(dl) * _EPS * 2
 
-
-def tree_cost_fast(tree: Tree, dm) -> float:
-    """C_T for the distance matrix ``dm``, a ``DistanceMatrix`` or an array
-    that passes its checks; equals the naive scorer up to float summation
-    order (<= 1e-9 relative)."""
-    if not hasattr(dm, "d"):
-        from .cost import DistanceMatrix  # cost imports this module
-
-        dm = DistanceMatrix(dm)
-    if dm.n != tree.n:
-        raise ValueError(f"tree has {tree.n} leaves but distance matrix is {dm.n}x{dm.n}")
-    return cost_distance_from_adj(tree.copy_adjacency(), tree.n, dm.d)

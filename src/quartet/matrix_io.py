@@ -7,11 +7,11 @@ share one rule for quoted labels (``''`` is a quote) and nested ``[...]``
 comments; its errors give the line. Values and names pass
 ``DistanceMatrix``'s checks (as many names as items, unique, non-empty); a
 check that fails at a cell gives, in every format, the line of the input row
-that holds the cell. The CSV writer raises ValueError on names its reader
-would change or misread: names with commas, line breaks or blanks at either
-end, a first name starting with '#', or all-numeric names. The PHYLIP writer
-raises it on names that collide or become empty once blanks are written as
-'_'.
+that holds the cell, and a repeated name the line of its second copy. The
+CSV writer raises ValueError on names its reader would change or misread:
+names with commas, line breaks or blanks at either end, a first name
+starting with '#', or all-numeric names. The PHYLIP writer raises it on
+names that collide or become empty once blanks are written as '_'.
 
 One rule says what a number is: a token Python's ``float`` accepts, so
 ``1e5``, ``nan`` and ``inf`` are numbers. A CSV first row is a header
@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cost import DistanceMatrix, _CellError
-from .trees import _check_names, _LexError, _tokens
+from .cost import DistanceMatrix
+from .trees import _CellError, _check_names, _LexError, _tokens
 
 __all__ = [
     "FORMATS",
@@ -39,8 +40,6 @@ __all__ = [
     "read_distance_matrix",
     "write_distance_matrix",
 ]
-
-FORMATS = ("csv", "phylip", "nexus")
 
 
 class MatrixParseError(ValueError):
@@ -78,7 +77,8 @@ def _build(values: np.ndarray, names, lines: list[int], lower: bool = False) -> 
     """The checked matrix of ``values`` read from rows on ``lines``. A check
     that fails at a cell d[i,j] gives the line of the row holding it: row i,
     or row j of a lower triangle, whose first failing cell (i <= j, as the
-    mirrored cell fails too) lies above the diagonal."""
+    mirrored cell fails too) lies above the diagonal. A repeated name fails
+    at (k, k), k the row holding its second copy."""
     try:
         return DistanceMatrix(values, names)
     except _CellError as exc:
@@ -342,27 +342,31 @@ def _format_nexus(dm: DistanceMatrix) -> str:
 # Entry points
 # ---------------------------------------------------------------------- #
 
-_PARSERS = {"csv": _parse_csv, "phylip": _parse_phylip, "nexus": _parse_nexus}
-_FORMATTERS = {"csv": _format_csv, "phylip": _format_phylip, "nexus": _format_nexus}
 
-_EXT_FORMATS = {
-    ".csv": "csv",
-    ".phy": "phylip",
-    ".phylip": "phylip",
-    ".dist": "phylip",
-    ".nex": "nexus",
-    ".nexus": "nexus",
-    ".nxs": "nexus",
+class _Format(NamedTuple):
+    """A matrix format's reader, writer and file extensions."""
+
+    reader: Callable[[str], DistanceMatrix]
+    writer: Callable[[DistanceMatrix], str]
+    extensions: tuple[str, ...]  # the first names the files ``quartet ncd`` writes
+
+
+_FORMATS = {
+    "csv": _Format(_parse_csv, _format_csv, (".csv",)),
+    "phylip": _Format(_parse_phylip, _format_phylip, (".phy", ".phylip", ".dist")),
+    "nexus": _Format(_parse_nexus, _format_nexus, (".nex", ".nexus", ".nxs")),
 }
+FORMATS = tuple(_FORMATS)
 
 
 def detect_format(path: str | Path | None = None, text: str | None = None) -> str:
     """Guess the matrix format from file extension, falling back to content
     (#NEXUS header, a lone leading integer for PHYLIP, else CSV)."""
     if path is not None:
-        fmt = _EXT_FORMATS.get(Path(path).suffix.lower())
-        if fmt:
-            return fmt
+        suffix = Path(path).suffix.lower()
+        for fmt, spec in _FORMATS.items():
+            if suffix in spec.extensions:
+                return fmt
     if text is not None:
         stripped = text.lstrip()
         if stripped.upper().startswith("#NEXUS"):
@@ -377,16 +381,18 @@ def detect_format(path: str | Path | None = None, text: str | None = None) -> st
     return "csv"
 
 
-def parse_matrix(text: str, fmt: str) -> DistanceMatrix:
-    if fmt not in _PARSERS:
+def _lookup(fmt: str) -> _Format:
+    if fmt not in _FORMATS:
         raise ValueError(f"unknown matrix format {fmt!r}; choose from {FORMATS}")
-    return _PARSERS[fmt](text)
+    return _FORMATS[fmt]
+
+
+def parse_matrix(text: str, fmt: str) -> DistanceMatrix:
+    return _lookup(fmt).reader(text)
 
 
 def format_matrix(dm: DistanceMatrix, fmt: str) -> str:
-    if fmt not in _FORMATTERS:
-        raise ValueError(f"unknown matrix format {fmt!r}; choose from {FORMATS}")
-    return _FORMATTERS[fmt](dm)
+    return _lookup(fmt).writer(dm)
 
 
 def read_distance_matrix(path: str | Path, fmt: str | None = None) -> DistanceMatrix:

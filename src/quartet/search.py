@@ -12,8 +12,8 @@ replaces it only on strict improvement so the score history is monotone:
   probability, so every tree stays reachable in one generation.
 * ``metropolis``: each generation is a walk of ``trial_length`` single
   mutations with a Metropolis accept/reject on the raw (unnormalized) tree
-  cost, rolling back rejected steps; the best tree seen during the walk is
-  then checked for improvement.
+  cost, rolling back rejected steps; each tree the walk reaches that costs
+  less than the run's best is committed as the new best when it is found.
 
 Termination is either ``simple`` (stop after ``patience`` examined trees
 without improvement) or ``agreement`` (r independently seeded runs advance
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 import numpy as np
@@ -148,6 +149,8 @@ class SearchConfig:
             raise ValueError("k_max must be >= 1")
         if self.max_trees is not None and self.max_trees < 1:
             raise ValueError("max_trees must be >= 1")
+        if self.termination == "agreement" and self.runs_r is not None and self.runs_r < 2:
+            raise ValueError(f"agreement termination needs at least 2 runs, got {self.runs_r}")
 
 
 @dataclass
@@ -251,21 +254,19 @@ class _Run:
         self.improved = False
         if self.initial_tree is None:
             self._start()
-        elif self.perfect:
-            return
         elif self.cfg.mode == "hill_climb":
             self._gen_hill()
         else:
             self._gen_metropolis(budget)
 
-    def _commit(self, adj, cost: float, moves, perfect: bool, cache: TreeCache | None = None) -> None:
+    def _commit(self, adj, cost: float, moves, cache: TreeCache | None = None) -> None:
         """Make ``adj``, costing ``cost`` and reached from the best tree by
-        the (kind, operands) ``moves``, the run's new best tree; ``perfect``
-        is its certificate, ``cache`` its ``TreeCache`` if one was built."""
+        the (kind, operands) ``moves``, the run's new best tree, and certify
+        it; ``cache`` is its ``TreeCache`` if one was built."""
         self.best_adj = adj
         self.best_cost = cost
         self.best_cache = cache
-        self.perfect = perfect
+        self.perfect = self.scorer.certify_perfect(adj, cost)
         self._key = None
         self.improved = True
         self.trace.extend(MutationRecord(kind, ops) for kind, ops in moves)
@@ -274,10 +275,9 @@ class _Run:
         """Examine a random tree as the run's first best tree."""
         self.initial_tree = random_tree(self.n, self.rng)
         adj = self.initial_tree.copy_adjacency()
-        c = self.scorer.cost(adj)
         self.examined += 1
         self.full_scores += 1
-        self._commit(adj, c, (), self.scorer.certify_perfect(adj, c))
+        self._commit(adj, self.scorer.cost(adj), ())
 
     def _gen_hill(self) -> None:
         k = sample_k(self.rng, self.k_max)
@@ -288,7 +288,7 @@ class _Run:
         self.full_scores += 1
         if c < self.best_cost:
             self.k_accepted.append(k)
-            self._commit(work, c, moves, self.scorer.certify_perfect(work, c))
+            self._commit(work, c, moves)
         else:
             self.k_rejected.append(k)
 
@@ -296,14 +296,10 @@ class _Run:
         dcost = self.scorer.delta_cost
         if dcost is not None and self.best_cache is None:
             self.best_cache = TreeCache(dcost, self.best_adj)
-        cache = walk_cache = self.best_cache
+        cache = self.best_cache
         cur = [row[:] for row in self.best_adj]
         ccur = self.best_cost
-        walk_cost = self.best_cost
-        walk_best = self.best_adj
-        moves: list[tuple[str, tuple[int, ...]]] = []
-        best_prefix = 0
-        perfect = False
+        moves: list[tuple[str, tuple[int, ...]]] = []  # from the best tree to cur
         steps = self.trial_length if budget is None else min(self.trial_length, budget)
         for _ in range(steps):
             if cache is None:
@@ -330,20 +326,15 @@ class _Run:
                 moves.append((kind, ops))
                 if dcost is not None:
                     cache = TreeCache(dcost, cur)
-                if ccur < walk_cost:
-                    walk_cost = ccur
-                    walk_best = [row[:] for row in cur]
-                    walk_cache = cache
-                    best_prefix = len(moves)
-                    perfect = self.scorer.certify_perfect(cur, ccur)
-                    if perfect:
+                if ccur < self.best_cost:
+                    self._commit([row[:] for row in cur], ccur, moves, cache)
+                    if self.perfect:
                         break
+                    moves = []
             elif cache is None:
                 apply_record(cur, rec.inverse())
             else:
                 _APPLY[kind](cur, *_inverse(kind, ops))
-        if walk_cost < self.best_cost:
-            self._commit(walk_best, walk_cost, moves[:best_prefix], perfect, walk_cache)
 
     def best_key(self) -> str:
         if self._key is None:
@@ -369,63 +360,48 @@ def search(cf: CostFunction, config: SearchConfig | None = None, **overrides) ->
 
     r = 1
     if config.termination == "agreement":
-        r = config.runs_r if config.runs_r is not None else select_r(n)
-        if r < 2:
-            raise ValueError(f"agreement termination needs at least 2 runs, got {r}")
+        r = select_r(n) if config.runs_r is None else config.runs_r
     seeds = [int(s) for s in np.random.SeedSequence(config.seed).generate_state(r, np.uint64)]
     runs = [_Run(scorer, config, _Draws(s), theta) for s in seeds]
 
     history: list[tuple[int, float]] = []
-    progress = None
-    if config.progress_path is not None:
-        progress = open(config.progress_path, "a", encoding="utf-8")
     total = last_improve = 0
-    gb, gb_cost = -1, math.inf
-
-    def events(i: int) -> tuple[str, int] | None:
-        """Record run i's generation; the (reason, winner) that stops the
-        search, if any."""
-        nonlocal total, last_improve, gb, gb_cost
-        run = runs[i]
-        total = sum(x.examined for x in runs)
-        if run.improved:
-            last_improve = total
-            if run.best_cost < gb_cost:
-                gb, gb_cost = i, run.best_cost
-                s = score_from_cost(run.best_cost, b, run.perfect)
-                history.append((total, s))
-                if progress is not None:
-                    progress.write(f"{total}\t{s!r}\n")
-        if run.perfect:
-            return "perfect_score", i
-        if (
-            config.termination == "agreement"
-            and run.improved
-            and all(x.initial_tree is not None for x in runs)  # costs may overflow to inf
-            and all(x.best_cost == run.best_cost for x in runs)
-        ):
-            key = run.best_key()
-            if all(x.best_key() == key for x in runs):
-                return "agreement", i
-        if config.max_trees is not None and total >= config.max_trees:
-            return "max_trees", gb
-        if total - last_improve >= config.patience:
-            return "patience", gb
-        return None
-
-    try:
+    winner, best_cost = 0, math.inf  # the run holding the best tree so far
+    with (
+        nullcontext() if config.progress_path is None
+        else open(config.progress_path, "a", encoding="utf-8")
+    ) as progress:
         for i, run in itertools.cycle(enumerate(runs)):
             budget = None if config.max_trees is None else max(1, config.max_trees - total)
             run.advance(budget)
-            stop = events(i)
-            if stop is not None:
+            total = sum(x.examined for x in runs)
+            if run.improved:
+                last_improve = total
+                if run.best_cost < best_cost:
+                    winner, best_cost = i, run.best_cost
+                    s = score_from_cost(run.best_cost, b, run.perfect)
+                    history.append((total, s))
+                    if progress is not None:
+                        progress.write(f"{total}\t{s!r}\n")
+            if run.perfect:
+                reason, winner = "perfect_score", i
                 break
-    finally:
-        if progress is not None:
-            progress.close()
-    reason, winner = stop
+            if (
+                config.termination == "agreement"
+                and run.improved
+                and all(x.best_cost == run.best_cost for x in runs)
+                and all(x.best_key() == run.best_key() for x in runs)
+            ):
+                reason, winner = "agreement", i
+                break
+            if config.max_trees is not None and total >= config.max_trees:
+                reason = "max_trees"
+                break
+            if total - last_improve >= config.patience:
+                reason = "patience"
+                break
 
-    win = runs[winner if winner >= 0 else 0]
+    win = runs[winner]
     result = SearchResult(
         best_tree=win.best_tree(),
         best_score=score_from_cost(win.best_cost, b, win.perfect),

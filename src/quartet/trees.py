@@ -718,9 +718,19 @@ def tree_to_dot(tree: Tree, names: Sequence[str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _CellError(ValueError):
+    """A check on n items that failed at the cell [i, j] of their n x n
+    table, ``cell``; a name check fails at (k, k) for the k-th name."""
+
+    def __init__(self, message: str, cell: tuple[int, int]):
+        super().__init__(message)
+        self.cell = cell
+
+
 def _check_names(n: int, names: Iterable[str] | None) -> list[str]:
     """The n item names as strings, "0".."n-1" when ``names`` is None;
-    raises ValueError unless there are n of them, unique and non-empty."""
+    raises ValueError unless there are n of them, unique and non-empty. A
+    duplicate fails at the first name that repeats an earlier one."""
     if names is None:
         return [str(i) for i in range(n)]
     names = [str(x) for x in names]
@@ -728,7 +738,8 @@ def _check_names(n: int, names: Iterable[str] | None) -> list[str]:
         raise ValueError(f"{len(names)} names for {n} items")
     if len(set(names)) != n:
         dup = sorted(nm for nm, k in Counter(names).items() if k > 1)
-        raise ValueError(f"item names must be unique, got duplicates {dup[:3]}")
+        k = next(k for k, nm in enumerate(names) if nm in names[:k])
+        raise _CellError(f"item names must be unique, got duplicates {dup[:3]}", (k, k))
     if "" in names:
         raise ValueError(f"item names must not be empty, got one at position {names.index('')}")
     return names

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 import pytest
 
-from quartet.cost import DistanceMatrix, ExplicitCostFunction
+from quartet.cost import DistanceCostFunction, DistanceMatrix, ExplicitCostFunction
 from quartet.mutate import (
     _APPLY,
     _RAND_BY_KIND,
@@ -431,6 +431,21 @@ def random_symmetric_matrix(n: int, rng: np.random.Generator) -> DistanceMatrix:
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(d)
+
+
+def overflowing_costs(kind: str) -> ExplicitCostFunction | DistanceCostFunction:
+    """Finite costs whose sums overflow. "distances-8": distances in
+    [1e306, 1e307] at n = 8, where m = M = inf; "distances-5": distances in
+    [1.1e307, 1.3e307] at n = 5, where m and M are finite but every tree
+    cost is inf; "explicit-5": explicit costs in [1e307, 1.7e308] at n = 5."""
+    if kind == "explicit-5":
+        return ExplicitCostFunction(5, rng_for(0).uniform(1e307, 1.7e308, (5, 3)))
+    n, lo, hi = {"distances-8": (8, 1e306, 1e307), "distances-5": (5, 1.1e307, 1.3e307)}[kind]
+    d = np.triu(rng_for(n).uniform(lo, hi, (n, n)), 1)
+    return DistanceCostFunction(DistanceMatrix(d + d.T))
+
+
+OVERFLOWING = ["distances-8", "distances-5", "explicit-5"]
 
 
 def adversarial_five_costs(eps: float) -> ExplicitCostFunction:

@@ -11,9 +11,9 @@ from quartet.cli import build_parser, main
 from quartet.cost import DistanceMatrix
 from quartet.matrix_io import write_distance_matrix
 from quartet.search import SearchConfig
-from quartet.trees import hop_distances, random_tree
+from quartet.trees import hop_distances, random_tree, tree_to_newick
 
-from conftest import dot_leaf_labels, rng_for
+from conftest import dot_leaf_labels, overflowing_costs, rng_for
 from test_ncd import dna_corpus
 
 
@@ -68,10 +68,39 @@ def test_input_errors_exit_3(tmp_path, capsys):
     assert main(["cluster", str(matrix), "--out-dir", str(tmp_path / "o"), "--temperature", "inf"]) == 3
     assert "metropolis_temperature" in capsys.readouterr().err
 
+    assert main(["cluster", str(matrix), "--out-dir", str(tmp_path / "o"),
+                 "--termination", "agreement", "--runs", "1"]) == 3
+    assert capsys.readouterr().err == "error: agreement termination needs at least 2 runs, got 1\n"
+
     unnamed = tmp_path / "unnamed.csv"
     unnamed.write_text(",x,c,d,e\n0,1,1,1,1\n1,0,1,1,1\n1,1,0,1,1\n1,1,1,0,1\n1,1,1,1,0\n")
     assert main(["cluster", str(unnamed), "--out-dir", str(tmp_path / "o")]) == 3
     assert "must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["distances-8", "distances-5"])
+def test_costs_whose_sums_overflow_exit_3(tmp_path, capsys, kind):
+    dm = overflowing_costs(kind).dm
+    matrix = tmp_path / "m.csv"
+    write_distance_matrix(dm, matrix, "csv")
+    tree = tmp_path / "t.nwk"
+    tree.write_text(tree_to_newick(random_tree(dm.n, rng_for(1))) + "\n")
+    out = tmp_path / "o"
+    for argv in (["cluster", str(matrix), "--out-dir", str(out)], ["score", str(matrix), str(tree)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: costs too large: 8*max(|m|, |M|) must be finite, got m=")
+        assert err.count("\n") == 1  # no numpy warning
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "matrix.csv"), ("phylip", "matrix.phy"),
+                                       ("nexus", "matrix.nex")])
+def test_ncd_names_its_matrix_by_format(tmp_path, fmt, name):
+    corpus = write_corpus(tmp_path / "corpus", count=4, length=200)
+    out = tmp_path / "ncd"
+    assert main(["ncd", str(corpus), "--out-dir", str(out), "--format", fmt]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, "manifest.json"])
 
 
 def test_ncd_phylip_names_that_collide_exit_3(tmp_path, capsys):

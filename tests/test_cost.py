@@ -28,6 +28,7 @@ from quartet.trees import (
 )
 
 from conftest import (
+    OVERFLOWING,
     adversarial_five_costs,
     all_topologies,
     embedded_quartets,
@@ -36,6 +37,7 @@ from conftest import (
     floyd_warshall_leaf_hops,
     is_consistent,
     one_move,
+    overflowing_costs,
     random_symmetric_matrix,
     rng_for,
 )
@@ -221,6 +223,15 @@ def test_bounds_bracket_tree_costs(rng):
         for _ in range(5):
             c = tree_cost_naive(random_tree(n, rng), cf)
             assert b.m <= c <= b.M
+
+
+@pytest.mark.parametrize("kind", OVERFLOWING)
+def test_bounds_and_score_reject_costs_whose_sums_overflow(kind):
+    cf = overflowing_costs(kind)
+    with pytest.raises(ValueError, match=r"costs too large: 8\*max\(\|m\|, \|M\|\) must be finite"):
+        bounds(cf)
+    with pytest.raises(ValueError, match="costs too large"):
+        score(random_tree(cf.n, rng_for(1)), cf)
 
 
 def test_score_bounds_type():

@@ -4,12 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from quartet.cost import DistanceCostFunction, DistanceMatrix, tree_cost_naive
-from quartet.fastcost import (
-    BACKEND,
-    cost_distance_from_adj,
-    tree_cost_fast,
-)
+from quartet.cost import DistanceCostFunction, DistanceMatrix, tree_cost_fast, tree_cost_naive
+from quartet.fastcost import BACKEND, cost_distance_from_adj
 from quartet.trees import (
     QuartetTopology,
     Tree,

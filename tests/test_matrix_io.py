@@ -129,6 +129,9 @@ def test_format_detection(tmp_path):
     assert detect_format("x.nex") == "nexus"
     assert detect_format("x.phy") == "phylip"
     assert detect_format("x.csv") == "csv"
+    for ext, fmt in ((".phylip", "phylip"), (".dist", "phylip"), (".nexus", "nexus"),
+                     (".nxs", "nexus"), (".NXS", "nexus")):
+        assert detect_format("x" + ext, "0,1\n1,0\n") == fmt
     assert detect_format(None, "#NEXUS\nBEGIN...") == "nexus"
     assert detect_format(None, " 5\na 0 1\n") == "phylip"
     assert detect_format(None, "0,1\n1,0\n") == "csv"
@@ -228,6 +231,16 @@ def test_matrix_checks_give_the_line_of_the_failing_row(fmt, cell, value, messag
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(write(d, ["a", "b", "c", "d"]), fmt)
     assert str(exc.value) == f"line {first_line + row}: {message}"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_repeated_name_gives_the_line_of_its_second_copy(fmt):
+    write, first_line = WRITERS[fmt]
+    # CSV names sit on one header line, just above row 0
+    line = first_line - 1 if fmt == "csv" else first_line + 2
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(write(1.0 - np.eye(4), ["a", "b", "a", "b"]), fmt)
+    assert str(exc.value) == f"line {line}: item names must be unique, got duplicates ['a', 'b']"
 
 
 @pytest.mark.parametrize("triangle, diagonal, cell, value, message", [

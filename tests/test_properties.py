@@ -1,20 +1,30 @@
 """Property tests: the simple moves on the neighbour-list working state,
 record checks and inversion, move deltas, mutation paths, search trace
-replay, and the Newick and matrix text formats.
+replay, the overflow rule on costs, and the Newick and matrix text formats.
 
 Examples are derandomized, so every run checks the same cases."""
 
 import itertools
+import math
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quartet.cost import DistanceCostFunction, DistanceMatrix, tree_cost_naive
-from quartet.fastcost import DeltaCost, TreeCache, cost_distance_from_adj, tree_cost_fast
+from quartet.cost import (
+    DistanceCostFunction,
+    DistanceMatrix,
+    ExplicitCostFunction,
+    bounds,
+    score,
+    tree_cost_fast,
+    tree_cost_naive,
+)
+from quartet.fastcost import DeltaCost, TreeCache, cost_distance_from_adj
 from quartet.matrix_io import FORMATS, format_matrix, parse_matrix
 from quartet.mutate import (
     _APPLY,
@@ -98,7 +108,9 @@ def test_hop_distances_match_floyd_warshall(n, seed, shape):
 def check_delta(rows, n, d, rec):
     """Delta of the move ``rec`` on the tree ``rows`` equals the difference of
     the full scorer's costs and of the naive scorer's costs, within tau."""
-    delta, tau = TreeCache(DeltaCost(d), rows).delta(rec.kind, rec.operands)
+    parent, depth = _rooted_walk(rows, n)[:2]
+    path = _move_path(parent, depth, rec.kind, rec.operands)
+    delta, tau = TreeCache(DeltaCost(d), rows).delta(rec.kind, rec.operands, path)
     after = [row[:] for row in rows]
     apply_record(after, rec)
     cf = DistanceCostFunction(DistanceMatrix(d))
@@ -494,6 +506,49 @@ def test_trace_replay_reaches_best_tree(n, seed, mode, termination, max_trees):
     assert trees_equal(replayed, res.best_tree)
     cost = tree_cost_fast(replayed, dm)
     assert abs(cost - res.best_cost) <= 1e-12 * abs(res.best_cost)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(n=st.integers(4, 12), seed=seeds, kind=st.sampled_from(["distances", "explicit"]),
+       margin=st.floats(0.25, 4.0))
+def test_bounds_accept_only_costs_every_scorer_sums_finitely(n, seed, kind, margin):
+    """Costs scaled so that 8 max(|m|, |M|) is ``margin`` times the largest
+    float: ``bounds`` accepts them below the margin and rejects them above
+    it, and where it accepts them, the scorers, Delta and a short search
+    stay finite, with numpy's float errors raised."""
+    def make(costs):
+        if kind == "distances":
+            return DistanceCostFunction(DistanceMatrix(costs))
+        return ExplicitCostFunction(n, costs)
+
+    rng = rng_for(seed)
+    if kind == "distances":
+        u = np.triu(rng.random((n, n)), 1)
+        unit = u + u.T
+    else:
+        unit = rng.uniform(-1.0, 1.0, (math.comb(n, 4), 3))
+    b = bounds(make(unit))
+    with np.errstate(all="ignore"):  # an entry past the largest float is assumed away
+        scaled = unit * (sys.float_info.max / 8 / max(abs(b.m), abs(b.M)) * margin)
+    assume(np.isfinite(scaled).all() and not 0.999 <= margin <= 1.001)  # rounding decides there
+    cf = make(scaled)
+    if margin > 1.001:
+        with pytest.raises(ValueError, match="costs too large"):
+            bounds(cf)
+        return
+    with np.errstate(all="raise"):
+        b = bounds(cf)
+        for _ in range(3):
+            tree = random_tree(n, rng)
+            rows = tree.copy_adjacency()
+            if kind == "distances":
+                assert math.isfinite(tree_cost_fast(tree, scaled))
+                cache = TreeCache(DeltaCost(scaled), rows)
+                assert all(map(math.isfinite, cache.delta(*cache.propose(_Draws(seed)))))
+            assert b.m <= tree_cost_naive(tree, cf) <= b.M
+            assert 0.0 <= score(tree, cf) <= 1.0
+        res = search(cf, seed=seed, max_trees=100)
+    assert math.isfinite(res.best_cost) and 0.0 <= res.best_score <= 1.0
 
 
 leaf_names = st.text(min_size=1, max_size=6)

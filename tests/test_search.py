@@ -13,6 +13,7 @@ from quartet.fastcost import TreeCache
 from quartet.mutate import max_path_moves
 from quartet.search import (
     SearchConfig,
+    _Run,
     replay_trace,
     search,
     select_r,
@@ -26,9 +27,11 @@ from quartet.trees import (
 )
 
 from conftest import (
+    OVERFLOWING,
     adversarial_five_costs,
     embedded_quartets,
     five_leaf_target,
+    overflowing_costs,
     random_symmetric_matrix,
     rng_for,
 )
@@ -283,13 +286,12 @@ def test_agreement_terminates_on_suboptimal_consensus():
     assert trees_equal(res.best_tree, five_leaf_target())
 
 
-def test_agreement_waits_for_every_run_when_costs_overflow():
-    # every tree costs inf, as a run not yet started holds, so equal costs
-    # do not show that every run has a tree to compare
-    cf = ExplicitCostFunction(5, rng_for(0).uniform(1e307, 1.7e308, (5, 3)))
-    with np.errstate(over="ignore"):
-        res = search(cf, termination="agreement", patience=50, seed=1)
-    assert (res.terminated_by, res.best_cost) == ("patience", math.inf)
+@pytest.mark.parametrize("kind", OVERFLOWING)
+def test_search_rejects_costs_whose_sums_overflow(kind):
+    # so a started run never holds an infinite cost, as a run not yet
+    # started does
+    with pytest.raises(ValueError, match="costs too large"):
+        search(overflowing_costs(kind), termination="agreement", patience=50, seed=1)
 
 
 # ------------------------------------------------------------ io surfaces
@@ -309,6 +311,34 @@ def test_progress_log_and_trace(tmp_path, rng):
         assert int(te) == t and float(se) == s
     initial, records, final = replay_trace(trace)
     assert trees_equal(final, res.best_tree)
+
+
+@pytest.mark.parametrize("kind", ["distances", "explicit"])
+def test_walk_commits_each_new_best_it_reaches(tmp_path, monkeypatch, kind):
+    # count the commits of each Metropolis generation (the first entry
+    # counts the random start's): the trace replays through every one
+    counts = [0]
+    commit, walk = _Run._commit, _Run._gen_metropolis
+
+    def counting_commit(self, *args):
+        counts[-1] += 1
+        commit(self, *args)
+
+    def counting_walk(self, budget):
+        counts.append(0)
+        walk(self, budget)
+
+    monkeypatch.setattr(_Run, "_commit", counting_commit)
+    monkeypatch.setattr(_Run, "_gen_metropolis", counting_walk)
+    if kind == "distances":
+        cf = noisy_instance(16, 5)
+    else:
+        cf = ExplicitCostFunction(7, rng_for(5).random((math.comb(7, 4), 3)))
+    trace = tmp_path / "trace.log"
+    res = search(cf, seed=3, max_trees=2000, trace_path=trace)
+    assert max(counts[1:]) >= 2
+    assert sum(c > 0 for c in counts) == len(res.history)  # one entry per generation
+    assert trees_equal(replay_trace(trace)[2], res.best_tree)
 
 
 @pytest.mark.parametrize(
@@ -341,6 +371,9 @@ def test_config_validation():
         SearchConfig(metropolis_temperature=-1.0)
     with pytest.raises(ValueError):
         SearchConfig(metropolis_temperature=math.inf)
+    with pytest.raises(ValueError, match=r"^agreement termination needs at least 2 runs, got 1$"):
+        SearchConfig(termination="agreement", runs_r=1)
+    assert SearchConfig(termination="simple", runs_r=1).runs_r == 1  # unused there
 
 
 def test_config_k_max_default_and_validation():

@@ -51,7 +51,7 @@ from .matrix_io import (
 )
 from .ncd import COMPRESSORS, get_compressor, load_corpus, ncd_matrix
 from .search import SearchConfig, search
-from .trees import tree_from_newick, tree_to_dot, tree_to_newick
+from .trees import _check_names, tree_from_newick, tree_to_dot, tree_to_newick
 
 RESULT_VERSION = 1
 
@@ -126,10 +126,10 @@ def _write_manifest(args, subcommand: str, config_json: dict | None,
 def _cmd_cluster(args) -> int:
     matrix_path = Path(args.matrix)
     dm = read_distance_matrix(matrix_path, args.format)
-    names = dm.names or [str(i) for i in range(dm.n)]
+    names = _check_names(dm.n, dm.names)
+    config = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _config_from_args(args)
     if args.progress:
         progress_path = out_dir / "progress.tsv"
         progress_path.unlink(missing_ok=True)
@@ -183,10 +183,9 @@ def _cmd_ncd(args) -> int:
     out_name = args.out_name or ("matrix" + _FORMATS[args.format].extensions[0])
     out_path = out_dir / out_name
     write_distance_matrix(dm, out_path, args.format)
-    digests = {
-        f"{args.corpus}/{it.name}": "sha256:" + hashlib.sha256(it.data).hexdigest()
-        for it in items
-    }
+    digests = {str(it.path): "sha256:" + hashlib.sha256(it.data).hexdigest() for it in items}
+    if args.manifest:  # and the list file itself
+        digests[str(Path(args.corpus))] = _sha256(Path(args.corpus))
     _write_manifest(
         args, "ncd",
         {"compressor": z.name, "format": args.format, "threads": args.threads},
@@ -198,7 +197,7 @@ def _cmd_ncd(args) -> int:
 
 def _cmd_score(args) -> int:
     dm = read_distance_matrix(Path(args.matrix), args.format)
-    names = dm.names or [str(i) for i in range(dm.n)]
+    names = _check_names(dm.n, dm.names)
     text = Path(args.tree).read_text(encoding="utf-8")
     tree, _ = tree_from_newick(text, names)
     cf = DistanceCostFunction(dm)
@@ -225,9 +224,9 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_bench_artificial(args) -> int:
+    config = _config_from_args(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _config_from_args(args)
     reports = run_reconstruction(
         args.n, args.trials, config,
         master_seed=args.seed, jsonl_path=out_dir / "trials.jsonl",
@@ -253,8 +252,12 @@ def _cmd_bench_stats(args) -> int:
     # checked here too, so that a bad value fails before the batch runs
     if args.runs < 1:
         raise ValueError(f"runs must be >= 1, got {args.runs}")
+    if args.instance_seed < 0:
+        raise ValueError(f"instance_seed must be >= 0, got {args.instance_seed}")
     if args.bin_width is not None and args.bin_width < 1:
         raise ValueError(f"bin_width must be >= 1, got {args.bin_width}")
+    # k-mutation statistics need the hill climber
+    config = _config_from_args(args, mode="hill_climb", termination="agreement")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs: dict[str, str] = {}
@@ -265,8 +268,6 @@ def _cmd_bench_stats(args) -> int:
         rng = np.random.Generator(np.random.PCG64(args.instance_seed))
         _, dm = generate_artificial(args.n, rng)
     cf = DistanceCostFunction(dm)
-    # k-mutation statistics need the hill climber
-    config = _config_from_args(args, mode="hill_climb", termination="agreement")
     results = collect_runs(cf, args.runs, config, master_seed=args.seed)
     stats = run_statistics(results, bin_width=args.bin_width)
     paths = write_statistics_csv(stats, out_dir)

@@ -207,7 +207,7 @@ class DistanceCostFunction(CostFunction):
         return float(d[u, v] + d[w, x])
 
     def slab_costs(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return quartet_pair_sums(self.dm.d, self.n)
+        return quartet_pair_sums(self.dm.d)
 
 
 def cost_from_mqc(n: int, p_set: Iterable[QuartetTopology]) -> ExplicitCostFunction:
@@ -253,17 +253,17 @@ class ScoreBounds:
         return cost <= self.m + 1e-9 * (abs(self.m) + abs(self.M) + 1.0)
 
 
-def _embedded_slabs(tree_or_adj, cf: CostFunction, n: int | None):
+def _embedded_slabs(tree_or_adj, cf: CostFunction):
     """Per slab, the costs of the tree's embedded topologies and the three
     topology costs they were picked from."""
-    adj, n = _adj_of(tree_or_adj, n)
+    rows, n = _adj_of(tree_or_adj)
     if n != cf.n:
         raise ValueError(f"tree has {n} leaves but cost function covers {cf.n}")
-    hop = quartet_pair_sums(hop_distances(adj, n), n)
+    hop = quartet_pair_sums(hop_distances(rows))
     return ((pick_embedded(hop_sums, costs), costs) for hop_sums, costs in zip(hop, cf.slab_costs()))
 
 
-def tree_cost_naive(tree_or_adj, cf: CostFunction, n: int | None = None) -> float:
+def tree_cost_naive(tree_or_adj, cf: CostFunction) -> float:
     """C_T summed over the tree's embedded topologies in quartet rank order,
     for a ``Tree`` or neighbour rows (``Tree.copy_adjacency()``).
 
@@ -271,7 +271,7 @@ def tree_cost_naive(tree_or_adj, cf: CostFunction, n: int | None = None) -> floa
     decomposition scorer is checked against.
     """
     total = 0.0
-    for picked, _ in _embedded_slabs(tree_or_adj, cf, n):
+    for picked, _ in _embedded_slabs(tree_or_adj, cf):
         total += float(picked.sum())
     return total
 
@@ -284,7 +284,7 @@ def tree_cost_fast(tree: Tree, dm) -> float:
         dm = DistanceMatrix(dm)
     if dm.n != tree.n:
         raise ValueError(f"tree has {tree.n} leaves but distance matrix is {dm.n}x{dm.n}")
-    return cost_distance_from_adj(tree.copy_adjacency(), tree.n, dm.d)
+    return cost_distance_from_adj(_adj_of(tree)[0], dm.d)
 
 
 def bounds(cf: CostFunction) -> ScoreBounds:
@@ -306,13 +306,13 @@ def bounds(cf: CostFunction) -> ScoreBounds:
     return ScoreBounds(lo, hi)
 
 
-def is_min_perfect(tree_or_adj, cf: CostFunction, n: int | None = None) -> bool:
+def is_min_perfect(tree_or_adj, cf: CostFunction) -> bool:
     """Exact certificate that every quartet is embedded at its minimal cost
     (equivalently C_T = m, hence S(T) = 1), for a ``Tree`` or neighbour
     rows."""
     return all(
         np.all(picked == np.minimum(np.minimum(c0, c1), c2))
-        for picked, (c0, c1, c2) in _embedded_slabs(tree_or_adj, cf, n)
+        for picked, (c0, c1, c2) in _embedded_slabs(tree_or_adj, cf)
     )
 
 

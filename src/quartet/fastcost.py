@@ -91,7 +91,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .trees import _lca_fill, _move_path, _rooted_walk, _tree_path
+from .trees import _edges, _lca_fill, _move_path, _rooted_walk, _tree_path
 
 BACKEND = "numpy"
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -104,10 +104,11 @@ __all__ = [
 ]
 
 
-def cost_distance_from_adj(adj: list[list[int]], n: int, d: np.ndarray) -> float:
-    """C_T of the tree in the search's working state (the inner loop):
-    ``adj`` holds the 2n-2 neighbour rows of ``Tree.copy_adjacency()``, in
-    any slot order, and ``d`` is the (n, n) distance matrix."""
+def cost_distance_from_adj(adj: list[list[int]], d: np.ndarray) -> float:
+    """C_T of a tree's 2n-2 neighbour rows ``adj`` (the search's working
+    state, in the inner loop, or a ``Tree``'s own), in any slot order, for
+    the (n, n) distance matrix ``d``."""
+    n = len(d)
     m = 2 * n - 2
     root = n
     walk = _rooted_walk(adj, n)
@@ -197,17 +198,13 @@ class TreeCache:
         # complement of p's leaves); see the module docstring
         sc = np.where(child, cut[rows], cut[p])
         opp = sc.sum(1, keepdims=True) // 2 - sc
-        # The edges in (lower end, slot) order: leaf v's one edge, to its
-        # parent above it, is edge v; then each internal row's later
-        # neighbours. up[v] indexes the edge from v to its walk parent.
-        ends = [(v, parent[v]) for v in range(n)]
+        # up[v] indexes the edge from v to its walk parent among the edges
+        # in (lower end, slot) order: leaf v's, to its parent, is edge v.
+        ends = _edges(adj)
         up = list(range(2 * n - 2))
-        for v in range(n, 2 * n - 2):
-            pv = parent[v]
-            for w in adj[v]:
-                if w > v:
-                    up[v if w == pv else w] = len(ends)
-                    ends.append((v, w))
+        for j in range(n, 2 * n - 3):
+            v, w = ends[j]
+            up[v if w == parent[v] else w] = j
         # Below node v lie its leaves, walk positions lo[v]:lo[v] + size[v],
         # and size[v] - 1 internal nodes, v first, from at[v] in ``pre``: so
         # the edges below v are two slices of leaf_up and inner_up.

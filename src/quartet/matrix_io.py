@@ -188,7 +188,7 @@ def _parse_phylip(text: str) -> DistanceMatrix:
 
 def _format_phylip(dm: DistanceMatrix) -> str:
     # PHYLIP tokens are whitespace-delimited; spaces in names become '_'
-    given = dm.names or [str(i) for i in range(dm.n)]
+    given = _check_names(dm.n, dm.names)
     names = ["_".join(nm.split()) for nm in given]
     counts = Counter(names)
     bad = [nm for nm, out in zip(given, names) if not out or counts[out] > 1]
@@ -312,7 +312,7 @@ def _parse_nexus(text: str) -> DistanceMatrix:
 
 
 def _format_nexus(dm: DistanceMatrix) -> str:
-    names = dm.names or [str(i) for i in range(dm.n)]
+    names = _check_names(dm.n, dm.names)
 
     def q(name: str) -> str:
         if name and not _is_number(name) and all(ch.isalnum() or ch in "._-" for ch in name):

@@ -82,10 +82,11 @@ class MutationRecord:
     @classmethod
     def from_line(cls, line: str) -> "MutationRecord":
         parts = line.split()
-        if not parts or parts[0] not in _OPERAND_COUNTS:
-            raise ValueError(f"bad mutation record line: {line!r}")
-        want = _OPERAND_COUNTS[parts[0]]
-        ops = tuple(int(x) for x in parts[1:])
+        try:
+            want = _OPERAND_COUNTS[parts[0]]
+            ops = tuple(int(x) for x in parts[1:])
+        except (IndexError, KeyError, ValueError):
+            raise ValueError(f"bad mutation record line: {line!r}") from None
         if len(ops) != want:
             raise ValueError(f"{parts[0]} needs {want} operands: {line!r}")
         if min(ops) < 0:  # -1 pads leaf rows, so it must not pass for a node

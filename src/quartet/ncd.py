@@ -87,8 +87,12 @@ def get_compressor(name: str) -> Compressor:
 
 @dataclass(frozen=True)
 class CorpusItem:
+    """One corpus object: its name, its bytes and, when read from a file,
+    the path it was read from."""
+
     name: str
     data: bytes
+    path: Path | None = None
 
     def __post_init__(self):
         if not self.data:
@@ -170,7 +174,10 @@ def ncd_matrix(
 
 def load_corpus(source: str | Path, manifest: bool = False) -> list[CorpusItem]:
     """Read corpus items from a directory (name = filename) or, with
-    ``manifest=True``, from a text file listing one path per line."""
+    ``manifest=True``, from a text file listing one path per line (relative
+    paths are relative to the list file's directory; blank lines and lines
+    starting with '#' are skipped). Each item keeps the path it was read
+    from."""
     source = Path(source)
     if manifest:
         paths = []
@@ -188,7 +195,7 @@ def load_corpus(source: str | Path, manifest: bool = False) -> list[CorpusItem]:
         if not source.is_dir():
             raise ValueError(f"corpus directory {source} does not exist")
         paths = sorted(p for p in source.iterdir() if p.is_file())
-    items = [CorpusItem(p.name, p.read_bytes()) for p in paths]
+    items = [CorpusItem(p.name, p.read_bytes(), p) for p in paths]
     if not items:
         raise ValueError(f"no corpus files found in {source}")
     return items

@@ -87,7 +87,7 @@ from .mutate import (
     sample_k,
     simple_mutation,
 )
-from .trees import Tree, random_tree, tree_to_newick
+from .trees import Tree, _edges, random_tree, tree_to_newick
 
 __all__ = [
     "SearchConfig",
@@ -138,6 +138,8 @@ class SearchConfig:
             raise ValueError(f"unknown termination {self.termination!r}")
         if self.mode not in ("hill_climb", "metropolis"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.trial_length is not None and self.trial_length < 1:
@@ -206,11 +208,11 @@ class _Scorer:
 
     def cost(self, adj: list[list[int]]) -> float:
         if self._d is not None:
-            return cost_distance_from_adj(adj, self.n, self._d)
-        return tree_cost_naive(adj, self.cf, self.n)
+            return cost_distance_from_adj(adj, self._d)
+        return tree_cost_naive(adj, self.cf)
 
     def certify_perfect(self, adj: list[list[int]], cost: float) -> bool:
-        return self.bounds.may_be_perfect(cost) and is_min_perfect(adj, self.cf, self.n)
+        return self.bounds.may_be_perfect(cost) and is_min_perfect(adj, self.cf)
 
 
 def _temperature(config: SearchConfig, scorer: _Scorer) -> float:
@@ -435,32 +437,32 @@ def _write_trace(path, run: _Run) -> None:
         fh.write("# quartet trace v1\n")
         fh.write(f"# n {run.n}\n")
         fh.write(f"# initial {tree_to_newick(tree)}\n")
-        for v, row in enumerate(tree.copy_adjacency()):
-            for w in row:
-                if w > v:
-                    fh.write(f"# edge {v} {w}\n")
+        for v, w in _edges(tree.copy_adjacency()):
+            fh.write(f"# edge {v} {w}\n")
         for rec in run.trace:
             fh.write(rec.to_line() + "\n")
 
 
 def replay_trace(path) -> tuple[Tree, list[MutationRecord], Tree]:
-    """Read a trace file back: (initial tree, records, tree after replay)."""
+    """Read a trace file back: (initial tree, records, tree after replay).
+    A line that does not parse fails with the path and its 1-based number."""
     n = None
     edges: list[tuple[int, int]] = []
     records: list[MutationRecord] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
+            try:
                 if line.startswith("# n "):
                     n = int(line[len("# n "):])
                 elif line.startswith("# edge "):
-                    a, b = line[len("# edge "):].split()
-                    edges.append((int(a), int(b)))
-                continue
-            records.append(MutationRecord.from_line(line))
+                    a, b = map(int, line[len("# edge "):].split())
+                    edges.append((a, b))
+                elif line and not line.startswith("#"):
+                    records.append(MutationRecord.from_line(line))
+            except ValueError as exc:
+                why = f"bad trace header line: {line!r}" if line[0] == "#" else exc
+                raise ValueError(f"{path}:{lineno}: {why}") from None
     if n is None or len(edges) != 2 * n - 3:
         raise ValueError(
             f"trace file {path} needs an '# n' header and 2n-3 '# edge' lines"

@@ -8,8 +8,10 @@ rows their three neighbors. A ``Tree`` keeps its rows as frozen tuples, each
 internal row sorted ascending; ``Tree.copy_adjacency()`` hands them out as
 writable lists, the working state that the moves, the search and the
 scorers edit and walk in place, in whatever slot order the moves leave, and
-``Tree(rows)`` freezes them again. Passes that compute on numbers (hop
+``Tree(rows)`` freezes them again; a pass that only reads a ``Tree`` reads
+its own rows, and n from their count. Passes that compute on numbers (hop
 matrices, lca blocks, quartet slabs) build numpy arrays from the rows.
+``_edges`` lists the edges, by lower end and then by slot.
 
 One walk serves every pass over a whole tree. ``_rooted_walk`` roots the
 rows at an internal node, node n unless told otherwise, and gives every node
@@ -443,20 +445,25 @@ def _lca_fill(n: int, walk, depth) -> np.ndarray:
     return out
 
 
-def _adj_of(tree_or_adj, n: int | None = None) -> tuple[list[list[int]], int]:
-    """Neighbour rows and leaf count of a ``Tree``, or of rows as given (n
-    from their length when not given)."""
-    if isinstance(tree_or_adj, Tree):
-        return tree_or_adj.copy_adjacency(), tree_or_adj.n
-    if n is None:
-        n = (len(tree_or_adj) + 2) // 2
-    return tree_or_adj, n
+def _adj_of(tree_or_adj) -> tuple[Sequence[Sequence[int]], int]:
+    """Neighbour rows of a ``Tree`` (its own, to be read only) or rows as
+    given, and the leaf count n of their 2n-2 rows."""
+    rows = tree_or_adj._rows if isinstance(tree_or_adj, Tree) else tree_or_adj
+    return rows, (len(rows) + 2) // 2
 
 
-def hop_distances(tree_or_adj, n: int | None = None) -> np.ndarray:
+def _edges(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The edges (v, w), v < w, of neighbour rows by lower end v, then by
+    v's slot: leaf v's one edge (to its slot 0) is edge v."""
+    n = (len(rows) + 2) // 2
+    inner = [(v, w) for v in range(n, len(rows)) for w in rows[v] if w > v]
+    return [(v, rows[v][0]) for v in range(n)] + inner
+
+
+def hop_distances(tree_or_adj) -> np.ndarray:
     """Leaf-to-leaf path lengths in edges, as an (n, n) int32 matrix, of a
     ``Tree`` or of neighbour rows: the lca fill on edge depths."""
-    rows, n = _adj_of(tree_or_adj, n)
+    rows, n = _adj_of(tree_or_adj)
     walk = _rooted_walk(rows, n)
     out = _lca_fill(n, walk, walk[1]).astype(np.int32)  # walk[1]: edge depths
     np.fill_diagonal(out, 0)
@@ -473,16 +480,14 @@ def pick_embedded(hop_sums, choices) -> np.ndarray:
     return np.where(s0 < s1, np.where(s0 < s2, c0, c2), np.where(s1 < s2, c1, c2))
 
 
-def quartet_pair_sums(
-    M: np.ndarray, n: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def quartet_pair_sums(M: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Per slab of ``quartet_slabs``, for each quartet (a, b, c, x) the sums
     M[a,b] + M[c,x], M[a,c] + M[b,x] and M[a,x] + M[b,c] of the symmetric
-    matrix ``M`` over its pairings with topology index 0, 1 and 2.
+    (n, n) matrix ``M`` over its pairings with topology index 0, 1 and 2.
 
     Every slab is a prefix of the last one, so the within-triple entries are
     gathered once, for the last slab, and sliced for the others."""
-    slabs = list(quartet_slabs(n))
+    slabs = list(quartet_slabs(len(M)))
     a, b, c, _ = slabs[-1]
     mab, mac, mbc = M[a, b], M[a, c], M[b, c]
     for a, b, c, x in slabs:
@@ -578,8 +583,6 @@ def tree_from_newick(
     n = len(leaves)
     if n < 4:
         raise ValueError(f"need at least 4 leaves, got {n}")
-    if len(internal_ids) != n - 2:
-        raise ValueError(f"{n} leaves need {n - 2} internal nodes, got {len(internal_ids)}")
     if names is None:
         names = sorted(leaves)
     else:
@@ -710,10 +713,7 @@ def tree_to_dot(tree: Tree, names: Sequence[str] | None = None) -> str:
         lines.append(f'  n{v} [label="{label}" shape=box];')
     for j, v in enumerate(tree.internal_nodes, start=1):
         lines.append(f'  n{v} [label="k{j}"];')
-    for v, row in enumerate(tree._rows):
-        for w in row:
-            if w > v:
-                lines.append(f"  n{v} -- n{w};")
+    lines += [f"  n{v} -- n{w};" for v, w in _edges(tree._rows)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shlex
 from dataclasses import asdict, replace
@@ -10,8 +11,8 @@ import pytest
 from quartet.cli import build_parser, main
 from quartet.cost import DistanceMatrix
 from quartet.matrix_io import write_distance_matrix
-from quartet.search import SearchConfig
-from quartet.trees import hop_distances, random_tree, tree_to_newick
+from quartet.search import SearchConfig, replay_trace
+from quartet.trees import hop_distances, random_tree, tree_from_newick, tree_to_newick, trees_equal
 
 from conftest import dot_leaf_labels, overflowing_costs, rng_for
 from test_ncd import dna_corpus
@@ -134,6 +135,7 @@ STATS = ["bench", "stats", "--n", "6"]
         ([*STATS, "--runs", "0"], "runs must be >= 1"),
         (["bench", "artificial", "--n", "6", "--trials", "0"], "trials must be >= 1"),
         (["bench", "artificial", "--n", "6", "--trials", "-2"], "trials must be >= 1"),
+        ([*STATS, "--runs", "2", "--instance-seed", "-1"], "instance_seed must be >= 0, got -1"),
     ],
 )
 def test_bench_counts_below_one_exit_3(tmp_path, capsys, argv, message):
@@ -148,6 +150,7 @@ def test_bench_counts_below_one_exit_3(tmp_path, capsys, argv, message):
     [
         (["--runs", "2", "--bin-width", "0"], "bin_width must be >= 1"),
         (["--runs", "0"], "runs must be >= 1"),
+        (["--runs", "2", "--instance-seed", "-1"], "instance_seed must be >= 0, got -1"),
     ],
 )
 def test_bench_stats_rejects_counts_before_generating(tmp_path, capsys, monkeypatch, argv, message):
@@ -229,6 +232,107 @@ def test_cluster_result_counts_full_scores(tmp_path):
     result = json.loads((tmp_path / "c" / "result.json").read_text())
     assert result["terminated_by"] == "perfect_score"
     assert 0 < result["full_scores"] < result["trees_examined"]
+
+
+def files_in(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cluster", "M", "--progress", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["bench", "artificial", "--n", "6", "--trials", "1", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["bench", "stats", "--runs", "1", "--n", "6", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["bench", "stats", "--runs", "1", "--n", "6", "--instance-seed", "-1"],
+         "instance_seed must be >= 0, got -1"),
+    ],
+    ids=["cluster", "artificial", "stats", "stats-instance"],
+)
+def test_negative_seeds_exit_3_and_leave_an_earlier_run_intact(tmp_path, capsys, argv, message):
+    matrix = planted_matrix(tmp_path / "m.csv")
+    out = tmp_path / "out"
+    assert main(["cluster", str(matrix), "--out-dir", str(out), "--progress", "--max-trees", "200"]) == 0
+    before = files_in(out)
+    assert before["progress.tsv"]
+    capsys.readouterr()
+    argv = [str(matrix) if x == "M" else x for x in argv]
+    assert main([*argv, "--max-trees", "50", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert files_in(out) == before
+    assert main([*argv, "--max-trees", "50", "--out-dir", str(tmp_path / "new")]) == 3
+    assert not (tmp_path / "new").exists()
+
+
+def test_cluster_progress_and_trace_files(tmp_path):
+    matrix = planted_matrix(tmp_path / "m.csv", n=12, seed=4)
+    out = tmp_path / "c"
+    assert main(["cluster", str(matrix), "--out-dir", str(out), "--progress", "--trace",
+                 "--max-trees", "3000", "--seed", "3"]) == 0
+    result = json.loads((out / "result.json").read_text())
+    progress = [line.split("\t") for line in (out / "progress.tsv").read_text().splitlines()]
+    assert [[int(t), float(s)] for t, s in progress] == result["history"]
+    assert len(progress) >= 2
+    best, _ = tree_from_newick((out / "tree.nwk").read_text(), result["names"])
+    assert trees_equal(replay_trace(out / "trace.log")[2], best)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["tree.nwk", "tree.dot", "result.json", "progress.tsv", "trace.log"]
+    assert manifest["config"]["progress_path"] == "progress.tsv"
+    assert manifest["config"]["trace_path"] == "trace.log"
+
+
+def test_score_report_lines_carry_the_json_values(tmp_path, capsys):
+    matrix = planted_matrix(tmp_path / "m.csv", n=8, seed=6)
+    tree = tmp_path / "t.nwk"
+    names = [f"s{i}" for i in range(8)]
+    tree.write_text(tree_to_newick(random_tree(8, rng_for(1)), names) + "\n")
+    capsys.readouterr()
+    assert main(["score", str(matrix), str(tree), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["score", str(matrix), str(tree)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"C_T  = {report['cost']!r}",
+        f"m    = {report['m']!r}",
+        f"M    = {report['M']!r}",
+        f"S(T) = {report['score']!r}",
+        f"R(T) = {report['room_for_improvement']!r}",
+    ]
+    assert 0 < report["score"] < 1
+
+
+def test_bench_stats_records_the_matrix_it_read(tmp_path):
+    matrix = planted_matrix(tmp_path / "m.csv", n=7)
+    out = tmp_path / "stats"
+    assert main(["bench", "stats", "--runs", "2", "--matrix", str(matrix), "--max-trees", "300",
+                 "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    digest = "sha256:" + hashlib.sha256(matrix.read_bytes()).hexdigest()
+    assert manifest["inputs"] == {str(matrix): digest}
+
+
+def test_ncd_manifest_records_the_files_it_read(tmp_path):
+    corpus = write_corpus(tmp_path / "corp")
+    (corpus / "sub").mkdir()
+    names = sorted(p.name for p in corpus.iterdir() if p.is_file())
+    for name in names:
+        (corpus / name).rename(corpus / "sub" / name)
+    listing = corpus / "list.txt"
+    listing.write_text("# listed\n" + "".join(f"sub/{name}\n" for name in names))
+    out = tmp_path / "ncd"
+    assert main(["ncd", str(listing), "--manifest", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+
+    def sha(path):
+        return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+    want = {str(corpus / "sub" / name): sha(corpus / "sub" / name) for name in names}
+    want[str(listing)] = sha(listing)
+    assert manifest["inputs"] == want
+
+    assert main(["ncd", str(corpus / "sub"), "--out-dir", str(tmp_path / "dir")]) == 0
+    manifest = json.loads((tmp_path / "dir" / "manifest.json").read_text())
+    assert manifest["inputs"] == {f"{corpus}/sub/{name}": sha(corpus / "sub" / name) for name in names}
 
 
 def read_header(path):

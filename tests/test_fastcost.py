@@ -57,7 +57,7 @@ def test_pair_weight_counts_embedded_topologies(rng):
                 d = np.zeros((n, n))
                 d[u, v] = d[v, u] = 1.0
                 count = sum((u, v) in (topo.pair_a, topo.pair_b) for topo in emb)
-                assert cost_distance_from_adj(t.adj_array, n, d) == count
+                assert cost_distance_from_adj(t.adj_array, d) == count
 
 
 def test_cost_is_representation_invariant(rng):
@@ -175,7 +175,7 @@ def test_runtime_scaling_at_most_quadratic():
         for _ in range(7):
             t0 = time.perf_counter()
             for _ in range(30):
-                cost_distance_from_adj(adj, n, dm.d)
+                cost_distance_from_adj(adj, dm.d)
             best = min(best, (time.perf_counter() - t0) / 30)
         times[n] = best
     exponent = math.log2(times[256] / times[128])

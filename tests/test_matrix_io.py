@@ -268,8 +268,31 @@ def test_triangle_checks_give_the_line_of_the_row_holding_the_cell(triangle, dia
      "line 3: DISTANCES block has no MATRIX command"),
     ("#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=3;\nMATRIX\na 0 1\nb 1 0\n  ;\nEND;\n",
      "line 7: expected 3 matrix rows, found 2"),
+    ("#NEXUS\nBEGIN DISTANCES;\nFORMAT NOLABELS;\nMATRIX\n0 1\n1 0\n;\nEND;\n",
+     "line 4: NOLABELS distance matrices are not supported"),
+    ("#NEXUS\nBEGIN DISTANCES;\nFORMAT TRIANGLE=ODD;\nMATRIX\na 0\n;\nEND;\n",
+     "line 4: unsupported TRIANGLE=ODD"),
+    ("#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=2;\nEND;\n",
+     "line 4: DISTANCES block has no MATRIX command"),
+    ("#NEXUS\nBEGIN DISTANCES;\nMATRIX\n0 a 1\n;\nEND;\n",
+     "line 4: matrix value before any taxon label"),
 ])
 def test_nexus_block_errors_give_a_line(text, message):
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(text, "nexus")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fmt, text, message", [
+    ("csv", "", "no matrix rows found"),
+    ("csv", "# a comment\n\n", "line 2: no matrix rows found"),
+    ("csv", "0,1\n1,0,2\n", "line 2: row has 3 values but the matrix has 2 rows"),
+    ("phylip", " \n\n", "empty input"),
+    ("phylip", "0\n", "line 1: bad item count 0"),
+    ("phylip", "3\na 0 1 2\nb 1 0\n", "line 3: row 'b' is truncated: expected 3 values, got 2"),
+    ("phylip", "2\na 0 1\nb 1 0 9\n", "line 3: unexpected trailing token '9'"),
+])
+def test_csv_and_phylip_errors_give_a_line(fmt, text, message):
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(text, fmt)
     assert str(exc.value) == message

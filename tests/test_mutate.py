@@ -132,6 +132,14 @@ def test_record_text_round_trip(rng):
         MutationRecord.from_line("grow 1 2")
 
 
+@pytest.mark.parametrize("line", ["leaf_interchange a b", "subtree_interchange 5 x 6 2",
+                                  "subtree_transfer 0 5 1.5 6 7 8", ""])
+def test_record_lines_reject_operands_that_are_not_integers(line):
+    with pytest.raises(ValueError) as exc:
+        MutationRecord.from_line(line)
+    assert str(exc.value) == f"bad mutation record line: {line!r}"
+
+
 def test_record_lines_reject_negative_node_ids():
     # -1 pads leaf rows of the working state; a record must not name it
     for line in ("leaf_interchange 0 -1", "subtree_interchange 5 -1 6 2",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quartet.ncd import CorpusItem, get_compressor, ncd, ncd_matrix
+from quartet.ncd import CorpusItem, get_compressor, load_corpus, ncd, ncd_matrix
 
 from conftest import rng_for
 
@@ -69,3 +69,52 @@ def test_matrix_keeps_the_smaller_order_of_ncd(codec):
             if i != j:
                 want[i, j] = max(min(ncd(x.data, y.data, z), ncd(y.data, x.data, z)), 0.0)
     assert dm.d.tobytes() == want.tobytes()
+
+
+def test_load_corpus_reads_the_files_a_list_names(tmp_path):
+    (tmp_path / "sub").mkdir()
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / "sub" / name).write_bytes(name.encode())
+    outside = tmp_path / "c.txt"
+    outside.write_bytes(b"c")
+    listing = tmp_path / "list.txt"
+    listing.write_text(f"# the corpus\nsub/a.txt\n\n  sub/b.txt  \n{outside}\n")
+    items = load_corpus(listing, manifest=True)
+    assert [(it.name, it.data, it.path) for it in items] == [
+        ("a.txt", b"a.txt", tmp_path / "sub" / "a.txt"),
+        ("b.txt", b"b.txt", tmp_path / "sub" / "b.txt"),
+        ("c.txt", b"c", outside),
+    ]
+
+
+def test_load_corpus_names_the_list_line_of_a_missing_file(tmp_path):
+    listing = tmp_path / "list.txt"
+    listing.write_text("# the corpus\n\nmissing.txt\n")
+    with pytest.raises(ValueError) as exc:
+        load_corpus(listing, manifest=True)
+    assert str(exc.value) == f"{listing}:3: no such file 'missing.txt'"
+
+
+def test_matrix_rejects_duplicate_item_names():
+    items = dna_corpus(4, 200, 1)
+    with pytest.raises(ValueError) as exc:
+        ncd_matrix(items + [CorpusItem("item1", b"x"), CorpusItem("item0", b"y")])
+    assert str(exc.value) == "duplicate corpus item names: ['item0', 'item1']"
+
+
+class ShrinkingCompressor:
+    """Compresses any concatenation of two 5-byte items to 1 byte, so every
+    pair's NCD is (1 - 5) / 5 < 0."""
+
+    name = "shrinking"
+
+    def compressed_length(self, data: bytes) -> int:
+        return 1 if len(data) > 5 else len(data)
+
+
+def test_matrix_clamps_negative_values_to_zero_with_a_warning():
+    items = [CorpusItem(f"i{k}", bytes([65 + k]) * 5) for k in range(4)]
+    with pytest.warns(UserWarning) as record:
+        dm = ncd_matrix(items, ShrinkingCompressor())
+    assert [str(w.message) for w in record] == ["6 negative NCD value(s) clamped to 0"]
+    assert not dm.d.any()

@@ -100,7 +100,7 @@ def test_hop_distances_match_floyd_warshall(n, seed, shape):
     tree = caterpillar(n) if shape == "caterpillar" else random_tree(n, rng)
     rows = shuffled_rows(tree, n, rng)
     want = floyd_warshall_leaf_hops(tree)
-    for got in (hop_distances(rows, n), hop_distances(rows), hop_distances(Tree(rows))):
+    for got in (hop_distances(rows), hop_distances(Tree(rows))):
         assert got.dtype == np.int32
         assert np.array_equal(got, want)
 
@@ -114,8 +114,8 @@ def check_delta(rows, n, d, rec):
     after = [row[:] for row in rows]
     apply_record(after, rec)
     cf = DistanceCostFunction(DistanceMatrix(d))
-    full = cost_distance_from_adj(after, n, d) - cost_distance_from_adj(rows, n, d)
-    naive = tree_cost_naive(after, cf, n) - tree_cost_naive(rows, cf, n)
+    full = cost_distance_from_adj(after, d) - cost_distance_from_adj(rows, d)
+    naive = tree_cost_naive(after, cf) - tree_cost_naive(rows, cf)
     assert abs(delta - full) <= tau, (rec, delta, full, tau)
     assert abs(delta - naive) <= tau, (rec, delta, naive, tau)
 

@@ -360,6 +360,54 @@ def test_replay_trace_rejects_node_ids_outside_the_tree(tmp_path, edit, message)
         replay_trace(bad)
 
 
+def trace_lines(tmp_path):
+    """The lines of a search's trace file over 10 items."""
+    trace = tmp_path / "trace.log"
+    search(DistanceCostFunction(random_symmetric_matrix(10, rng_for(2))), seed=3, max_trees=50,
+           trace_path=trace)
+    return trace.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "edit,lineno,message",
+    [
+        (lambda lines: [("# n x" if x.startswith("# n ") else x) for x in lines], 2,
+         "bad trace header line: '# n x'"),
+        (lambda lines: [("# edge a 4" if x.startswith("# edge") else x) for x in lines], 4,
+         "bad trace header line: '# edge a 4'"),
+        (lambda lines: [("# edge 1" if x.startswith("# edge") else x) for x in lines], 4,
+         "bad trace header line: '# edge 1'"),
+        (lambda lines: [*lines, "leaf_interchange a b"], None,
+         "bad mutation record line: 'leaf_interchange a b'"),
+    ],
+    ids=["n", "edge-operand", "edge-count", "record-operand"],
+)
+def test_replay_trace_names_the_file_and_line_that_does_not_parse(tmp_path, edit, lineno, message):
+    lines = edit(trace_lines(tmp_path))
+    bad = tmp_path / "bad.log"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        replay_trace(bad)
+    assert str(exc.value) == f"{bad}:{lineno or len(lines)}: {message}"
+
+
+def test_replay_trace_needs_the_header_and_every_edge(tmp_path):
+    lines = trace_lines(tmp_path)
+    lines.remove(next(x for x in lines if x.startswith("# edge")))
+    bad = tmp_path / "bad.log"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        replay_trace(bad)
+    assert str(exc.value) == f"trace file {bad} needs an '# n' header and 2n-3 '# edge' lines"
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError) as exc:
+        SearchConfig(seed=-1)
+    assert str(exc.value) == "seed must be >= 0, got -1"
+    assert SearchConfig(seed=0).seed == 0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(termination="sometimes")

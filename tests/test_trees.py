@@ -107,6 +107,18 @@ def test_tree_invariants_enforced():
         )
 
 
+@pytest.mark.parametrize("internal_row, message", [
+    ([0, 1, 1], "node 4 has a repeated neighbor"),
+    ([0, 1, 9], "node 4 has invalid neighbor 9"),
+    ([0, 1, 4], "node 4 has invalid neighbor 4"),
+])
+def test_tree_rows_name_the_node_with_a_bad_neighbour(internal_row, message):
+    rows = [[4, -1, -1], [4, -1, -1], [5, -1, -1], [5, -1, -1], internal_row, [2, 3, 4]]
+    with pytest.raises(ValueError) as exc:
+        Tree(rows)
+    assert str(exc.value) == message
+
+
 def test_random_tree_structure(rng):
     for n in (4, 5, 9, 17):
         t = random_tree(n, rng)
@@ -309,6 +321,19 @@ def test_newick_quoted_names_and_errors():
         tree_from_newick("((a,b),(a,d));")  # duplicate leaf
     with pytest.raises(ValueError):
         tree_from_newick("((a,b),(c,d)") # unbalanced
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(a,,b,c);", "empty leaf label at position 3"),
+    ("(a:x,b,c,d);", "bad branch length 'x' at position 3"),
+    ("(a,b),c;", "unexpected ',' at position 5"),
+    ("(a,b,(c,d,e,f));", "internal node of degree 5: only ternary trees "
+                         "(binary rooted or trifurcating unrooted) are supported"),
+])
+def test_newick_errors_name_what_is_wrong_and_where(text, message):
+    with pytest.raises(ValueError) as exc:
+        tree_from_newick(text)
+    assert str(exc.value) == message
 
 
 def test_dot_output_names_internal_nodes(rng):

@@ -14,17 +14,23 @@ computed identically on both sides, so it is immune to the summation-order
 noise that makes ``C_T == m`` unreliable; conversely a non-certified tree is
 never reported as 1.0 even when rounding pushes the quotient to 1.
 
-Every pass over all quartets (``bounds``, ``tree_cost_naive``,
-``is_min_perfect``) runs slab by slab, one slab per largest label
+Every pass over all quartets (``bounds``, ``tree_cost_naive`` and the slab
+check of ``is_min_perfect``) runs slab by slab, one slab per largest label
 (``trees.quartet_slabs``), in colex rank order, whatever the kind of cost
 function: ``CostFunction.slab_costs`` yields each slab's three topology
 costs, and the tree's hop distances pick the embedded one. Memory stays at
 one slab, and the order of every float addition is fixed by n alone, so
 large-n sums are deterministic.
 
-The certificate is O(n^4), so it runs only on a tree whose cost lies within
-rounding distance of m (``ScoreBounds.may_be_perfect``); the search,
-``score`` and ``quartet score`` all apply that one rule before it.
+The certificate runs only on a tree whose cost lies within rounding distance
+of m (``ScoreBounds.may_be_perfect``); the search, ``score`` and ``quartet
+score`` all apply that one rule before it. For distance costs it first tries
+an O(n^3) accept that reads the quartet condition off pairs of leaves
+(``_gromov_accept``): rooted at each leaf x, quartet {a, b, c, x} embedded as
+ab|cx is at its minimum iff F(a,b) >= F(a,c) and F(a,b) >= F(b,c), with the
+Gromov products F(u,v) = d(u,x) + d(v,x) - d(u,v). It accepts only with a
+margin that covers its own rounding, and otherwise leaves the decision to the
+O(n^4) slab check, which explicit costs always run.
 """
 
 from __future__ import annotations
@@ -253,14 +259,19 @@ class ScoreBounds:
         return cost <= self.m + 1e-9 * (abs(self.m) + abs(self.M) + 1.0)
 
 
-def _embedded_slabs(tree_or_adj, cf: CostFunction):
-    """Per slab, the costs of the tree's embedded topologies and the three
-    topology costs they were picked from."""
+def _tree_hops(tree_or_adj, cf: CostFunction) -> np.ndarray:
+    """Hop distances of a ``Tree`` or neighbour rows with as many leaves as
+    ``cf`` covers."""
     rows, n = _adj_of(tree_or_adj)
     if n != cf.n:
         raise ValueError(f"tree has {n} leaves but cost function covers {cf.n}")
-    hop = quartet_pair_sums(hop_distances(rows))
-    return ((pick_embedded(hop_sums, costs), costs) for hop_sums, costs in zip(hop, cf.slab_costs()))
+    return hop_distances(rows)
+
+
+def _embedded_slabs(hop: np.ndarray, cf: CostFunction):
+    """Per slab, the costs of the embedded topologies of the tree with hop
+    distances ``hop`` and the three topology costs they were picked from."""
+    return ((pick_embedded(hop_sums, costs), costs) for hop_sums, costs in zip(quartet_pair_sums(hop), cf.slab_costs()))
 
 
 def tree_cost_naive(tree_or_adj, cf: CostFunction) -> float:
@@ -271,7 +282,7 @@ def tree_cost_naive(tree_or_adj, cf: CostFunction) -> float:
     decomposition scorer is checked against.
     """
     total = 0.0
-    for picked, _ in _embedded_slabs(tree_or_adj, cf):
+    for picked, _ in _embedded_slabs(_tree_hops(tree_or_adj, cf), cf):
         total += float(picked.sum())
     return total
 
@@ -308,12 +319,99 @@ def bounds(cf: CostFunction) -> ScoreBounds:
 
 def is_min_perfect(tree_or_adj, cf: CostFunction) -> bool:
     """Exact certificate that every quartet is embedded at its minimal cost
-    (equivalently C_T = m, hence S(T) = 1), for a ``Tree`` or neighbour
-    rows."""
+    (equivalently C_T = m, hence S(T) = 1), for a ``Tree`` or neighbour rows:
+    per quartet, the float cost of the embedded topology equals the least of
+    its three float costs.
+
+    For a ``DistanceCostFunction`` the O(n^3) ``_gromov_accept`` runs first;
+    where it declines (ties, near-ties within its rounding margin, or a tree
+    that is not perfect) the O(n^4) slab check decides, as it always does for
+    explicit costs. Both give the same answer wherever the accept says yes."""
+    hop = _tree_hops(tree_or_adj, cf)
+    if isinstance(cf, DistanceCostFunction) and _gromov_accept(hop, cf.dm.d):
+        return True
     return all(
         np.all(picked == np.minimum(np.minimum(c0, c1), c2))
-        for picked, (c0, c1, c2) in _embedded_slabs(tree_or_adj, cf)
+        for picked, (c0, c1, c2) in _embedded_slabs(hop, cf)
     )
+
+
+# (root, leaf, leaf) entries per block of ``_gromov_accept``: at n = 32-128,
+# 2^13-2^14 ran 15-30% faster than 2^16, whose temporaries outgrow the caches
+_ACCEPT_BLOCK = 1 << 14
+
+
+def _gromov_accept(hop: np.ndarray, d: np.ndarray) -> bool:
+    """A sufficient test, in O(n^3) time, that every quartet is embedded at
+    its minimal cost under C(uv|wx) = d(u,v) + d(w,x), for the tree with hop
+    distances ``hop``. False means "not shown", not "not perfect".
+
+    Root the tree at leaf x. For leaves a, c other than x, the lca of a and c
+    lies L(a,c) = (hop(a,x) + hop(c,x) - hop(a,c)) / 2 edges below x, and
+    the quartet {a, b, c, x} is embedded as ab|cx iff L(a,c) = L(b,c) <
+    L(a,b). Subtracting d(a,x) + d(b,x) + d(c,x) from each side shows that
+    ab|cx costs at most ac|bx iff F(a,b) >= F(a,c), and at most bc|ax iff
+    F(a,b) >= F(b,c), with F(u,v) = d(u,x) + d(v,x) - d(u,v). So every
+    quartet holding x is at its minimum iff, for each ordered pair (a, b) of
+    other leaves, F(a,b) >= G(a, L(a,b)), where G(a, l) is the largest
+    F(a,c) over the leaves c != a, x with L(a,c) < l (-inf if none). G is a
+    prefix maximum over levels: a scatter-max of F(a,c) into level
+    L(a,c) + 1, then a running maximum.
+
+    The test is run in floats and asks for a margin: fl(F(a,b) - G) > e with
+    e = 2^-48 D, D = max d. Each computed F = fl(fl(d1 + d2) - d3) is within
+    gamma_2 (d1 + d2 + d3) <= 3 gamma_2 D of the exact one, gamma_2 =
+    2u/(1 - 2u), u = 2^-53 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemma 3.1 and section 4.2), and so is the computed G, a
+    maximum of them. If the rounded difference exceeds e, the computed one
+    exceeds e/(1 + u), and the exact F(a,b) - G(a, l) exceeds e/(1 + u) -
+    6 gamma_2 D > (32 - 13) u D > 0. Then each embedded pairing's exact
+    cost is at most the other two, and since rounding is monotone, so is
+    its float cost: the slab check would pass too. The accept declines
+    unless e is a normal float (so 2^-48 D is exact) and 4D is finite (so
+    nothing overflows); with ties, as under all-equal d, it declines too.
+
+    Roots are batched so that each block holds about ``_ACCEPT_BLOCK``
+    (root, a, c) entries."""
+    n = len(d)
+    top = float(d.max())
+    e = top * 2.0**-48
+    if not (e >= np.finfo(np.float64).tiny and math.isfinite(4 * top)):
+        return False
+    hop = hop.astype(np.intp)
+    diag = np.arange(n)
+    step = max(1, _ACCEPT_BLOCK // (n * n))
+    # root 0 alone first: a tie that shows at every root, as under all-equal
+    # or small-integer d, declines at 1/n of the cost
+    ends = [0, *range(1, n, step), n]
+    for x0, x1 in zip(ends, ends[1:]):
+        xs = np.arange(x0, x1)
+        # table g holds one column per (root x, leaf a), k of them, and one
+        # row per level 0..n; q[x, a, c] is the cell of (x, a) at L(a,c)
+        k = len(xs) * n
+        col = np.arange(k).reshape(-1, n, 1)
+        hx = hop[xs]
+        q = (hx[:, :, None] + hx[:, None, :] - hop) >> 1
+        q *= k
+        q += col
+        dx = d[xs]
+        f = dx[:, :, None] + dx[:, None, :]
+        f -= d
+        # F(a,c) goes to level L(a,c) + 1, so that the running maximum at
+        # level l covers L < l. c = a lands at hop(a,x) + 1, above any L(a,b)
+        # asked for; c = x (L = 0) goes to level n, which no query reads
+        s = q + k
+        s[np.arange(len(xs)), :, xs] = n * k + col[:, :, 0]
+        g = np.full((n + 1) * k, -np.inf)
+        np.maximum.at(g, s.ravel(), f.ravel())
+        g = g.reshape(n + 1, k)
+        np.maximum.accumulate(g, axis=0, out=g)
+        # b = a asks level 0 (-inf), and so do a = x and b = x, at L = 0
+        q[:, diag, diag] = col[:, :, 0]
+        f -= g.ravel().take(q)
+        if not (f > e).all():
+            return False
+    return True
 
 
 def score_from_cost(cost: float, b: ScoreBounds, perfect: bool) -> float:

@@ -114,6 +114,14 @@ def test_ncd_phylip_names_that_collide_exit_3(tmp_path, capsys):
     assert not (out / "matrix.phy").exists()
 
 
+def test_ncd_needs_four_corpus_files(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "corpus", count=3, length=200)
+    out = tmp_path / "ncd"
+    assert main(["ncd", str(corpus), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "error: need at least 4 corpus files, got 3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-4"])
 def test_ncd_rejects_thread_count_below_one(tmp_path, capsys, threads):
     corpus = write_corpus(tmp_path / "corpus", count=4, length=200)

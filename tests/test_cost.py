@@ -1,5 +1,7 @@
 import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from quartet.cost import (
     ExplicitCostFunction,
     IncompleteCostFunctionError,
     ScoreBounds,
+    _gromov_accept,
     _unrank_quartet,
     bounds,
     cost_from_mqc,
@@ -23,6 +26,7 @@ from quartet.trees import (
     QuartetTopology,
     Tree,
     enumerate_quartets,
+    hop_distances,
     random_tree,
     topology_from_index,
 )
@@ -355,3 +359,157 @@ def test_slab_paths_past_old_cutoffs_match_combinations():
         assert is_min_perfect(t, cf) == perfect
         perfect_seen.append(perfect)
     assert perfect_seen == [True, False]
+
+
+# ------------------------------------------------------------ certificate
+
+
+def combinations_certificate(hops, d):
+    """Every quartet's embedded topology at its least float cost, over
+    ``itertools.combinations`` and the hop matrix ``hops``: the slab check's
+    condition, built without the slabs or the accept."""
+    a, b, c, x = np.array(list(itertools.combinations(range(len(d)), 4)), dtype=np.int64).T
+    costs = np.stack([d[a, b] + d[c, x], d[a, c] + d[b, x], d[a, x] + d[b, c]])
+    sums = np.stack([hops[a, b] + hops[c, x], hops[a, c] + hops[b, x], hops[a, x] + hops[b, c]])
+    picked = np.take_along_axis(costs, sums.argmin(axis=0)[None], 0)[0]
+    return bool(np.all(picked == costs.min(axis=0)))
+
+
+def planted_distances(tree):
+    d = (hop_distances(tree) + 1.0) / tree.n
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_certificate_on_every_small_tree_matches_combinations(n):
+    rng = rng_for(100 + n)
+    planted = random_tree(n, rng)
+    upper = np.triu(rng.integers(0, 3, (n, n)).astype(float), 1)
+    matrices = {
+        "all-equal": 1.0 - np.eye(n),
+        "small-integer": upper + upper.T,
+        "planted": planted_distances(planted),
+    }
+    cfs = {name: DistanceCostFunction(DistanceMatrix(d)) for name, d in matrices.items()}
+    seen = Counter()
+    for t in enumerate_all_trees(n):
+        hops = floyd_warshall_leaf_hops(t)
+        for name, cf in cfs.items():
+            want = combinations_certificate(hops, cf.dm.d)
+            accepted = _gromov_accept(hop_distances(t), cf.dm.d)
+            assert is_min_perfect(t, cf) == want
+            assert want or not accepted
+            seen[name, want, accepted] += 1
+        # the tree's own tree metric: the accept alone certifies it
+        assert _gromov_accept(hop_distances(t), planted_distances(t))
+    trees = math.prod(range(1, 2 * n - 4, 2))
+    # ties: every tree is perfect, and the slab check alone says so
+    assert seen["all-equal", True, False] == trees
+    assert seen["planted", True, True] == 1
+    assert seen["planted", False, False] == trees - 1
+    assert seen["small-integer", False, False] > 0
+
+
+def zero_pendant_metric(tree):
+    """The tree metric with length 0 on leaf edges and 1 on inner ones, so
+    that a leaf and its cherry sibling are at distance 0."""
+    d = hop_distances(tree) - 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def shifted_away_from(d, leaf):
+    """``d`` plus a constant on every pair that avoids ``leaf``: each pairing
+    of a quartet gains the constant once or twice alike, so each quartet
+    keeps its cheapest topology, while every product F(a,b) rooted at
+    ``leaf`` becomes negative."""
+    out = d + 3.0 * d.max() * (1.0 - np.eye(len(d)))
+    out[leaf, :] = d[leaf, :]
+    out[:, leaf] = d[:, leaf]
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_gromov_accept_certifies_tree_metrics_and_no_other_tree(n):
+    rng = rng_for(n)
+    t = random_tree(n, rng)
+    other, rec = one_move(t, "leaf_interchange", rng)
+    assert rec is not None
+    hops, other_hops = hop_distances(t), hop_distances(other)
+    planted = planted_distances(t)
+    for d in (planted, zero_pendant_metric(t), shifted_away_from(planted, n // 2)):
+        assert _gromov_accept(hops, d)
+        assert not _gromov_accept(other_hops, d)
+        cf = DistanceCostFunction(DistanceMatrix(d))
+        assert is_min_perfect(t, cf) and not is_min_perfect(other, cf)
+        if n <= 32:
+            assert combinations_certificate(floyd_warshall_leaf_hops(t), d)
+
+
+def test_gromov_accept_declines_near_ties_and_the_slab_check_decides():
+    # a tree metric whose inner edges are a few ulps long, plus 1: one inner
+    # edge moves a pairing's sum by 2^-49, under the accept's margin of about
+    # 2^-48. A cherry's distance then moves up by k ulps of 1 (2^-52); the
+    # float sums, whose ulp is 2^-51, tie near k = 8 where the exact ones do not
+    n = 8
+    t = random_tree(n, rng_for(8))
+    hops = hop_distances(t)
+    base = 1.0 + 2.0**-50 * hops
+    np.fill_diagonal(base, 0.0)
+    a, b = (int(v) for v in np.argwhere(hops == 2)[0])
+    others = [v for v in range(n) if v not in (a, b)]
+    perfect, float_ties = [], set()
+    for k in range(25):
+        d = base.copy()
+        d[a, b] = d[b, a] = base[a, b] + k * 2.0**-52
+        cf = DistanceCostFunction(DistanceMatrix(d))
+        assert not _gromov_accept(hops, d)
+        want = combinations_certificate(floyd_warshall_leaf_hops(t), d)
+        assert is_min_perfect(t, cf) == want
+        perfect.append(want)
+        for c, x in itertools.combinations(others, 2):
+            pairings = [((a, b), (c, x)), ((a, c), (b, x)), ((a, x), (b, c))]
+            fl = [d[p] + d[r] for p, r in pairings]
+            exact = [Fraction(d[p]) + Fraction(d[r]) for p, r in pairings]
+            if any(fl[0] == fl[j] and exact[0] != exact[j] for j in (1, 2)):
+                float_ties.add(k)
+    # up to k = 8 the exact sums hold; at k = 9 a float tie keeps the quartet
+    assert perfect == [True] * 10 + [False] * 15
+    assert {7, 9} <= float_ties
+
+
+def test_gromov_accept_declines_where_its_margin_is_not_a_normal_float():
+    t = random_tree(6, rng_for(6))
+    hops = hop_distances(t)
+    d = planted_distances(t)
+    assert _gromov_accept(hops, d)
+    assert not _gromov_accept(hops, d * 2.0**-1000)  # 2^-48 max d is subnormal
+    assert not _gromov_accept(hops, np.zeros((6, 6)))
+    cf = DistanceCostFunction(DistanceMatrix(d * 2.0**-1000))
+    assert is_min_perfect(t, cf)
+
+
+@pytest.mark.parametrize("kind", ["distances", "explicit"])
+def test_size_mismatch_is_named_before_any_check(kind):
+    if kind == "distances":
+        cf = DistanceCostFunction(DistanceMatrix(planted_distances(random_tree(5, rng_for(5)))))
+    else:
+        cf = cost_from_mqc(5, [])
+    t = random_tree(6, rng_for(6))
+    for check in (is_min_perfect, tree_cost_naive):
+        with pytest.raises(ValueError) as exc:
+            check(t, cf)
+        assert str(exc.value) == "tree has 6 leaves but cost function covers 5"
+
+
+def test_explicit_costs_must_have_one_row_per_quartet_and_be_finite():
+    with pytest.raises(ValueError) as exc:
+        ExplicitCostFunction(5, np.zeros((4, 3)))
+    assert str(exc.value) == "cost array has shape (4, 3), expected (5, 3)"
+    for bad in (np.nan, np.inf, -np.inf):
+        costs = np.zeros((5, 3))
+        costs[2, 1] = bad
+        with pytest.raises(IncompleteCostFunctionError) as exc:
+            ExplicitCostFunction(5, costs)
+        assert str(exc.value) == "cost array contains non-finite entries"

@@ -87,6 +87,27 @@ def test_load_corpus_reads_the_files_a_list_names(tmp_path):
     ]
 
 
+def test_get_compressor_names_the_codecs_it_offers():
+    with pytest.raises(ValueError) as exc:
+        get_compressor("gzip")
+    assert str(exc.value) == "unknown compressor 'gzip'; choose from ['bz2', 'lzma', 'zlib']"
+
+
+def test_load_corpus_rejects_a_missing_directory_and_an_empty_corpus(tmp_path):
+    missing = tmp_path / "missing"
+    with pytest.raises(ValueError) as exc:
+        load_corpus(missing)
+    assert str(exc.value) == f"corpus directory {missing} does not exist"
+    empty = tmp_path / "empty"
+    (empty / "sub").mkdir(parents=True)  # a directory is not a corpus file
+    listing = tmp_path / "list.txt"
+    listing.write_text("# nothing listed\n\n")
+    for source, manifest in ((empty, False), (listing, True)):
+        with pytest.raises(ValueError) as exc:
+            load_corpus(source, manifest=manifest)
+        assert str(exc.value) == f"no corpus files found in {source}"
+
+
 def test_load_corpus_names_the_list_line_of_a_missing_file(tmp_path):
     listing = tmp_path / "list.txt"
     listing.write_text("# the corpus\n\nmissing.txt\n")

@@ -80,8 +80,12 @@ class IncompleteCostFunctionError(ValueError):
 
 
 def quartet_rank(a: int, b: int, c: int, d: int) -> int:
-    """Colex rank of the sorted quartet a<b<c<d among all 4-subsets."""
-    a, b, c, d = sorted((a, b, c, d))
+    """Colex rank of the sorted quartet a<b<c<d among all 4-subsets; raises
+    ValueError unless the four labels are distinct and >= 0."""
+    labels = sorted((a, b, c, d))
+    if labels[0] < 0 or len(set(labels)) != 4:
+        raise ValueError(f"quartet labels must be distinct and >= 0, got ({a}, {b}, {c}, {d})")
+    a, b, c, d = labels
     return a + math.comb(b, 2) + math.comb(c, 3) + math.comb(d, 4)
 
 
@@ -262,10 +266,10 @@ class ScoreBounds:
 def _tree_hops(tree_or_adj, cf: CostFunction) -> np.ndarray:
     """Hop distances of a ``Tree`` or neighbour rows with as many leaves as
     ``cf`` covers."""
-    rows, n = _adj_of(tree_or_adj)
-    if n != cf.n:
-        raise ValueError(f"tree has {n} leaves but cost function covers {cf.n}")
-    return hop_distances(rows)
+    hops = hop_distances(tree_or_adj)
+    if len(hops) != cf.n:
+        raise ValueError(f"tree has {len(hops)} leaves but cost function covers {cf.n}")
+    return hops
 
 
 def _embedded_slabs(hop: np.ndarray, cf: CostFunction):
@@ -293,9 +297,7 @@ def tree_cost_fast(tree: Tree, dm) -> float:
     order (<= 1e-9 relative)."""
     if not isinstance(dm, DistanceMatrix):
         dm = DistanceMatrix(dm)
-    if dm.n != tree.n:
-        raise ValueError(f"tree has {tree.n} leaves but distance matrix is {dm.n}x{dm.n}")
-    return cost_distance_from_adj(_adj_of(tree)[0], dm.d)
+    return cost_distance_from_adj(_adj_of(tree), dm.d)
 
 
 def bounds(cf: CostFunction) -> ScoreBounds:

@@ -107,11 +107,14 @@ __all__ = [
 def cost_distance_from_adj(adj: list[list[int]], d: np.ndarray) -> float:
     """C_T of a tree's 2n-2 neighbour rows ``adj`` (the search's working
     state, in the inner loop, or a ``Tree``'s own), in any slot order, for
-    the (n, n) distance matrix ``d``."""
-    n = len(d)
-    m = 2 * n - 2
-    root = n
-    walk = _rooted_walk(adj, n)
+    the distance matrix ``d``. The rows fix n; unless ``d`` is n x n, raises
+    ValueError."""
+    m = len(adj)
+    n = root = (m + 2) // 2
+    if d.shape != (n, n):
+        shape = "x".join(map(str, d.shape))
+        raise ValueError(f"tree has {n} leaves but distance matrix is {shape}")
+    walk = _rooted_walk(adj)
     parent, _, size, _, pre = walk
     g = [0] * m  # G(p)
     dep = [0] * m  # doubled depth D
@@ -134,7 +137,7 @@ def cost_distance_from_adj(adj: list[list[int]], d: np.ndarray) -> float:
             dep[v] = dep[pv] + g[pv] + gv - sv * (sv - 1) - s * (s - 1)
         g[v] = gv
     dep[:n] = [dep[p] + g[p] for p in parent[:n]]
-    w2 = _lca_fill(n, walk, dep)  # 2 W off the diagonal
+    w2 = _lca_fill(walk, dep)  # 2 W off the diagonal
     w2 *= _upper_triangle(n)
     w2 *= d
     return 0.5 * float(w2.sum())
@@ -180,7 +183,7 @@ class TreeCache:
 
     def __init__(self, cost: DeltaCost, adj: list[list[int]]):
         n = cost.n
-        parent, depth, size, lo, pre = _rooted_walk(adj, n)
+        parent, depth, size, lo, pre = _rooted_walk(adj)
         order = np.empty(n, dtype=np.intp)
         order[lo[:n]] = np.arange(n)
         sat = np.zeros((n + 1, n + 1), dtype=np.int64)

@@ -166,7 +166,7 @@ def _check_move(adj: list[list[int]], kind: str, ops: tuple[int, ...]) -> str | 
         if ru[0] == rv[0]:
             return "leaves are siblings"
         return None
-    parent, depth, *_ = _rooted_walk(adj, (len(adj) + 2) // 2)
+    parent, depth, *_ = _rooted_walk(adj)
     if kind == "subtree_interchange":
         # x after u and y before w on the u-w path, of 3 or more edges
         _, x, y, _ = ops
@@ -387,10 +387,11 @@ def _rand_subtree_transfer(adj, n, rng):
 _RAND_BY_KIND = (_rand_leaf_interchange, _rand_subtree_interchange, _rand_subtree_transfer)
 
 
-def _k_moves(adj, n: int, rng, k: int) -> list[tuple[str, tuple[int, ...]]]:
-    """k simple mutations in a row, in place on the rows, as (kind,
+def _k_moves(adj, rng, k: int) -> list[tuple[str, tuple[int, ...]]]:
+    """k simple mutations in a row, in place on the 2n-2 rows, as (kind,
     operands) pairs: each move's kind is uniform over the three, and an
     ineligible kind (possible only at n = 4) is drawn again."""
+    n = (len(adj) + 2) // 2
     integers = rng.integers
     moves = []
     for _ in range(k):
@@ -401,13 +402,13 @@ def _k_moves(adj, n: int, rng, k: int) -> list[tuple[str, tuple[int, ...]]]:
     return moves
 
 
-def simple_mutation(adj: list[list[int]], n: int, rng) -> MutationRecord:
-    """One simple mutation in place on the neighbour rows ``adj`` (from
-    ``Tree.copy_adjacency()``) of a tree over n leaves, kind uniform over the
-    three; ineligible draws (possible only at small n) resample the kind.
+def simple_mutation(adj: list[list[int]], rng) -> MutationRecord:
+    """One simple mutation in place on the 2n-2 neighbour rows ``adj`` (from
+    ``Tree.copy_adjacency()``), which fix n; its kind is uniform over the
+    three, and ineligible draws (possible only at n = 4) resample the kind.
     The rows' slot order is part of the state: it picks a transfer's s and
     orders its candidate edges."""
-    return MutationRecord(*_k_moves(adj, n, rng, 1)[0])
+    return MutationRecord(*_k_moves(adj, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------- #

@@ -284,7 +284,7 @@ class _Run:
     def _gen_hill(self) -> None:
         k = sample_k(self.rng, self.k_max)
         work = [row[:] for row in self.best_adj]
-        moves = _k_moves(work, self.n, self.rng, k)
+        moves = _k_moves(work, self.rng, k)
         c = self.scorer.cost(work)
         self.examined += 1
         self.full_scores += 1
@@ -305,7 +305,7 @@ class _Run:
         steps = self.trial_length if budget is None else min(self.trial_length, budget)
         for _ in range(steps):
             if cache is None:
-                rec = simple_mutation(cur, self.n, self.rng)
+                rec = simple_mutation(cur, self.rng)
                 kind, ops = rec.kind, rec.operands
             else:
                 kind, ops, path = cache.propose(self.rng)

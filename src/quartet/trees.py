@@ -9,8 +9,9 @@ internal row sorted ascending; ``Tree.copy_adjacency()`` hands them out as
 writable lists, the working state that the moves, the search and the
 scorers edit and walk in place, in whatever slot order the moves leave, and
 ``Tree(rows)`` freezes them again; a pass that only reads a ``Tree`` reads
-its own rows, and n from their count. Passes that compute on numbers (hop
-matrices, lca blocks, quartet slabs) build numpy arrays from the rows.
+its own rows. The row count fixes n: every pass reads n from it and takes
+no n beside the rows. Passes that compute on numbers (hop matrices, lca
+blocks, quartet slabs) build numpy arrays from the rows.
 ``_edges`` lists the edges, by lower end and then by slot.
 
 One walk serves every pass over a whole tree. ``_rooted_walk`` roots the
@@ -148,8 +149,11 @@ class Tree:
     __slots__ = ("n", "_rows", "_canon")
 
     def __init__(self, adj, *, validate: bool = True):
-        if len(adj) % 2 != 0 or any(len(row) != 3 for row in adj):
-            raise ValueError(f"adjacency needs 2n-2 rows of 3 slots, got {len(adj)} rows")
+        if len(adj) % 2 != 0:
+            raise ValueError(f"adjacency needs 2n-2 rows, an even count, got {len(adj)} rows")
+        for v, row in enumerate(adj):
+            if len(row) != 3:
+                raise ValueError(f"node {v} has {len(row)} slots, expected 3")
         n = (len(adj) + 2) // 2
         self.n = n
         self._rows = tuple(map(tuple, adj[:n])) + tuple(tuple(sorted(row)) for row in adj[n:])
@@ -161,8 +165,6 @@ class Tree:
     def from_adjacency(cls, adjacency: Mapping[int, Iterable[int]]) -> "Tree":
         """Build from a node-id -> neighbor-ids mapping (leaves 0..n-1)."""
         m = len(adjacency)
-        if m % 2 != 0 or m < 6:
-            raise ValueError(f"a ternary tree needs 2n-2 >= 6 nodes, got {m}")
         n = (m + 2) // 2
         adj = [[-1, -1, -1] for _ in range(m)]
         for v, nbrs in adjacency.items():
@@ -186,8 +188,10 @@ class Tree:
         for v, row in enumerate(rows):
             nbrs = [x for x in row if x >= 0]
             want = 1 if v < n else 3
-            if len(nbrs) != want or (v < n and row[1:] != (-1, -1)):
+            if len(nbrs) != want:
                 raise ValueError(f"node {v} has degree {len(nbrs)}, expected {want}")
+            if v < n and row[1:] != (-1, -1):
+                raise ValueError(f"leaf {v} must hold its neighbour in slot 0, -1 in the others")
             if len(set(nbrs)) != len(nbrs):
                 raise ValueError(f"node {v} has a repeated neighbor")
             for w in nbrs:
@@ -199,7 +203,7 @@ class Tree:
         # the n + 3(n-2) row entries name each edge twice: 2n-3 = |V|-1 edges.
         # Connected with that many edges means acyclic; every internal row
         # holds three valid neighbours, so the walk ends.
-        if min(_rooted_walk(rows, n)[0]) < 0:
+        if min(_rooted_walk(rows)[0]) < 0:
             raise ValueError("tree is not connected")
 
     # -- basic queries ---------------------------------------------------
@@ -248,7 +252,7 @@ class Tree:
         leaf-labeled trees (internal ids ignored).
         """
         if self._canon is None:
-            self._canon = _canonical_key(self._rows, self.n)
+            self._canon = _canonical_key(self._rows)
         return self._canon
 
     def __repr__(self) -> str:
@@ -265,8 +269,8 @@ def trees_equal(t1: Tree, t2: Tree) -> bool:
     return t1.canonical_key() == t2.canonical_key()
 
 
-def _canonical_key(rows: Sequence[Sequence[int]], n: int) -> str:
-    """Canonical key of the tree in neighbour rows over n leaves.
+def _canonical_key(rows: Sequence[Sequence[int]]) -> str:
+    """Canonical key of the tree in neighbour rows.
 
     Each directed edge gets the nested-parenthesis encoding of the side it
     points to. On the walk from ``_rooted_walk``, the sides below each node
@@ -274,7 +278,8 @@ def _canonical_key(rows: Sequence[Sequence[int]], n: int) -> str:
     order. The key is the least "a|b" over the 2n-3 edges, with a <= b the
     encodings of the edge's two sides, so no rooting shows in it.
     """
-    parent, _, _, _, pre = _rooted_walk(rows, n)
+    n = (len(rows) + 2) // 2
+    parent, _, _, _, pre = _rooted_walk(rows)
     down = [str(v) for v in range(n)] + [""] * (n - 2)  # v's side of v-parent[v]
     for v in reversed(pre[1:]):
         p = parent[v]
@@ -342,18 +347,17 @@ def _replace_neighbor(adj, v: int, old: int, new: int) -> None:
 # ---------------------------------------------------------------------- #
 
 
-def _rooted_walk(
-    adj: Sequence[Sequence[int]], n: int, root: int | None = None
-) -> tuple[list[int], ...]:
-    """Walk the internal nodes of the rows ``adj`` from the internal node
-    ``root``, node n by default: (parent, depth, size, lo, pre).
+def _rooted_walk(adj: Sequence[Sequence[int]], root: int | None = None) -> tuple[list[int], ...]:
+    """Walk the internal nodes of the 2n-2 rows ``adj`` from the internal
+    node ``root``, node n by default: (parent, depth, size, lo, pre).
 
     ``parent[root]`` is root itself, ``depth[v]`` counts the edges from root
     to v, ``size[v]`` the leaves below v, and ``pre`` lists the internal nodes
     in walk order. A leaf takes the next walk-order position when its parent
     is expanded, so the leaves below node v fill positions lo[v] : lo[v] +
     size[v]."""
-    m = 2 * n - 2
+    m = len(adj)
+    n = (m + 2) // 2
     if root is None:
         root = n
     parent = [-1] * m
@@ -417,7 +421,7 @@ def _move_path(parent: list[int], depth: list[int], kind: str, ops: tuple[int, .
     return path
 
 
-def _lca_fill(n: int, walk, depth) -> np.ndarray:
+def _lca_fill(walk, depth) -> np.ndarray:
     """D(u) + D(v) - 2 D(lca(u, v)) off the diagonal, in label order: the
     leaf-pair path lengths of the tree metric with integer node depths
     ``depth`` from the root of ``walk``. A node's children fill consecutive
@@ -425,6 +429,7 @@ def _lca_fill(n: int, walk, depth) -> np.ndarray:
     per child that is not its parent's last, its range against the rest of
     its parent's: n - 1 blocks in all."""
     parent, _, size, lo, _ = walk
+    n = (len(parent) + 2) // 2
     hi = [a + b for a, b in zip(lo, size)]
     # D(lca) over walk positions, each leaf pair in one of its two orientations
     out = np.zeros((n, n))
@@ -445,11 +450,10 @@ def _lca_fill(n: int, walk, depth) -> np.ndarray:
     return out
 
 
-def _adj_of(tree_or_adj) -> tuple[Sequence[Sequence[int]], int]:
+def _adj_of(tree_or_adj) -> Sequence[Sequence[int]]:
     """Neighbour rows of a ``Tree`` (its own, to be read only) or rows as
-    given, and the leaf count n of their 2n-2 rows."""
-    rows = tree_or_adj._rows if isinstance(tree_or_adj, Tree) else tree_or_adj
-    return rows, (len(rows) + 2) // 2
+    given."""
+    return tree_or_adj._rows if isinstance(tree_or_adj, Tree) else tree_or_adj
 
 
 def _edges(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
@@ -463,9 +467,8 @@ def _edges(rows: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 def hop_distances(tree_or_adj) -> np.ndarray:
     """Leaf-to-leaf path lengths in edges, as an (n, n) int32 matrix, of a
     ``Tree`` or of neighbour rows: the lca fill on edge depths."""
-    rows, n = _adj_of(tree_or_adj)
-    walk = _rooted_walk(rows, n)
-    out = _lca_fill(n, walk, walk[1]).astype(np.int32)  # walk[1]: edge depths
+    walk = _rooted_walk(_adj_of(tree_or_adj))
+    out = _lca_fill(walk, walk[1]).astype(np.int32)  # walk[1]: edge depths
     np.fill_diagonal(out, 0)
     return out
 
@@ -542,7 +545,7 @@ def tree_to_newick(tree: Tree, names: Sequence[str] | None = None) -> str:
     names = _check_names(n, names)
     rows = tree._rows
     root = rows[0][0]
-    parent, _, _, _, pre = _rooted_walk(rows, n, root)
+    parent, _, _, _, pre = _rooted_walk(rows, root)
     text = [_quote_name(nm) for nm in names] + [""] * (n - 2)
     # the walk lists every clade before the clades below it
     for v in reversed(pre):

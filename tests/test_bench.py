@@ -1,6 +1,10 @@
 from types import SimpleNamespace
 
-from quartet.bench import run_statistics, write_statistics_csv
+import numpy as np
+import pytest
+
+from quartet.bench import collect_runs, room_for_improvement, run_statistics, write_statistics_csv
+from quartet.cost import DistanceCostFunction, DistanceMatrix
 
 
 def fake_run(examined, accepted, rejected, history):
@@ -36,3 +40,17 @@ def test_statistics_csv_files_byte_for_byte(tmp_path):
     for stem, text in want.items():
         assert paths[stem] == tmp_path / "out" / f"{stem}.csv"
         assert paths[stem].read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: collect_runs(DistanceCostFunction(DistanceMatrix(1.0 - np.eye(5))), 0),
+     "runs must be >= 1, got 0"),
+    (lambda: run_statistics([]), "need at least one run"),
+    (lambda: run_statistics(RUNS, bin_width=0), "bin_width must be >= 1, got 0"),
+    (lambda: room_for_improvement(1.5), "score must lie in [0, 1], got 1.5"),
+    (lambda: room_for_improvement(-0.1), "score must lie in [0, 1], got -0.1"),
+], ids=["no-runs", "empty", "zero-bin", "above-one", "below-zero"])
+def test_bench_rejects_what_it_cannot_summarise(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

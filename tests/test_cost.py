@@ -70,6 +70,20 @@ def test_quartet_rank_is_colex_order():
         assert quartet_rank(*quartet) == want
 
 
+@pytest.mark.parametrize("labels", [(1, 1, 2, 3), (0, 0, 0, 4), (-1, 0, 1, 2)])
+def test_quartet_rank_rejects_repeated_or_negative_labels(labels):
+    with pytest.raises(ValueError) as exc:
+        quartet_rank(*labels)
+    assert str(exc.value) == f"quartet labels must be distinct and >= 0, got {labels}"
+
+
+def test_a_negative_label_is_no_other_quartets_slot():
+    topo = QuartetTopology((-1, 0), (1, 2))
+    for call in label_checks(6, topo):
+        with pytest.raises(ValueError, match="must be distinct and >= 0"):
+            call()
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_unrank_inverts_quartet_rank(n):
     quartets = list(enumerate_quartets(n))

@@ -83,6 +83,16 @@ def test_dimension_mismatch_rejected(rng):
         tree_cost_fast(random_tree(6, rng), random_symmetric_matrix(7, rng))
 
 
+@pytest.mark.parametrize("leaves, size", [(5, 6), (6, 5)])
+def test_scorer_checks_the_rows_against_the_matrix(rng, leaves, size):
+    rows = random_tree(leaves, rng).copy_adjacency()
+    d = random_symmetric_matrix(size, rng)
+    for call in (lambda: cost_distance_from_adj(rows, d.d), lambda: tree_cost_fast(Tree(rows), d)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"tree has {leaves} leaves but distance matrix is {size}x{size}"
+
+
 @pytest.mark.parametrize(
     "d,message",
     [

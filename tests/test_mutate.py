@@ -28,7 +28,7 @@ def test_simple_mutations_preserve_invariants():
         n = int(rng.integers(4, 20))
         t = random_tree(n, rng)
         adj = t.copy_adjacency()
-        simple_mutation(adj, n, rng)
+        simple_mutation(adj, rng)
         t2 = Tree(adj)  # constructor re-validates everything
         assert t2.leaf_count == n and t2.node_count == 2 * n - 2
 
@@ -39,7 +39,7 @@ def test_records_invertible():
         n = int(rng.integers(4, 16))
         t = random_tree(n, rng)
         adj = t.copy_adjacency()
-        rec = simple_mutation(adj, n, rng)
+        rec = simple_mutation(adj, rng)
         apply_record(adj, rec.inverse())
         assert trees_equal(Tree(adj), t)
 
@@ -116,7 +116,7 @@ def test_k_mutation(rng):
         k = int(rng.integers(1, 300))
         t = random_tree(n, rng)
         adj = t.copy_adjacency()
-        recs = [simple_mutation(adj, n, rng) for _ in range(k)]
+        recs = [simple_mutation(adj, rng) for _ in range(k)]
         assert trees_equal(replay_records(t, recs), Tree(adj))
 
 
@@ -124,7 +124,7 @@ def test_record_text_round_trip(rng):
     t = random_tree(9, rng)
     adj = t.copy_adjacency()
     for _ in range(60):
-        rec = simple_mutation(adj, 9, rng)
+        rec = simple_mutation(adj, rng)
         assert MutationRecord.from_line(rec.to_line()) == rec
     with pytest.raises(ValueError):
         MutationRecord.from_line("leaf_interchange 1")

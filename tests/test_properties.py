@@ -78,7 +78,7 @@ def test_moves_keep_a_valid_tree_and_inverses_restore_it(n, seed, steps):
     rows = t.copy_adjacency()
     records = []
     for _ in range(steps):
-        records.append(simple_mutation(rows, n, rng))
+        records.append(simple_mutation(rows, rng))
         Tree(rows)  # validates degree, symmetry and connectivity
     for rec in reversed(records):
         apply_record(rows, rec.inverse())
@@ -108,7 +108,7 @@ def test_hop_distances_match_floyd_warshall(n, seed, shape):
 def check_delta(rows, n, d, rec):
     """Delta of the move ``rec`` on the tree ``rows`` equals the difference of
     the full scorer's costs and of the naive scorer's costs, within tau."""
-    parent, depth = _rooted_walk(rows, n)[:2]
+    parent, depth = _rooted_walk(rows)[:2]
     path = _move_path(parent, depth, rec.kind, rec.operands)
     delta, tau = TreeCache(DeltaCost(d), rows).delta(rec.kind, rec.operands, path)
     after = [row[:] for row in rows]
@@ -225,7 +225,7 @@ def test_move_path_is_the_tree_path_of_every_move(n):
     # transfer's from a to the nearer end of e-f and on to the farther one
     for i, tree in enumerate(enumerate_all_trees(n)):
         rows = shuffled_rows(tree, n, rng_for(i))
-        parent, depth, *_ = _rooted_walk(rows, n)
+        parent, depth, *_ = _rooted_walk(rows)
         for rec in all_moves(rows, n):
             kind, ops = rec.kind, rec.operands
             if kind == "subtree_transfer":
@@ -289,7 +289,7 @@ def check_proposal(cache, rows, n, seed):
     in the tree. Returns the move's record."""
     ours, theirs = _Draws(seed), _Draws(seed)
     kind, ops, path = cache.propose(ours)
-    rec = simple_mutation([row[:] for row in rows], n, theirs)
+    rec = simple_mutation([row[:] for row in rows], theirs)
     assert (kind, ops) == (rec.kind, rec.operands)
     assert (ours.integers(2**32), ours.random()) == (theirs.integers(2**32), theirs.random())
     if kind == "subtree_transfer":
@@ -333,7 +333,7 @@ def check_against_oracle(rows, n, ours, theirs, k):
     for slot, and the streams left at the same place."""
     want_rows = [row[:] for row in rows]
     want = [oracle_simple_mutation(want_rows, n, theirs) for _ in range(k)]
-    got = _k_moves(rows, n, ours, k)
+    got = _k_moves(rows, ours, k)
     assert got == [(rec.kind, rec.operands) for rec in want]
     assert rows == want_rows
     assert (ours.integers(2**32), ours.random()) == (theirs.integers(2**32), theirs.random())
@@ -348,7 +348,7 @@ def test_samplers_match_the_oracle_draw_for_draw_on_every_tree(n):
             work = [row[:] for row in rows]
             check_against_oracle(work, n, _Draws(seed), _Draws(seed), 1)
             ours, theirs = _Draws(seed), _Draws(seed)
-            rec = simple_mutation([row[:] for row in rows], n, ours)
+            rec = simple_mutation([row[:] for row in rows], ours)
             assert rec == oracle_simple_mutation([row[:] for row in rows], n, theirs)
             assert ours.random() == theirs.random()
             kinds.add(rec.kind)

@@ -424,6 +424,13 @@ def test_config_validation():
     assert SearchConfig(termination="simple", runs_r=1).runs_r == 1  # unused there
 
 
+@pytest.mark.parametrize("field", ["trial_length", "max_trees"])
+def test_config_rejects_a_zero_count(field):
+    with pytest.raises(ValueError) as exc:
+        SearchConfig(**{field: 0})
+    assert str(exc.value) == f"{field} must be >= 1"
+
+
 def test_config_k_max_default_and_validation():
     assert SearchConfig().k_max is None
     assert SearchConfig(k_max=None).k_max is None

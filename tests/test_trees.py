@@ -119,6 +119,20 @@ def test_tree_rows_name_the_node_with_a_bad_neighbour(internal_row, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[4, -1, -1]] * 5, "adjacency needs 2n-2 rows, an even count, got 5 rows"),
+    ([[4, 5]] * 8, "node 0 has 2 slots, expected 3"),
+    ([[-1, 4, -1], [4, -1, -1], [5, -1, -1], [5, -1, -1], [0, 1, 5], [2, 3, 4]],
+     "leaf 0 must hold its neighbour in slot 0, -1 in the others"),
+    ([[4, 5, -1], [4, -1, -1], [5, -1, -1], [5, -1, -1], [0, 1, 5], [2, 3, 4]],
+     "node 0 has degree 2, expected 1"),
+], ids=["odd-row-count", "two-slot-rows", "leaf-off-slot-0", "leaf-of-degree-2"])
+def test_tree_rows_of_the_wrong_shape_name_the_fault(rows, message):
+    with pytest.raises(ValueError) as exc:
+        Tree(rows)
+    assert str(exc.value) == message
+
+
 def test_random_tree_structure(rng):
     for n in (4, 5, 9, 17):
         t = random_tree(n, rng)
@@ -329,6 +343,7 @@ def test_newick_quoted_names_and_errors():
     ("(a,b),c;", "unexpected ',' at position 5"),
     ("(a,b,(c,d,e,f));", "internal node of degree 5: only ternary trees "
                          "(binary rooted or trifurcating unrooted) are supported"),
+    ("((a,b),c);", "need at least 4 leaves, got 3"),
 ])
 def test_newick_errors_name_what_is_wrong_and_where(text, message):
     with pytest.raises(ValueError) as exc:

@@ -15,12 +15,20 @@ noise that makes ``C_T == m`` unreliable; conversely a non-certified tree is
 never reported as 1.0 even when rounding pushes the quotient to 1.
 
 Every pass over all quartets (``bounds``, ``tree_cost_naive`` and the slab
-check of ``is_min_perfect``) runs slab by slab, one slab per largest label
-(``trees.quartet_slabs``), in colex rank order, whatever the kind of cost
-function: ``CostFunction.slab_costs`` yields each slab's three topology
-costs, and the tree's hop distances pick the embedded one. Memory stays at
-one slab, and the order of every float addition is fixed by n alone, so
-large-n sums are deterministic.
+check of ``is_min_perfect``) runs slab by slab, one slab per largest label,
+in colex rank order, whatever the kind of cost function:
+``CostFunction.slab_costs`` yields each slab's three topology costs, and the
+tree's hop distances pick the embedded one. Memory stays at one slab, and
+the order of every float addition is fixed by n alone, so large-n sums are
+deterministic. One kernel, ``trees.quartet_pair_sums``, forms the pair sums
+of both the hop distances and a distance matrix. It fills three buffers
+sized for the last slab, in cache-sized blocks, each block a ``take`` with
+``mode="wrap"`` (which writes into the buffer, where the default mode copies)
+and an in-place addition; ``bounds`` reuses one buffer for each slab's
+minima and maxima. The arrays it yields are overwritten by the next slab.
+None of this moves a bit: each pair sum, minimum and maximum is formed
+from the same operands however the slab is blocked, and each slab is
+summed as one contiguous array in colex order.
 
 The certificate runs only on a tree whose cost lies within rounding distance
 of m (``ScoreBounds.may_be_perfect``); the search, ``score`` and ``quartet
@@ -147,8 +155,9 @@ class CostFunction:
         raise NotImplementedError
 
     def slab_costs(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per slab of ``trees.quartet_slabs``, the costs of each quartet's
-        topologies 0, 1 and 2, in colex rank order."""
+        """Per slab of quartets with one largest label x = 3..n-1, the costs
+        of each quartet's topologies 0, 1 and 2, in colex rank order. The
+        arrays may be views that the next slab overwrites."""
         raise NotImplementedError
 
 
@@ -307,13 +316,27 @@ def bounds(cf: CostFunction) -> ScoreBounds:
     scorer forms can overflow: the fast scorer's partial sums stay below
     2 C_T <= 2M, ``DeltaCost``'s total of d is at most 6M (a quartet's
     largest pairing sum is at least a third of its six distances), and the
-    naive scorer's slab sums lie between those of m and M."""
+    naive scorer's slab sums lie between those of m and M.
+
+    One buffer, sized for the last slab, takes each slab's minima and then
+    its maxima, so no slab allocates. Each is summed as one contiguous array
+    in colex order (``np.add.reduce``, the sum ``ndarray.sum`` calls), as
+    it would be had it been allocated afresh, so m and M do not depend on
+    the buffer or on how ``slab_costs`` formed the costs."""
     lo = 0.0
     hi = 0.0
+    buf = np.empty(math.comb(cf.n - 1, 3))
+    # local names: at n <= 12 a slab's cost is its calls, lookups included
+    minimum, maximum, total = np.minimum, np.maximum, np.add.reduce
     with np.errstate(over="ignore"):  # an overflow fails below
         for c0, c1, c2 in cf.slab_costs():
-            lo += float(np.minimum(np.minimum(c0, c1), c2).sum())
-            hi += float(np.maximum(np.maximum(c0, c1), c2).sum())
+            t = buf[: len(c0)]
+            minimum(c0, c1, out=t)
+            minimum(t, c2, out=t)
+            lo += float(total(t))
+            maximum(c0, c1, out=t)
+            maximum(t, c2, out=t)
+            hi += float(total(t))
     if not (math.isfinite(8 * lo) and math.isfinite(8 * hi)):
         raise ValueError(f"costs too large: 8*max(|m|, |M|) must be finite, got m={lo!r}, M={hi!r}")
     return ScoreBounds(lo, hi)

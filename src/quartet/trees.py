@@ -48,7 +48,6 @@ pass one check (``_check_names``): as many as the items, unique, non-empty.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -477,57 +476,77 @@ def pick_embedded(hop_sums, choices) -> np.ndarray:
     """Per quartet, the entry of ``choices`` (indexed by topology index) for
     its embedded topology. ``hop_sums`` are the three pairings' hop-distance
     sums from ``quartet_pair_sums``; by the four-point condition the embedded
-    pairing has the strictly smallest one (the other two are equal)."""
+    pairing has the strictly smallest one and the other two are equal, so
+    s0 < s1 holds iff pairing 0 is embedded, and otherwise s1 < s2 iff
+    pairing 1 is."""
     s0, s1, s2 = hop_sums
     c0, c1, c2 = choices
-    return np.where(s0 < s1, np.where(s0 < s2, c0, c2), np.where(s1 < s2, c1, c2))
+    return np.where(s0 < s1, c0, np.where(s1 < s2, c1, c2))
+
+
+# entries per block of ``quartet_pair_sums``: a block's indices, sums and
+# within-triple entries (3 x 128 KiB) stay in a 2 MiB L2 cache from the
+# gather to the addition
+_PAIR_SUM_BLOCK = 1 << 14
 
 
 def quartet_pair_sums(M: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per slab of ``quartet_slabs``, for each quartet (a, b, c, x) the sums
-    M[a,b] + M[c,x], M[a,c] + M[b,x] and M[a,x] + M[b,c] of the symmetric
-    (n, n) matrix ``M`` over its pairings with topology index 0, 1 and 2.
+    """For x = 3..n-1, the slab of quartets (a, b, c, x) with largest label
+    x, in colex rank order: per quartet the sums M[a,b] + M[c,x],
+    M[a,c] + M[b,x] and M[a,x] + M[b,c] of the symmetric (n, n) matrix
+    ``M`` over its pairings with topology index 0, 1 and 2, in the dtype of
+    ``M``. The slabs follow each other in colex order too, so concatenated
+    they cover all C(n,4) quartets as ``enumerate_quartets`` lists them, one
+    slab of memory at a time. Every pass over all quartets runs on them.
 
-    Every slab is a prefix of the last one, so the within-triple entries are
-    gathered once, for the last slab, and sliced for the others."""
-    slabs = list(quartet_slabs(len(M)))
-    a, b, c, _ = slabs[-1]
-    mab, mac, mbc = M[a, b], M[a, c], M[b, c]
-    for a, b, c, x in slabs:
-        k = len(a)
-        mx = M[x]
-        yield mab[:k] + mx.take(c), mac[:k] + mx.take(b), mx.take(a) + mbc[:k]
-
-
-def quartet_slabs(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
-    """Yield, for x = 3..n-1, the quartets (a, b, c, x) with largest label x
-    as label arrays a < b < c (read-only views) and the int x.
-
-    Each slab lists its quartets in colex rank order, and the slabs follow
-    each other in that order, so concatenated they enumerate all C(n,4)
-    quartets exactly as ``enumerate_quartets`` does, one slab of memory at a
-    time."""
-    if n < 4:
-        raise ValueError(f"need at least 4 items, got n={n}")
+    The three arrays it yields are views of three buffers that the next slab
+    overwrites: copy them to keep them. Slab x holds the first C(x,3) of
+    the colex triples of 0..n-2 (``_colex_triples``), a prefix of the last
+    slab's, so the within-triple entries M[a,b], M[a,c] and M[b,c] are
+    gathered once, for the last slab, and the buffers are sized for it. A
+    slab then allocates nothing: block by block, a gather from row x of
+    ``M`` writes straight into a buffer (``take`` with ``mode="wrap"``,
+    which copies no output where "raise" does; the colex labels are in
+    range) and the within-triple entries are added in place while both are
+    in cache. Each sum has the same two operands however the slab is
+    blocked, so the sums are bit for bit those of one whole-slab addition."""
+    n = len(M)
     a, b, c = _colex_triples(n - 1)
+    mab, mac, mbc = M[a, b], M[a, c], M[b, c]
+    K = len(a)
+    s0, s1, s2 = np.empty(K, M.dtype), np.empty(K, M.dtype), np.empty(K, M.dtype)
+    k = 0
     for x in range(3, n):
-        k = math.comb(x, 3)
-        yield a[:k], b[:k], c[:k], x
+        k += (x - 1) * (x - 2) // 2  # C(x,3) = C(x-1,3) + C(x-1,2)
+        take = M[x].take
+        for lo in range(0, k, _PAIR_SUM_BLOCK):
+            hi = min(lo + _PAIR_SUM_BLOCK, k)
+            out = s0[lo:hi]
+            take(c[lo:hi], None, out, "wrap")
+            out += mab[lo:hi]
+            out = s1[lo:hi]
+            take(b[lo:hi], None, out, "wrap")
+            out += mac[lo:hi]
+            out = s2[lo:hi]
+            take(a[lo:hi], None, out, "wrap")
+            out += mbc[lo:hi]
+        yield s0[:k], s1[:k], s2[:k]
 
 
 @functools.lru_cache(maxsize=1)
 def _colex_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label arrays (a, b, c) of all 3-subsets a < b < c of 0..n-1 in colex
     rank order a + C(b,2) + C(c,3), read-only; the triples of 0..k-1 are
-    their first C(k,3) rows."""
-    labels = np.arange(n, dtype=np.int64)
+    their first C(k,3) rows. They are ``np.intp``, the index type that
+    ``take`` would otherwise convert them to on every call."""
+    labels = np.arange(n, dtype=np.intp)
     pair_starts = labels * (labels - 1) // 2  # C(b,2): rank of the first pair with top b
     triple_starts = pair_starts * (labels - 2) // 3  # C(c,3)
     pb = np.repeat(labels, labels)
     pa = np.arange(len(pb)) - pair_starts[pb]
     c = np.repeat(labels, pair_starts)
     pair = np.arange(len(c)) - triple_starts[c]  # colex rank of (a, b)
-    out = tuple(arr.astype(np.int32) for arr in (pa[pair], pb[pair], c))
+    out = (pa[pair], pb[pair], c)
     for arr in out:
         arr.setflags(write=False)
     return out  # type: ignore[return-value]

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quartet.bench import generate_artificial
 from quartet.cost import (
+    CostFunction,
     DistanceCostFunction,
     DistanceMatrix,
     ExplicitCostFunction,
@@ -149,6 +151,23 @@ def test_incomplete_mapping_names_the_missing_topology(rank):
     assert str(err.value) == f"no cost assigned to topology {hole} (1 topologies missing in total)"
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ExplicitCostFunction(3, np.zeros((0, 3))),
+    lambda: DistanceCostFunction(DistanceMatrix(np.zeros((3, 3)))),
+], ids=["explicit", "distances"])
+def test_cost_functions_need_four_items(make):
+    with pytest.raises(ValueError, match=r"^need at least 4 items, got n=3$"):
+        make()
+
+
+def test_the_base_cost_function_computes_nothing():
+    cf = CostFunction()
+    with pytest.raises(NotImplementedError):
+        cf.cost_of(QuartetTopology((0, 1), (2, 3)))
+    with pytest.raises(NotImplementedError):
+        cf.slab_costs()
+
+
 def test_cost_from_mqc():
     rng = rng_for(3)
     t = random_tree(5, rng)
@@ -250,6 +269,78 @@ def test_bounds_and_score_reject_costs_whose_sums_overflow(kind):
         bounds(cf)
     with pytest.raises(ValueError, match="costs too large"):
         score(random_tree(cf.n, rng_for(1)), cf)
+
+
+def pinned_case(kind, n):
+    """A cost function of ``kind`` over n items and two trees to score: the
+    planted tree of ``generate_artificial`` and a random one. "noisy"
+    scales the planted d by 1 + 0.05 u, u symmetric uniform in [0, 1)."""
+    planted, dm = generate_artificial(n, rng_for(n))
+    pair = (planted, random_tree(n, rng_for(n + 1)))
+    if kind == "explicit":
+        return ExplicitCostFunction(n, rng_for(n + 2).random((math.comb(n, 4), 3))), pair
+    d = dm.d.copy()
+    if kind == "noisy":
+        u = rng_for(n + 2).random((n, n))
+        d *= 1.0 + 0.05 * (u + u.T) / 2.0
+    elif kind == "equal":
+        d = 1.0 - np.eye(n)
+    return DistanceCostFunction(DistanceMatrix(d)), pair
+
+
+# float.hex of m and M, then per tree (planted, random) the naive cost's hex
+# and the certificate, as computed before the slab kernel wrote into reused
+# buffers: a pass that adds or sums in another order moves a last bit here
+PINNED_BITS = {
+    ("planted", 5): (
+        "0x1.b333333333332p+2", "0x1.2666666666666p+3",
+        ("0x1.b333333333332p+2", True), ("0x1.1999999999999p+3", False),
+    ),
+    ("planted", 12): (
+        "0x1.afeaaaaaaaaabp+8", "0x1.2275555555556p+9",
+        ("0x1.afeaaaaaaaaabp+8", True), ("0x1.0220000000000p+9", False),
+    ),
+    ("planted", 32): (
+        "0x1.1ce4800000000p+14", "0x1.7764000000000p+14",
+        ("0x1.1ce4800000000p+14", True), ("0x1.59de000000000p+14", False),
+    ),
+    ("noisy", 5): (
+        "0x1.c113ba4f706aep+2", "0x1.2f0cf810aca28p+3",
+        ("0x1.c113ba4f706aep+2", True), ("0x1.20860e5974a5bp+3", False),
+    ),
+    ("noisy", 12): (
+        "0x1.ba484489bde79p+8", "0x1.2aa72855ecfccp+9",
+        ("0x1.ba484489bde79p+8", True), ("0x1.088e71ac52584p+9", False),
+    ),
+    ("noisy", 32): (
+        "0x1.24168d6ad8eb6p+14", "0x1.828abc52c5824p+14",
+        ("0x1.24168d6ad8eb6p+14", True), ("0x1.62cb8bf4282c5p+14", False),
+    ),
+    ("equal", 5): (
+        "0x1.4000000000000p+3", "0x1.4000000000000p+3",
+        ("0x1.4000000000000p+3", True), ("0x1.4000000000000p+3", True),
+    ),
+    ("equal", 12): (
+        "0x1.ef00000000000p+9", "0x1.ef00000000000p+9",
+        ("0x1.ef00000000000p+9", True), ("0x1.ef00000000000p+9", True),
+    ),
+    ("equal", 32): (
+        "0x1.18f0000000000p+16", "0x1.18f0000000000p+16",
+        ("0x1.18f0000000000p+16", True), ("0x1.18f0000000000p+16", True),
+    ),
+    ("explicit", 8): (
+        "0x1.217a33afd4b0ap+4", "0x1.9f4fd55f7d240p+5",
+        ("0x1.3c4bafa649064p+5", False), ("0x1.09a11401bf63cp+5", False),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, n", PINNED_BITS)
+def test_bounds_costs_and_certificates_keep_their_bits(kind, n):
+    cf, pair = pinned_case(kind, n)
+    b = bounds(cf)
+    got = (b.m.hex(), b.M.hex(), *[(tree_cost_naive(t, cf).hex(), is_min_perfect(t, cf)) for t in pair])
+    assert got == PINNED_BITS[kind, n]
 
 
 def test_score_bounds_type():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,23 @@ END;
     assert dm.names == ["sp a", "b", "c", "d"]
     assert dm.d[0, 3] == 0.5 and dm.d[3, 0] == 0.5
     assert dm.d[2, 1] == 3.0 and dm.d[1, 2] == 3.0
+
+
+def test_an_unknown_format_names_the_known_ones():
+    message = "unknown matrix format 'xml'; choose from ('csv', 'phylip', 'nexus')"
+    for call in (lambda: parse_matrix("0", "xml"), lambda: format_matrix(DistanceMatrix(np.zeros((4, 4))), "xml")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_a_name_check_without_a_cell_is_a_parse_error():
+    """An empty quoted Nexus label fails the matrix's name check, which names
+    no cell and so no line."""
+    rows = "".join(f"{name} {' '.join('0' if i == j else '1' for j in range(4))}\n"
+                   for i, name in enumerate(["''", "b", "c", "d"]))
+    text = f"#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=4;\nMATRIX\n{rows};\nEND;\n"
+    with pytest.raises(MatrixParseError, match="^item names must not be empty, got one at position 0$"):
+        parse_matrix(text, "nexus")
 
 
 def test_format_detection(tmp_path):

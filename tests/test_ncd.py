@@ -49,6 +49,11 @@ def test_ncd_rejects_empty_input():
         CorpusItem("blank", b"")
 
 
+def test_ncd_matrix_needs_four_items():
+    with pytest.raises(ValueError, match="^need at least 4 corpus items, got 3$"):
+        ncd_matrix(dna_corpus(3, 64, 1))
+
+
 def test_worker_count_does_not_change_matrix():
     items = dna_corpus(8, 1000, 3)
     z = get_compressor("lzma")

@@ -1,14 +1,19 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from quartet import trees
 from quartet.trees import (
     QuartetTopology,
     Tree,
+    _check_names,
+    _replace_neighbor,
     enumerate_quartets,
     hop_distances,
-    quartet_slabs,
+    quartet_pair_sums,
     random_tree,
     topology_from_index,
     tree_from_newick,
@@ -75,16 +80,35 @@ def test_enumerate_counts():
 # ---------------------------------------------------------------- Tree type
 
 
-def test_quartet_slabs_concatenate_to_colex_enumeration():
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_quartet_pair_sums_match_combinations(block, monkeypatch):
+    """Each slab's three pair sums equal the two-operand sums of a loop over
+    itertools.combinations in colex order, for the int32 hop matrix and a
+    float matrix, whole (block None) or cut into blocks of 1 or 7 entries."""
+    if block is not None:
+        monkeypatch.setattr(trees, "_PAIR_SUM_BLOCK", block)
     for n in range(4, 13):
-        got = [
-            (int(a), int(b), int(c), x)
-            for sa, sb, sc, x in quartet_slabs(n)
-            for a, b, c in zip(sa, sb, sc)
-        ]
-        assert got == list(enumerate_quartets(n))
-    with pytest.raises(ValueError):
-        next(quartet_slabs(3))
+        colex = sorted(itertools.combinations(range(n), 4), key=lambda q: q[::-1])
+        hop = hop_distances(random_tree(n, rng_for(n)))
+        d = rng_for(n + 1).random((n, n))
+        d = d + d.T
+        for M in (hop, d):
+            slabs = []
+            for sums in quartet_pair_sums(M):
+                assert all(s.dtype == M.dtype for s in sums)
+                slabs.append([s.copy() for s in sums])  # the next slab overwrites them
+            assert [len(s0) for s0, _, _ in slabs] == [math.comb(x, 3) for x in range(3, n)]
+            got = [tuple(s[i].item() for s in slab) for slab in slabs for i in range(len(slab[0]))]
+            m = M.tolist()
+            want = [(m[a][b] + m[c][x], m[a][c] + m[b][x], m[a][x] + m[b][c]) for a, b, c, x in colex]
+            assert got == want
+
+
+def test_quartet_pair_sums_yield_views_of_reused_buffers():
+    """The arrays of a slab share memory with the next slab's: a caller that
+    keeps a slab must copy it."""
+    first, second = [sums for sums, _ in zip(quartet_pair_sums(np.ones((6, 6))), range(2))]
+    assert all(np.shares_memory(a, b) for a, b in zip(first, second))
 
 
 def test_tree_invariants_enforced():
@@ -105,6 +129,21 @@ def test_tree_invariants_enforced():
             {0: [6], 1: [7], 2: [8], 3: [9], 4: [9], 5: [9],
              6: [0, 7, 8], 7: [1, 6, 8], 8: [2, 6, 7], 9: [3, 4, 5]}
         )
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuartetTopology((0, 1, 2), (3, 4)), "each side of a quartet topology needs two labels"),
+    (lambda: Tree.from_adjacency({0: [4], 1: [4], 2: [5], 3: [5], 4: [0, 1, 5], 9: [2, 3, 4]}),
+     "node id 9 out of range for 6 nodes"),
+    (lambda: random_tree(5, rng_for(1)).neighbors(8), "node 8 out of range"),
+    (lambda: random_tree(5, rng_for(1)).neighbors(-1), "node -1 out of range"),
+    (lambda: _replace_neighbor(random_tree(5, rng_for(1)).copy_adjacency(), 5, 1, 2), "node 5 has no neighbor 1"),
+    (lambda: _check_names(4, ["a", "b", "c"]), "3 names for 4 items"),
+    (lambda: tree_from_newick("(a:'1',b,c,d);"), "bad branch length '1' at position 3"),
+])
+def test_bad_tree_arguments_give_their_message(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize("internal_row, message", [

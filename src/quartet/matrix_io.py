@@ -77,8 +77,8 @@ def _build(values: np.ndarray, names, lines: list[int], lower: bool = False) -> 
     """The checked matrix of ``values`` read from rows on ``lines``. A check
     that fails at a cell d[i,j] gives the line of the row holding it: row i,
     or row j of a lower triangle, whose first failing cell (i <= j, as the
-    mirrored cell fails too) lies above the diagonal. A repeated name fails
-    at (k, k), k the row holding its second copy."""
+    mirrored cell fails too) lies above the diagonal. A name check fails at
+    (k, k), k the row holding the first empty name or a name's second copy."""
     try:
         return DistanceMatrix(values, names)
     except _CellError as exc:

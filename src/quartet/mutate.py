@@ -34,7 +34,6 @@ depend on PCG64's raw stream and on the order of the draws.
 from __future__ import annotations
 
 import functools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -415,17 +414,16 @@ def simple_mutation(adj: list[list[int]], rng) -> MutationRecord:
 # Fat-tail mutation-count sampler
 # ---------------------------------------------------------------------- #
 
-@functools.cache
+_PMF_NORMALIZER = float.fromhex("0x1.11adce321eb2bp+0")
+
+
 def shifted_pmf_normalizer() -> float:
     """Normalizing constant of 1/((k+2) ln^2(k+2)) over k >= 1, i.e. the sum
-    of 1/(j ln^2 j) for j >= 3, via partial sum plus Euler-Maclaurin tail
-    (accurate to well below 1e-12)."""
-    J = 1 << 20
-    j = np.arange(3, J, dtype=np.float64)
-    partial = float(np.sum(1.0 / (j * np.log(j) ** 2)))
-    lj = math.log(J)
-    tail = 1.0 / lj + 1.0 / (2 * J * lj**2) + (lj + 2.0) / (12 * J**2 * lj**3)
-    return partial + tail
+    of 1/(j ln^2 j) for j >= 3, pinned to the bits of the partial sum over
+    3 <= j < J = 2^20 in numpy's pairwise order plus the Euler-Maclaurin tail
+    1/ln J + 1/(2J ln^2 J) + (ln J + 2)/(12 J^2 ln^3 J). tests/test_mutate.py
+    checks it against that sum and an mpmath one, and pins the k CDF tables."""
+    return _PMF_NORMALIZER
 
 
 @functools.cache

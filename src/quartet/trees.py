@@ -763,7 +763,8 @@ def _check_names(n: int, names: Iterable[str] | None) -> list[str]:
         k = next(k for k, nm in enumerate(names) if nm in names[:k])
         raise _CellError(f"item names must be unique, got duplicates {dup[:3]}", (k, k))
     if "" in names:
-        raise ValueError(f"item names must not be empty, got one at position {names.index('')}")
+        k = names.index("")
+        raise _CellError(f"item names must not be empty, got one at position {k}", (k, k))
     return names
 
 

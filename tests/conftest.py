@@ -4,10 +4,12 @@ paths are compared against, a canonical key over {node: neighbours}
 mappings, a breadth-first Newick writer and a record check on walks of its
 own that the program's walk-based ones are compared against, a reader of
 Graphviz leaf labels, the record-making random moves the samplers in
-``mutate`` are checked against draw for draw, and the appendix construction
-of a mutation path between any two trees, which shows the 5n-16 bound the
-hill climber's k cap rests on."""
+``mutate`` are checked against draw for draw, the numpy summation the
+k-mutation pmf's pinned normalizer was taken from, and the appendix
+construction of a mutation path between any two trees, which shows the
+5n-16 bound the hill climber's k cap rests on."""
 
+import math
 import re
 from typing import Iterable, Iterator, Mapping
 
@@ -49,6 +51,18 @@ def one_move(tree: Tree, kind: str, rng: np.random.Generator) -> tuple[Tree, Mut
     adj = tree.copy_adjacency()
     move = _RAND_BY_KIND[KINDS.index(kind)](adj, tree.n, rng)
     return (tree, None) if move is None else (Tree(adj), MutationRecord(*move))
+
+
+def pmf_normalizer_by_summation() -> float:
+    """The sum of 1/(j ln^2 j) over j >= 3 as ``mutate.shifted_pmf_normalizer``
+    was once computed in every process: the partial sum over 3 <= j < 2^20 in
+    numpy's pairwise order, plus the Euler-Maclaurin tail beyond it."""
+    J = 1 << 20
+    j = np.arange(3, J, dtype=np.float64)
+    partial = float(np.sum(1.0 / (j * np.log(j) ** 2)))
+    lj = math.log(J)
+    tail = 1.0 / lj + 1.0 / (2 * J * lj**2) + (lj + 2.0) / (12 * J**2 * lj**3)
+    return partial + tail
 
 
 def shifted_pmf(k, k_max: int | None = None):

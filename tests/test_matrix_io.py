@@ -134,14 +134,20 @@ def test_an_unknown_format_names_the_known_ones():
             call()
 
 
-def test_a_name_check_without_a_cell_is_a_parse_error():
-    """An empty quoted Nexus label fails the matrix's name check, which names
-    no cell and so no line."""
+def test_an_empty_name_gives_the_line_of_its_row():
+    """An empty quoted Nexus label fails the matrix's name check at the row
+    holding it, in a full matrix and in a lower triangle."""
     rows = "".join(f"{name} {' '.join('0' if i == j else '1' for j in range(4))}\n"
                    for i, name in enumerate(["''", "b", "c", "d"]))
     text = f"#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=4;\nMATRIX\n{rows};\nEND;\n"
-    with pytest.raises(MatrixParseError, match="^item names must not be empty, got one at position 0$"):
+    with pytest.raises(MatrixParseError) as exc:
         parse_matrix(text, "nexus")
+    assert str(exc.value) == "line 5: item names must not be empty, got one at position 0"
+    # row 1 of nexus_triangle's text is on line 7
+    text = nexus_triangle(1.0 - np.eye(4), ["a", "", "c", "d"], "LOWER", True)
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(text, "nexus")
+    assert str(exc.value) == "line 7: item names must not be empty, got one at position 1"
 
 
 def test_format_detection(tmp_path):

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from quartet.mutate import (
     MutationRecord,
     _Draws,
+    _k_cdf,
     apply_record,
     replay_records,
     sample_k,
@@ -16,7 +19,15 @@ from quartet.mutate import (
 )
 from quartet.trees import Tree, random_tree, trees_equal
 
-from conftest import caterpillar, embedded_quartets, one_move, rng_for, sample_k_batch, shifted_pmf
+from conftest import (
+    caterpillar,
+    embedded_quartets,
+    one_move,
+    pmf_normalizer_by_summation,
+    rng_for,
+    sample_k_batch,
+    shifted_pmf,
+)
 
 
 # ------------------------------------------------------------- invariants
@@ -196,6 +207,40 @@ def _oracle_normalizer():
 
 def test_pmf_normalizer_matches_independent_summation():
     assert shifted_pmf_normalizer() == pytest.approx(_oracle_normalizer(), abs=1e-11)
+
+
+def test_pmf_normalizer_is_pinned():
+    assert shifted_pmf_normalizer().hex() == "0x1.11adce321eb2bp+0"
+
+
+def test_pmf_normalizer_matches_the_numpy_summation():
+    # other numpy builds may add in another order or take logs otherwise, so
+    # within a few ulp, not bit for bit
+    z = shifted_pmf_normalizer()
+    assert abs(pmf_normalizer_by_summation() - z) <= 4 * math.ulp(z)
+
+
+def test_k_cdf_tables_are_pinned():
+    # the tables for k_max = 1..1024 as numpy's summation of the normalizer
+    # gave them, their reprs joined by line breaks
+    text = "\n".join(repr(_k_cdf.__wrapped__(k)) for k in range(1, 1025))
+    digest = "ba3d66112ba93d37ebb645e6f838b2cca48309e02e15d10bc60b2fc3a9bad560"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_pmf_tables_are_built_in_little_memory():
+    # the normalizer is a constant: a k draw's first table costs only its own
+    # few arrays of k_max entries, not a pass over 2^20 terms; a cache on the
+    # normalizer would hide such a pass after its first call
+    getattr(shifted_pmf_normalizer, "cache_clear", lambda: None)()
+    tracemalloc.start()
+    try:
+        shifted_pmf_normalizer()
+        _k_cdf.__wrapped__(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_pmf_monotone_decreasing():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quartet import trees
+from quartet.cost import DistanceMatrix
 from quartet.trees import (
     QuartetTopology,
     Tree,
@@ -144,6 +145,20 @@ def test_tree_invariants_enforced():
 def test_bad_tree_arguments_give_their_message(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+@pytest.mark.parametrize("names, message", [
+    (["a", "", "c", "d"], "item names must not be empty, got one at position 1"),
+    (["a", "b", "a", "b"], "item names must be unique, got duplicates ['a', 'b']"),
+])
+def test_a_bad_name_list_gives_one_value_error_everywhere(names, message):
+    # the check that carries the row of the bad name for the matrix readers
+    # reads as a plain ValueError to the matrix and the tree writers
+    tree = random_tree(4, rng_for(1))
+    for call in (lambda: DistanceMatrix(1.0 - np.eye(4), names),
+                 lambda: tree_to_newick(tree, names), lambda: tree_to_dot(tree, names)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @pytest.mark.parametrize("internal_row, message", [

@@ -174,8 +174,6 @@ def _cmd_ncd(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     items = load_corpus(args.corpus, manifest=args.manifest)
-    if len(items) < 4:
-        raise ValueError(f"need at least 4 corpus files, got {len(items)}")
     z = get_compressor(args.compressor)
     dm = ncd_matrix(items, z, workers=args.threads)
     out_dir = Path(args.out_dir)

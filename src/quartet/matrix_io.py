@@ -4,7 +4,11 @@ Readers are whitespace-tolerant; writers emit 17-significant-digit values so
 matrices round-trip exactly through any of the three formats. Nexus is read
 through the Newick reader's tokenizer (``trees._tokens``), so both formats
 share one rule for quoted labels (``''`` is a quote) and nested ``[...]``
-comments; its errors give the line. Values and names pass
+comments; it is split into commands at each unquoted ';'. In the first
+DISTANCES block, options come only from ``DIMENSIONS`` (``NTAX=``) and
+``FORMAT`` (``TRIANGLE=``, ``[NO]DIAGONAL``, and ``NOLABELS``, refused);
+other commands (``TITLE``, ``LINK``, ...) are skipped up to ``MATRIX``,
+which ``END`` or ``ENDBLOCK`` may not precede. Values and names pass
 ``DistanceMatrix``'s checks (as many names as items, unique, non-empty); a
 check that fails at a cell gives, in every format, the line of the input row
 that holds the cell, and a repeated name the line of its second copy. The
@@ -17,7 +21,8 @@ One rule says what a number is: a token Python's ``float`` accepts, so
 ``1e5``, ``nan`` and ``inf`` are numbers. A CSV first row is a header
 unless every cell is a number; a Nexus matrix token starts a row when it is
 quoted or not a number; and the writers keep names from reading back as
-numbers (CSV refuses all-numeric names, Nexus quotes a numeric name).
+numbers (CSV refuses all-numeric names, Nexus quotes a numeric name). One
+row converter (``_floats``) makes every value; errors give the line.
 """
 
 from __future__ import annotations
@@ -66,11 +71,14 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _parse_float(token: str, line: int, col: int | None = None) -> float:
+def _floats(tokens: list[str], where: Callable[[int], tuple[int, int | None]]) -> list[float]:
+    """A row of tokens as Python's ``float`` reads them; the first bad token,
+    k, is reported at ``where(k)``: its line, and its column or None."""
     try:
-        return float(token)
+        return list(map(float, tokens))
     except ValueError:
-        raise MatrixParseError(f"expected a number, got {token!r}", line, col) from None
+        k = next(k for k, tok in enumerate(tokens) if not _is_number(tok))
+        raise MatrixParseError(f"expected a number, got {tokens[k]!r}", *where(k)) from None
 
 
 def _build(values: np.ndarray, names, lines: list[int], lower: bool = False) -> DistanceMatrix:
@@ -111,7 +119,7 @@ def _parse_csv(text: str) -> DistanceMatrix:
             _check_names(len(names), names)
         except ValueError as exc:
             raise MatrixParseError(str(exc), ln) from None
-    rows = [[_parse_float(c, ln, i + 1) for i, c in enumerate(cells)] for ln, cells in lines]
+    rows = [_floats(cells, lambda k: (ln, k + 1)) for ln, cells in lines]
     n = len(rows)
     for (ln, _), row in zip(lines, rows):
         if len(row) != n:
@@ -149,41 +157,35 @@ def _format_csv(dm: DistanceMatrix) -> str:
 
 
 def _parse_phylip(text: str) -> DistanceMatrix:
-    tokens: list[tuple[str, int]] = []
+    toks, tok_lines = [], []  # each token and its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        for tok in raw.split():
-            tokens.append((tok, lineno))
-    if not tokens:
+        words = raw.split()
+        toks += words
+        tok_lines += [lineno] * len(words)
+    if not toks:
         raise MatrixParseError("empty input")
-    pos = 0
-    head, head_line = tokens[pos]
-    pos += 1
     try:
-        n = int(head)
+        n = int(toks[0])
     except ValueError:
-        raise MatrixParseError(f"expected item count, got {head!r}", head_line) from None
+        raise MatrixParseError(f"expected item count, got {toks[0]!r}", tok_lines[0]) from None
     if n < 1:
-        raise MatrixParseError(f"bad item count {n}", head_line)
-    names, lines = [], []
-    values = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        if pos >= len(tokens):
-            raise MatrixParseError(f"truncated input: expected {n} rows, got {i}", tokens[-1][1])
-        name, line = tokens[pos]
-        pos += 1
-        names.append(name)
-        lines.append(line)
-        for j in range(n):
-            if pos >= len(tokens):
-                raise MatrixParseError(
-                    f"row {name!r} is truncated: expected {n} values, got {j}", tokens[-1][1]
-                )
-            tok, line = tokens[pos]
-            pos += 1
-            values[i, j] = _parse_float(tok, line)
-    if pos != len(tokens):
-        raise MatrixParseError(f"unexpected trailing token {tokens[pos][0]!r}", tokens[pos][1])
-    return _build(values, names, lines)
+        raise MatrixParseError(f"bad item count {n}", tok_lines[0])
+    # row i is the name at token 1 + i(n + 1), then its n values
+    end = 1 + n * (n + 1)
+    names, lines, rows = [], [], []
+    for pos in range(1, end, n + 1):
+        if pos >= len(toks):
+            raise MatrixParseError(f"truncated input: expected {n} rows, got {len(rows)}", tok_lines[-1])
+        names.append(toks[pos])
+        lines.append(tok_lines[pos])
+        rows.append(_floats(toks[pos + 1 : pos + 1 + n], lambda k: (tok_lines[pos + 1 + k], None)))
+        if len(rows[-1]) < n:
+            raise MatrixParseError(
+                f"row {toks[pos]!r} is truncated: expected {n} values, got {len(rows[-1])}", tok_lines[-1]
+            )
+    if end < len(toks):
+        raise MatrixParseError(f"unexpected trailing token {toks[end]!r}", tok_lines[end])
+    return _build(np.array(rows, dtype=np.float64), names, lines)
 
 
 def _format_phylip(dm: DistanceMatrix) -> str:
@@ -210,105 +212,101 @@ def _format_phylip(dm: DistanceMatrix) -> str:
 # ---------------------------------------------------------------------- #
 
 
+def _command_word(cmd: list, k: int = 0) -> str | None:
+    """Token k of a Nexus command upper-cased, or None if quoted or absent."""
+    return cmd[k][0].upper() if k < len(cmd) and not cmd[k][2] else None
+
+
 def _parse_nexus(text: str) -> DistanceMatrix:
     if not text.lstrip().upper().startswith("#NEXUS"):
         raise MatrixParseError("missing #NEXUS header", 1)
-    toks, line, last = [], 1, 0
+    # the commands, each a list of (token, line, quoted) ended by its ';'
+    # (the last may lack one), after the #NEXUS token
+    commands, cmd, line, last = [], [], 1, 0
     try:
         for tok, pos, quoted in _tokens(text, ";="):
             line += text.count("\n", last, pos)
             last = pos
-            toks.append((tok, line, quoted))
+            cmd.append((tok, line, quoted))
+            if tok == ";" and not quoted:
+                commands.append(cmd)
+                cmd = []
     except _LexError as exc:
         raise MatrixParseError(str(exc), line + text.count("\n", last, exc.pos)) from None
-    upper = [t[0].upper() if not t[2] else None for t in toks]
-    # a block starts only where a command may: after #NEXUS or after a ';'
-    for start in range(1, len(toks) - 1):
-        if upper[start : start + 2] == ["BEGIN", "DISTANCES"] and (start == 1 or upper[start - 1] == ";"):
-            break
-    else:
+    commands.append(cmd)
+    commands[0] = commands[0][1:]
+    start = next((k for k, c in enumerate(commands) if _command_word(c) == "BEGIN"
+                  and _command_word(c, 1) == "DISTANCES"), None)
+    if start is None:
         raise MatrixParseError("no DISTANCES block found", 1)
 
-    ntax = None
-    triangle = "BOTH"
-    diagonal = True
-    labels = True
-    i = start + 2
-    while i < len(toks) and upper[i] != "MATRIX":
-        word = upper[i]
-        if word == "NTAX":
-            if i + 2 < len(toks) and toks[i + 1][0] == "=":
-                tok, line, _ = toks[i + 2]
-                try:
-                    ntax = int(tok)
-                except ValueError:
-                    raise MatrixParseError(f"expected an item count after NTAX=, got {tok!r}", line) from None
-                i += 3
-                continue
-        if word == "TRIANGLE" and i + 2 < len(toks) and toks[i + 1][0] == "=":
-            triangle = toks[i + 2][0].upper()
-            i += 3
+    ntax, triangle, diagonal, labels = None, "BOTH", True, True
+    for cmd in commands[start + 1 :]:
+        name = _command_word(cmd)
+        if name == "MATRIX":
+            break
+        if name in ("END", "ENDBLOCK"):
+            raise MatrixParseError("DISTANCES block has no MATRIX command", cmd[0][1])
+        if name not in ("DIMENSIONS", "FORMAT"):
             continue
-        if word == "DIAGONAL":
-            diagonal = True
-        elif word == "NODIAGONAL":
-            diagonal = False
-        elif word == "NOLABELS":
-            labels = False
-        elif word == "END":
-            raise MatrixParseError("DISTANCES block has no MATRIX command", toks[i][1])
-        i += 1
-    if i >= len(toks):
-        raise MatrixParseError("DISTANCES block has no MATRIX command", toks[start][1])
-    matrix_line = toks[i][1]
+        for k in range(1, len(cmd)):
+            word = _command_word(cmd, k)
+            # an option's value is the token after its '=', even a ';'
+            value = cmd[k + 2] if k + 2 < len(cmd) and cmd[k + 1][0] == "=" else None
+            if name == "DIMENSIONS":
+                if word == "NTAX" and value:
+                    try:
+                        ntax = int(value[0])
+                    except ValueError:
+                        raise MatrixParseError(
+                            f"expected an item count after NTAX=, got {value[0]!r}", value[1]
+                        ) from None
+            elif word == "TRIANGLE" and value:
+                triangle = value[0].upper()
+            elif word in ("DIAGONAL", "NODIAGONAL"):
+                diagonal = word == "DIAGONAL"
+            elif word == "NOLABELS":
+                labels = False
+    else:
+        raise MatrixParseError("DISTANCES block has no MATRIX command", commands[start][0][1])
+    matrix_line = cmd[0][1]
     if triangle not in ("BOTH", "LOWER", "UPPER"):
         raise MatrixParseError(f"unsupported TRIANGLE={triangle}", matrix_line)
     if not labels:
         raise MatrixParseError("NOLABELS distance matrices are not supported", matrix_line)
-    i += 1  # past MATRIX
 
-    rows: list[tuple[str, list[float], int]] = []
-    cur_name = None
-    cur_vals: list[float] = []
-    cur_line = None
-    while i < len(toks):
-        tok, line, quoted = toks[i]
-        if tok == ";" and not quoted:
-            break
+    closed = cmd[-1][0] == ";" and not cmd[-1][2]
+    rows: list[tuple[str, int, list[str]]] = []
+    for tok, line, quoted in cmd[1 : len(cmd) - closed]:
         if quoted or not _is_number(tok):
-            if cur_name is not None:
-                rows.append((cur_name, cur_vals, cur_line))
-            cur_name, cur_vals, cur_line = tok, [], line
+            rows.append((tok, line, []))
+        elif rows:
+            rows[-1][2].append(tok)
         else:
-            if cur_name is None:
-                raise MatrixParseError("matrix value before any taxon label", line)
-            cur_vals.append(float(tok))
-        i += 1
-    else:
+            raise MatrixParseError("matrix value before any taxon label", line)
+    if not closed:
         raise MatrixParseError("MATRIX command not terminated by ';'", matrix_line)
-    if cur_name is not None:
-        rows.append((cur_name, cur_vals, cur_line))
-
     n = ntax if ntax is not None else len(rows)
     if len(rows) != n:
-        raise MatrixParseError(f"expected {n} matrix rows, found {len(rows)}", line)  # the ';' line
-    names = [r[0] for r in rows]
+        raise MatrixParseError(f"expected {n} matrix rows, found {len(rows)}", cmd[-1][1])
+    if not rows:
+        raise MatrixParseError("no matrix rows found", cmd[-1][1])
     values = np.zeros((n, n), dtype=np.float64)
-    for idx, (name, vals, line) in enumerate(rows):
+    for idx, (label, line, vals) in enumerate(rows):
         first = idx + (not diagonal) if triangle == "UPPER" else 0
         want = idx + diagonal if triangle == "LOWER" else n - first
         if len(vals) != want:
             raise MatrixParseError(
-                f"row {name!r}: expected {want} values for TRIANGLE={triangle}"
+                f"row {label!r}: expected {want} values for TRIANGLE={triangle}"
                 f"{'' if diagonal else ' NODIAGONAL'}, got {len(vals)}",
                 line,
             )
-        values[idx, first : first + want] = vals
+        values[idx, first : first + want] = _floats(vals, lambda k: (line, None))
     if triangle != "BOTH":
         values = values + values.T
         if diagonal:
             values[np.diag_indices(n)] /= 2.0
-    return _build(values, names, [r[2] for r in rows], lower=triangle == "LOWER")
+    return _build(values, [r[0] for r in rows], [r[1] for r in rows], lower=triangle == "LOWER")
 
 
 def _format_nexus(dm: DistanceMatrix) -> str:

@@ -134,6 +134,8 @@ def ncd_matrix(
     trade memory for time. On 24 lzma items of 8 KiB on a 2-core Xeon, 1
     worker took 4.7-4.9 s at 53 MiB peak RSS, 2 workers 2.8-3.6 s at 86 MiB.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be None or >= 1, got {workers}")
     items = list(items)
     if len(items) < 4:
         raise ValueError(f"need at least 4 corpus items, got {len(items)}")

@@ -118,7 +118,7 @@ def test_ncd_needs_four_corpus_files(tmp_path, capsys):
     corpus = write_corpus(tmp_path / "corpus", count=3, length=200)
     out = tmp_path / "ncd"
     assert main(["ncd", str(corpus), "--out-dir", str(out)]) == 3
-    assert capsys.readouterr().err == "error: need at least 4 corpus files, got 3\n"
+    assert capsys.readouterr().err == "error: need at least 4 corpus items, got 3\n"
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quartet.cost import DistanceMatrix
 from quartet.matrix_io import (
@@ -181,9 +183,10 @@ def test_17_digit_round_trip_values():
         assert np.array_equal(back.d, vals), fmt
 
 
-def nexus_triangle(d, names, triangle, diagonal, short_row=None):
+def nexus_triangle(d, names, triangle, diagonal, short_row=None, extra=((), (), ())):
     """Nexus text of d in one TRIANGLE x DIAGONAL layout, written cell by
-    cell; row ``short_row`` loses its last value."""
+    cell; row ``short_row`` loses its last value, and the lines of ``extra``
+    go before DIMENSIONS, before FORMAT and before MATRIX."""
     n = len(d)
     rows = []
     for i in range(n):
@@ -196,10 +199,10 @@ def nexus_triangle(d, names, triangle, diagonal, short_row=None):
         vals = [repr(float(d[i, j])) for j in cols]
         if i == short_row:
             vals.pop()
-        rows.append(f"    '{names[i]}' " + " ".join(vals))
+        rows.append("    '" + names[i].replace("'", "''") + "' " + " ".join(vals))
     return "\n".join([
-        "#NEXUS", "BEGIN DISTANCES;", f"  DIMENSIONS NTAX={n};",
-        f"  FORMAT TRIANGLE={triangle} {'DIAGONAL' if diagonal else 'NODIAGONAL'};",
+        "#NEXUS", "BEGIN DISTANCES;", *extra[0], f"  DIMENSIONS NTAX={n};", *extra[1],
+        f"  FORMAT TRIANGLE={triangle} {'DIAGONAL' if diagonal else 'NODIAGONAL'};", *extra[2],
         "  MATRIX", *rows, "  ;", "END;",
     ]) + "\n"
 
@@ -301,6 +304,17 @@ def test_triangle_checks_give_the_line_of_the_row_holding_the_cell(triangle, dia
      "line 4: DISTANCES block has no MATRIX command"),
     ("#NEXUS\nBEGIN DISTANCES;\nMATRIX\n0 a 1\n;\nEND;\n",
      "line 4: matrix value before any taxon label"),
+    ("#NEXUS\nBEGIN DISTANCES;\nMATRIX\n;\nEND;\n", "line 4: no matrix rows found"),
+    ("#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=0;\nMATRIX ;\nEND;\n", "line 4: no matrix rows found"),
+    # ENDBLOCK closes the block as END does
+    ("#NEXUS\nBEGIN DISTANCES;\nENDBLOCK;\nBEGIN X;\nMATRIX a 0 1 b 1 0;\nEND;\n",
+     "line 3: DISTANCES block has no MATRIX command"),
+    # MATRIX must start a command: here it is a word of FORMAT's
+    ("#NEXUS\nBEGIN DISTANCES;\nFORMAT TRIANGLE=BOTH\nMATRIX a 0 1 b 1 0;\nEND;\n",
+     "line 5: DISTANCES block has no MATRIX command"),
+    # a misspelled FORMAT is skipped, so the lower triangle is read as BOTH
+    ("#NEXUS\nBEGIN DISTANCES;\nFORMT TRIANGLE=LOWER;\nMATRIX a 0\nb 1 0;\nEND;\n",
+     "line 4: row 'a': expected 2 values for TRIANGLE=BOTH, got 1"),
 ])
 def test_nexus_block_errors_give_a_line(text, message):
     with pytest.raises(MatrixParseError) as exc:
@@ -316,8 +330,76 @@ def test_nexus_block_errors_give_a_line(text, message):
     ("phylip", "0\n", "line 1: bad item count 0"),
     ("phylip", "3\na 0 1 2\nb 1 0\n", "line 3: row 'b' is truncated: expected 3 values, got 2"),
     ("phylip", "2\na 0 1\nb 1 0 9\n", "line 3: unexpected trailing token '9'"),
+    # a row is converted before its length is checked: the bad token is named
+    ("phylip", "3\na 0 1 2\nb 1 x\n", "line 3: expected a number, got 'x'"),
+    # a count far past the rows given is a short row, not an allocation
+    ("phylip", "10000000\na 0\n", "line 2: row 'a' is truncated: expected 10000000 values, got 1"),
+    # a row across lines: the line of the bad token
+    ("phylip", "2\na 0\n1\nb x 0\n", "line 4: expected a number, got 'x'"),
+    ("csv", "a,b\n0, 1 \n1,1.5.2\n", "line 3, column 2: expected a number, got '1.5.2'"),
 ])
 def test_csv_and_phylip_errors_give_a_line(fmt, text, message):
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix(text, fmt)
     assert str(exc.value) == message
+
+
+# (layout, extra lines before DIMENSIONS, FORMAT and MATRIX): valid blocks
+# whose skipped commands hold the words MATRIX, DIAGONAL, NTAX= or END, or
+# are empty
+SKIPPED_COMMANDS = {
+    "title-matrix-before-dimensions": ("BOTH", True, (["  TITLE Matrix;"], [], [])),
+    "title-matrix-after-dimensions": ("BOTH", True, ([], ["  TITLE Matrix;"], [])),
+    "title-diagonal-after-format": ("LOWER", False, ([], [], ["  TITLE diagonal;"])),
+    "title-ntax-after-dimensions": ("BOTH", True, ([], ["  TITLE ntax=3;"], [])),
+    "title-end": ("BOTH", True, (["  TITLE end;"], [], [])),
+    "empty-commands": ("UPPER", True, (["  ;"], [";"], ["  ; ;"])),
+}
+
+
+@pytest.mark.parametrize("case", SKIPPED_COMMANDS)
+def test_nexus_reads_options_only_from_dimensions_and_format(case):
+    triangle, diagonal, extra = SKIPPED_COMMANDS[case]
+    d = random_symmetric_matrix(4, rng_for(5)).d
+    names = ["a", "b", "c", "d"]
+    back = parse_matrix(nexus_triangle(d, names, triangle, diagonal, extra=extra), "nexus")
+    assert back.names == names and np.array_equal(back.d, d)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+hostile_names = st.one_of(
+    st.sampled_from(["MATRIX", "end", "diagonal", "ntax=3", "TITLE", "BEGIN", "DISTANCES", ";", "=",
+                     "1", "nan", "'", "[x]", "#"]),
+    st.text(alphabet=" '\"#,[];=\t\nabé日", min_size=1, max_size=5),
+)
+# commands and comments a Nexus reader must skip
+NEXUS_EXTRAS = ["  TITLE Matrix;", "  LINK TAXA = end;", "  [MATRIX; end;]", "  ;",
+                "  TITLE 'ntax=3 diagonal';", "  TITLE ntax=3 nodiagonal nolabels triangle=upper;",
+                "  [a [nested] MATRIX] LINK Taxa=x;"]
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), data=st.data())
+def test_every_writer_reads_back_or_refuses(n, data):
+    size = n * (n - 1) // 2
+    upper = data.draw(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                               min_size=size, max_size=size))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    d += d.T
+    names = data.draw(st.lists(hostile_names, min_size=n, max_size=n, unique=True))
+    dm = DistanceMatrix(d, names)
+    for fmt in FORMATS:
+        try:
+            text = format_matrix(dm, fmt)
+        except ValueError:
+            continue
+        back = parse_matrix(text, fmt)
+        # PHYLIP writes each run of blanks in a name as '_'
+        want = ["_".join(nm.split()) for nm in names] if fmt == "phylip" else names
+        assert back.names == want and back.d.tobytes() == d.tobytes()
+    extra = tuple(data.draw(st.lists(st.sampled_from(NEXUS_EXTRAS), max_size=2)) for _ in range(3))
+    for triangle in ("BOTH", "LOWER", "UPPER"):
+        for diagonal in (True, False):
+            back = parse_matrix(nexus_triangle(d, names, triangle, diagonal, extra=extra), "nexus")
+            assert back.names == names and back.d.tobytes() == d.tobytes()

@@ -54,6 +54,12 @@ def test_ncd_matrix_needs_four_items():
         ncd_matrix(dna_corpus(3, 64, 1))
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_matrix_rejects_a_worker_count_below_one(workers):
+    with pytest.raises(ValueError, match=rf"^workers must be None or >= 1, got {workers}$"):
+        ncd_matrix(dna_corpus(4, 64, 1), workers=workers)
+
+
 def test_worker_count_does_not_change_matrix():
     items = dna_corpus(8, 1000, 3)
     z = get_compressor("lzma")

@@ -314,9 +314,12 @@ def bounds(cf: CostFunction) -> ScoreBounds:
 
     Raises ValueError unless 8 max(|m|, |M|) is finite, so that no sum a
     scorer forms can overflow: the fast scorer's partial sums stay below
-    2 C_T <= 2M, ``DeltaCost``'s total of d is at most 6M (a quartet's
-    largest pairing sum is at least a third of its six distances), and the
-    naive scorer's slab sums lie between those of m and M.
+    2 C_T <= 2M; the total D of d is at most 6M (a quartet's largest pairing
+    sum is at least a third of its six distances), so the float move delta
+    of ``fastcost.TreeCache``, its error bound tau and their difference stay
+    below 7M (its sums run in units of the grid ``DeltaCost`` rounds d to,
+    below 2^61 n^2); and the naive scorer's slab sums lie between those of
+    m and M.
 
     One buffer, sized for the last slab, takes each slab's minima and then
     its maxima, so no slab allocates. Each is summed as one contiguous array

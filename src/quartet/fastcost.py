@@ -35,38 +35,99 @@ where A1, A2, A3 are the leaf sets behind p's three neighbours, a1, a2, a3
 their sizes and d(A,B) the cross mass, d summed over A x B. A simple move
 changes those sets only at the internal nodes on one path. A leaf or subtree
 interchange moves a set X from one end of the path to the other and a set Y
-back. A subtree transfer moves the subtree S from its node a, which is
-smoothed, to the edge at the path's far end, where a is reinserted; a's own
-term is replaced too. At path node j, with off-path side O_j and delta_j =
-d(Y,O_j) - d(X,O_j), the cross mass of the off-path side with the side
-towards the first end grows by delta_j, with the other side it shrinks by
-delta_j, and between the two path sides it grows by the delta_i after j
-minus those before j. So Delta C takes O(path length) steps given a
-``TreeCache`` of the tree before the move: the same rooted walk, whose
-parents and edge depths trace the move's path, a summed-area table of d in
-walk order (every side of every edge is a walk-order range or its
-complement, so every cross mass is a few table lookups), and per
-internal node, for each neighbour, the leaf count behind it and the cross
-mass of the other two sides. Those masses come from one cut per node v, the
-mass between the leaves below v and the rest: the range's column mass
-minus its diagonal block of the table. At internal node p the three sides
-A1, A2, A3 have cuts d(A1,A2) + d(A1,A3) and so on (a child side's cut is
-the child's, the parent side's is p's own), which sum to twice the mass
-between the sides, so d(A2,A3) is half that sum minus the cut of A1, in
-exact integers.
+back. A subtree transfer moves the subtree S = X from its node a, which is
+smoothed, to the edge at the path's far end, where a is reinserted (Y is
+empty); a's own term is replaced too. Write M(Z) = d(Y,Z) - d(X,Z), c0 =
+M(X) - M(Y), and g = |X| - |Y|. At path node j, with the path sides U_j
+(towards the first end, u leaves) and V_j (v leaves) and the off-path side
+B_j (b leaves), U_j loses X and gains Y, V_j the reverse, so with delta_j =
+M(B_j) the node's term changes by
+
+    (M(V_j) - M(U_j) + c0) C(b,2) + delta_j e_j
+        + d(V_j,B_j) (C(u-g,2) - C(u,2)) + d(U_j,B_j) (C(v+g,2) - C(v,2)),
+
+e_j = C(v+g,2) - C(u-g,2); the first factor is the change of d(U_j,V_j).
+Split at its lca, the path runs up from the first end and down to the last:
+below the lca a path side is the leaves below the path's child, above it
+their complement, and B_j is what lies between the two. So with R(v) = M(the
+leaves below v), every M the loop reads is R of a path node or N - R, N =
+M(all), and on the up-chain delta_j telescopes to R(p_j) - R(p_{j-1}), on
+the down-chain to R(p_j) - R(p_{j+1}), and at the lca to N less the R of its
+two path children. Every side of every edge is a walk-order range or its
+complement, so each R is two reads of one prefix row, cum[t] = M(walk
+positions 0:t), made per move from a summed-area table of d in walk order
+(elementwise numpy, in a fixed order: no BLAS call, whose summation order may
+depend on the build and the thread count). The other masses come from a
+``TreeCache`` of the tree before the move, as lists indexed by node, one per
+walk direction: ``oc[v]``, the mass between the two sides of v's parent
+other than v's, and ``op[v]``, between v's two children. Both come from one
+cut per node v, the mass between the leaves below v and the rest: the
+range's column mass minus its diagonal block of the table. At internal node
+p the three sides A1, A2, A3 have cuts d(A1,A2) + d(A1,A3) and so on (a
+child side's cut is the child's, the parent side's is p's own), which sum to
+twice the mass between the sides, so d(A2,A3) is half that sum minus the cut
+of A1, in exact integers. Delta takes O(path length) steps and one prefix
+row.
 
 Rounding. ``DeltaCost`` rounds d once to multiples of h = 2^-k, k chosen so
-that the rounded total stays below 2^60: the table then holds exact int64
-sums and Delta is exact, in Python integers, for the rounded matrix. Each
-entry moved by at most h/2, and sum_{u<v} |W'(u,v) - W(u,v)| <= 4 C(n,4)
-because every tree has sum_{u<v} W(u,v) = 2 C(n,4); so Delta lies within
-2 C(n,4) h of the true change. The full scorer adds n^2 products of d and
-2W < n^2, whose absolute values sum to under n^2 D / 2 (D the sum of d over
-all ordered pairs); in any order of additions the sum errs by at most n^2
-eps times that, so a full score lies within n^4 eps D / 4 of the true cost
-(eps = 2^-53). The bound tau = n^4 (eps D + h) therefore covers Delta's
-error and the errors of both full scores that the walk would subtract, and
-each call adds 2 eps |Delta| for Delta's rounding to a float.
+that the rounded total D_q (in units of h) stays below 2^60: the table, the
+prefix row of a move and every mass the cache keeps are exact int64 sums.
+Each entry moved by at most h/2, and sum_{u<v} |W'(u,v) - W(u,v)| <= 4 C(n,4)
+because every tree has sum_{u<v} W(u,v) = 2 C(n,4); so the exact Delta of
+the rounded matrix lies within 2 C(n,4) h of the true change. The full
+scorer adds n^2 products of d and 2W < n^2, whose absolute values sum to
+under n^2 D / 2 (D the sum of d over all ordered pairs); in any order of
+additions the sum errs by at most n^2 eps times that, so a full score lies
+within n^4 eps D / 4 of the true cost (eps = 2^-53).
+
+Delta is evaluated in float64, in units of h: the integers above each
+become a float once, and the coefficients C(j,2) are exact. Every float
+operation returns its exact result times 1 + theta, |theta| <= eps (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., 2.2), and Delta is
+linear in each intermediate result, so the computed Delta errs by at most
+the sum, over the operations, of eps |result| times the weight with which
+Delta depends on that result. Let mt be the larger of d(X, all) and d(Y, all)
+(d >= 0), m <= 2 mt their sum, L the number of internal path nodes and
+G = |g| n D_q. Then |cum[t]| <= mt, and so is every R and M; the first
+factor of a node term is at most m (only X and Y move), and the B_j are
+disjoint, so sum_j C(b_j,2) <= C(n,2), sum_j |delta_j| <= m, |e_j| <= C(n,2),
+sum_j (d(V_j,B_j) + d(U_j,B_j)) <= D_q, and both C(.,2) changes are at most
+|g| n: the node terms' sizes sum to at most 2 mt n^2 + G. The weights and
+errors, at first order:
+
+* each R enters two consecutive node terms, with weight at most C(b_j,2) +
+  C(b_{j+1},2) + |e_j - e_{j+1}|. U grows and V shrinks along the path, so
+  e_j falls monotonically, and the weights of all R sum to at most 6 C(n,2)
+  (the e differences telescope to e_1 - e_L, and the R at the path's ends
+  enter one term each, with |e_1| and |e_L|). Each R errs by at most
+  3 eps mt (its two cum entries and its subtraction): 9 eps mt n^2 in all;
+* N, c0 and K = N + c0, K2 = N - c0, formed once, err by at most 16 eps mt,
+  with weights summing to at most C(n,2); N and N - R at the lca add
+  3 eps mt C(n,2): 9.5 eps mt n^2;
+* a node's first factor (two operations, at most 6 eps mt C(b,2)), delta_j
+  (eps |delta_j e_j|), its products (eps each, and eps for the rounded mass
+  of each d(.,B) product) and its three additions (2 eps the sum of the
+  product sizes): 10 eps mt n^2 + 4 eps G over the path;
+* the node terms' recursive summation, gamma_{L-1} sum_j |t_j| (Higham,
+  4.2, gamma_m = m eps / (1 - m eps)): (L - 1) eps (2 mt n^2 + G);
+* a transfer's node a (M(F), M(E), cut(F), a's old term and their products
+  and sums): at most 19.5 eps mt n^2 + 2 eps G + 6 eps E, E = cut(F)
+  C(|S|,2) plus a's old term.
+
+So |Delta_f - Delta| <= eps [mt n^2 (2L + 48) + (G + E)(L + 6)] (E = 0 for
+an interchange); ``delta`` evaluates that bound times 1.01, which covers the
+second-order terms and the bound's own rounding, scales it by h, and adds
+``DeltaCost.tau`` = n^4 (eps D / 2 + h) + (n^2 + 2) 2^-1074: the two full
+scores, the grid (2 C(n,4) h < n^4 h), and what underflow adds below 2^-1022,
+where a product or a scaling by h may err by 2^-1075 in absolute terms. The
+screen stays sound: with dc the difference of the two full scores the walk
+compares, |Delta_f - dc| <= tau, so lo = Delta_f - tau <= dc; it drops a
+move only where the full test would reject it too (see ``search``). Nothing
+overflows: in units of h every mass is below 2^61 and every product below
+2^61 n^2. Scaled by h, for n < 2^13, |Delta_f| <= |Delta| + tau and tau <
+D / 2, where |Delta| <= M and D <= 6M (M the summed per-quartet maxima, 8M
+finite by ``cost.bounds``), so |Delta_f| and tau stay below 4M, and |lo|
+below 7M.
 
 Proposals. ``TreeCache.propose`` draws the walk's next simple move from the
 cache, with the draws and result of ``mutate.simple_mutation``, and makes
@@ -95,6 +156,8 @@ from .trees import _edges, _lca_fill, _move_path, _rooted_walk, _tree_path
 
 BACKEND = "numpy"
 _EPS = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1074  # the least positive float
+_SLACK = 1.01 * _EPS  # eps, and room for the rounding of a float bound
 
 __all__ = [
     "BACKEND",
@@ -152,11 +215,11 @@ def _upper_triangle(n: int) -> np.ndarray:
 
 
 class DeltaCost:
-    """Exact move deltas for one distance matrix (see the module docstring).
+    """Move deltas for one distance matrix (see the module docstring).
 
     d is rounded once to the grid h = 2^-k, with k chosen so that the
-    rounded total mass stays below 2^60: int64 block sums and Python ints
-    then carry Delta without rounding, and the only error left is the grid's.
+    rounded total mass stays below 2^60: the int64 summed-area table then
+    holds exact sums, and Delta is evaluated in floats from them.
     """
 
     def __init__(self, d: np.ndarray):
@@ -165,20 +228,27 @@ class DeltaCost:
         self.k = 60 - math.frexp(total)[1] if total > 0 else 0
         self.n = n
         self.dq = np.rint(np.ldexp(d, self.k)).astype(np.int64)
-        # Delta within tau of what two full scores would subtract to: the
-        # full scorer's two errors, at most n^4 eps D / 4 each; the grid's,
-        # at most 2 C(n,4) h; the final rounding to float is added per call.
-        self.tau = n**4 * (_EPS * total + math.ldexp(1.0, -self.k))
+        self.total_q = int(self.dq.sum())  # D on the grid, in units of h
+        self.c2 = [j * (j - 1) / 2 for j in range(n + 1)]  # C(j, 2)
+        # every node but the root, node n, of ``trees._rooted_walk``
+        self.below_root = np.r_[0:n, n + 1 : 2 * n - 2]
+        # The part of tau that does not depend on the move: the two full
+        # scores' errors, at most n^4 eps D / 4 each, the grid's, at most
+        # 2 C(n,4) h, and what underflow may add below 2^-1022.
+        self.tau = n**4 * (_EPS * total / 2 + math.ldexp(1.0, -self.k)) + (n * n + 2) * _TINY
 
 
 class TreeCache:
     """What Delta needs of one tree: the rooted walk, a summed-area table of
-    the rounded d in walk order, and per internal node, for each neighbour,
-    the leaf count behind it and the mass between the other two directions.
-    Plus what ``propose`` needs to draw a move on the tree without touching
-    it: the rows' slot order and the edge index (see ``propose``)."""
+    the rounded d in walk order, and per node v the walk-order range lo[v] :
+    hi[v] of its leaves, the mass ``rm`` between them and all leaves, the
+    ``cut`` between them and the rest, and the masses that Delta reads by
+    walk direction: ``oc[v]``, between the two sides of v's parent other
+    than v's, and ``op[v]``, between v's two children. Plus what ``propose``
+    needs to draw a move on the tree without touching it: the rows' slot
+    order and the edge index (see ``propose``)."""
 
-    __slots__ = ("cost", "parent", "depth", "size", "lo", "sat", "nbr", "cnt", "cnt2", "opp",
+    __slots__ = ("cost", "parent", "depth", "size", "lo", "hi", "sat", "nbr", "rm", "cut", "oc", "op",
                  "ends", "up", "at", "leaf_up", "inner_up")
 
     def __init__(self, cost: DeltaCost, adj: list[list[int]]):
@@ -189,60 +259,50 @@ class TreeCache:
         sat = np.zeros((n + 1, n + 1), dtype=np.int64)
         np.cumsum(cost.dq.take(order, 0).take(order, 1).cumsum(0), 1, out=sat[1:, 1:])
 
-        rows = np.array(adj[n:], dtype=np.intp)
         par, r0, size_a = np.array(parent), np.array(lo), np.array(size)
         r1 = r0 + size_a
-        # cut[v]: the mass between the leaves below v and all other leaves
+        # rm[v]: the mass between the leaves below v and all leaves; cut[v]:
+        # between them and all other leaves
         col = sat[n]
-        cut = col[r1] - col[r0] - (sat[r1, r1] - sat[r0, r1] - sat[r1, r0] + sat[r0, r0])
-        p = np.arange(n, 2 * n - 2)[:, None]
-        child = par[rows] == p
-        # side cuts: a child's own, or p's for the parent side (the
-        # complement of p's leaves); see the module docstring
-        sc = np.where(child, cut[rows], cut[p])
-        opp = sc.sum(1, keepdims=True) // 2 - sc
+        rm = col[r1] - col[r0]
+        cut = rm - (sat[r1, r1] - sat[r0, r1] - sat[r1, r0] + sat[r0, r0])
+        # per internal node, the cuts of its three sides: its children's
+        # own, and its own for the parent side (the complement of its
+        # leaves), which the root lacks. Half their sum less one side's cut
+        # is the mass between the other two sides (see the module docstring).
+        half = cut[n:].copy()
+        half[0] = 0
+        below = cost.below_root
+        np.add.at(half, par[below] - n, cut[below])
+        half //= 2
+        oc = half[par - n] - cut  # the root's entry is never read
+        op = half - cut[n:]
+        masses = np.concatenate((cut, oc, op)).astype(np.float64).tolist()
+        m = 2 * n - 2
         # up[v] indexes the edge from v to its walk parent among the edges
         # in (lower end, slot) order: leaf v's, to its parent, is edge v.
         ends = _edges(adj)
-        up = list(range(2 * n - 2))
-        for j in range(n, 2 * n - 3):
+        up = list(range(m))
+        for j in range(n, m - 1):
             v, w = ends[j]
             up[v if w == parent[v] else w] = j
         # Below node v lie its leaves, walk positions lo[v]:lo[v] + size[v],
         # and size[v] - 1 internal nodes, v first, from at[v] in ``pre``: so
         # the edges below v are two slices of leaf_up and inner_up.
-        at = [0] * (2 * n - 2)
+        at = [0] * m
         for i, v in enumerate(pre):
             at[v] = i
         self.ends, self.up, self.at = ends, up, at
         self.leaf_up = order.tolist()
         self.inner_up = [up[v] for v in pre]
-        pad: list = [None] * n
         self.cost = cost
         self.parent, self.depth, self.size, self.lo = parent, depth, size, lo
+        self.hi = r1.tolist()
         self.sat = sat
-        self.nbr = pad + rows.tolist()
-        cnt = np.where(child, size_a[rows], n - size_a[p])
-        self.cnt = pad + cnt.tolist()
-        self.cnt2 = pad + (cnt * (cnt - 1) // 2).tolist()
-        self.opp = pad + opp.tolist()
-
-    def _side(self, p: int, q: int) -> tuple[int, int, bool, int]:
-        """The leaves on q's side of edge p-q: (r0, r1, complement, count),
-        the walk-order range r0:r1 or its complement."""
-        if self.parent[q] == p:
-            r0 = self.lo[q]
-            return r0, r0 + self.size[q], False, self.size[q]
-        r0 = self.lo[p]
-        return r0, r0 + self.size[p], True, self.cost.n - self.size[p]
-
-    def _prefix_mass(self, side) -> np.ndarray:
-        """Row t: the rounded d summed between ``side`` and the walk-order
-        positions 0:t."""
-        r0, r1, comp, _ = side
-        sat = self.sat
-        m = sat[r1] - sat[r0]
-        return sat[-1] - m if comp else m
+        self.nbr = [None] * n + [row[:] for row in adj[n:]]
+        self.rm = rm.tolist()
+        self.cut, self.oc = masses[:m], masses[m : 2 * m]
+        self.op = [0.0] * n + masses[2 * m :]
 
     def propose(self, rng) -> tuple[str, tuple[int, ...], list[int]]:
         """Draw a simple move on this tree without touching it: (kind,
@@ -318,84 +378,112 @@ class TreeCache:
         ``MutationRecord`` kind and operands and its path (the one
         ``propose`` gives, ``trees._move_path`` on the cache's walk): C after
         the move minus C before, and a bound on how far Delta may lie from
-        the difference of the two full scores."""
-        n = self.cost.n
-        parent, lo, size = self.parent, self.lo, self.size
-        nbr, cnt, cnt2, opp = self.nbr, self.cnt, self.cnt2, self.opp
+        the difference of the two full scores (see the module docstring)."""
+        cost = self.cost
+        n, c2 = cost.n, cost.c2
+        parent, size, lo, hi = self.parent, self.size, self.lo, self.hi
+        oc, op, rm, sat = self.oc, self.op, self.rm, self.sat
         transfer = kind == "subtree_transfer"
-        # X moves from the path's first end to its last, Y the other way
+        first, second, last = path[0], path[1], len(path) - 1
+        # X moves from the path's first end to its last, Y the other way; each
+        # is the leaves below a node xv, or their complement. cum[t] is
+        # d(Y, 0:t) - d(X, 0:t) over walk positions, from exact int64 rows.
+        if transfer:  # X = S moves from node a to the edge e-f, Y is empty
+            s, a = ops[0], ops[1]
+            xv, xin = (s, True) if parent[s] == a else (a, False)
+        else:
+            xv, xin = (first, True) if parent[first] == second else (second, False)
+        x0, x1 = lo[xv], hi[xv]
+        if xin:
+            cum = sat[x0] - sat[x1]
+            mx, nx = rm[xv], size[xv]
+        else:
+            cum = sat[x1] - sat[x0] - sat[n]
+            mx, nx = cost.total_q - rm[xv], n - size[xv]
         if transfer:
-            # S = X moves from node a to the edge e-f; the path runs from a
-            # to the nearer end e of e-f, then to the farther one f
-            s, a, b, c = ops[:4]
-            e, f = path[-2], path[-1]
-            side = self._side(a, s)
-            nx, ny = side[3], 0
-            cum = -self._prefix_mass(side)
+            my = ny = 0
         else:
-            u, w = path[0], path[-1]
-            side = self._side(path[1], u)
-            other = self._side(path[-2], w)
-            nx, ny = side[3], other[3]
-            cum = self._prefix_mass(other) - self._prefix_mass(side)
-        # d(Y, O) - d(X, O) is cum[o1] - cum[o0] for the range O = o0:o1,
-        # and cum[n] minus that for its complement
-        cum = cum.tolist()
-        if transfer:  # the side of a that stays: delta_0
-            o0, o1, oc, _ = self._side(a, c if path[1] == b else b)
-            P = cum[o1] - cum[o0]
-            if oc:
-                P = cum[n] - P
-        else:
-            P = 0
-        # Per path node p, with off-path side B: delta_j = d(Y, B) - d(X, B)
-        # and P the sum of the delta_i before it. p's term changes by
-        # (Q - P) C(b,2) + d(V,B) du + d(U,B) dv + delta_j (C(v',2) - C(u',2))
-        # for the path sides U (towards the first end) and V; Q - P is
-        # T - 2P - delta_j, and the total T enters once, times the sum of
-        # the C(b,2), after the loop.
-        g = nx - ny
-        gu, gv = g * (g + 1) // 2, g * (g - 1) // 2
-        acc = 0
-        cbsum = 0
-        for prev, p, nxt in zip(path, path[1:-1], path[2:]):
-            row = nbr[p]
-            i = row.index(prev)
-            k = row.index(nxt)
-            o = 3 - i - k
-            q = row[o]
-            if parent[q] == p:
-                o0 = lo[q]
-                dj = cum[o0 + size[q]] - cum[o0]
+            w, yp = path[-1], path[-2]
+            yv, yin = (w, True) if parent[w] == yp else (yp, False)
+            y0, y1 = lo[yv], hi[yv]
+            if yin:
+                cum += sat[y1] - sat[y0]
+                my, ny = rm[yv], size[yv]
             else:
-                o0 = lo[p]
-                dj = cum[n] - cum[o0 + size[p]] + cum[o0]
-            cp = cnt[p]
-            c2 = cnt2[p]
-            mp = opp[p]
-            cb = c2[o]
-            # C(.,2) growth of the two path sides: U loses g leaves, V gains g
-            du = gu - g * cp[i]
-            dv = gv + g * cp[k]
-            acc += (-2 * P - dj) * cb + mp[i] * du + mp[k] * dv + dj * (c2[k] - c2[i] + dv - du)
-            P += dj
-            cbsum += cb
+                cum += sat[n] - sat[y1] + sat[y0]
+                my, ny = cost.total_q - rm[yv], n - size[yv]
+        c = cum.astype(np.float64).tolist()
+        N = c[n]
+        # M(Z) = d(Y, Z) - d(X, Z) for a set Z: R(v) = c[hi[v]] - c[lo[v]] for
+        # the leaves below v, N - R(v) for the rest. c0 = M(X) - M(Y).
+        c0 = c[x1] - c[x0] if xin else N - (c[x1] - c[x0])
+        if not transfer:
+            c0 -= c[y1] - c[y0] if yin else N - (c[y1] - c[y0])
+        K, K2 = N + c0, N - c0
+        g = nx - ny
+        # Per internal path node p, with path sides U (towards the first end,
+        # u leaves) and V (v leaves) and off-path side B (b leaves), p's term
+        # changes by (M(V) - M(U) + c0) C(b,2) + delta (C(v+g,2) - C(u-g,2))
+        # + d(V,B) (C(u-g,2) - C(u,2)) + d(U,B) (C(v+g,2) - C(v,2)), where
+        # delta = M(B) = N - M(U) - M(V). Below the lca a path side is the
+        # leaves below the path's child, above it their complement, so the
+        # masses come from one R per node, carried to the next.
+        acc = 0.0
+        steps = zip(path[1:], path[2:])  # (p, the node after p), p internal
+        if parent[first] == second:  # up from the first end
+            q, sq = first, size[first]
+            Rq = c[hi[q]] - c[lo[q]]
+            for p, r in steps:
+                if parent[p] != r:  # p is the lca
+                    Rr = c[hi[r]] - c[lo[r]]
+                    sr = size[r]
+                    t = (Rr - Rq + c0) * c2[n - sq - sr] + (N - Rq - Rr) * (c2[sr + g] - c2[sq - g])
+                    if g:
+                        t += oc[q] * (c2[sq - g] - c2[sq]) + oc[r] * (c2[sr + g] - c2[sr])
+                    acc += t
+                    Rp = Rr  # r is the down-chain's first node
+                    break
+                Rp = c[hi[p]] - c[lo[p]]
+                sp = size[p]
+                vc = n - sp
+                t = (K - Rp - Rq) * c2[sp - sq] + (Rp - Rq) * (c2[vc + g] - c2[sq - g])
+                if g:
+                    t += oc[q] * (c2[sq - g] - c2[sq]) + op[p] * (c2[vc + g] - c2[vc])
+                acc += t
+                q, sq, Rq = p, sp, Rp
+        else:  # the first end is the lca
+            Rp = c[hi[second]] - c[lo[second]]
+        for p, r in steps:  # down to the last end; Rp is R(p)
+            Rr = c[hi[r]] - c[lo[r]]
+            sp, sr = size[p], size[r]
+            uc = n - sp
+            t = (Rp + Rr - K2) * c2[sp - sr] + (Rp - Rr) * (c2[sr + g] - c2[uc - g])
+            if g:
+                t += op[p] * (c2[uc - g] - c2[uc]) + oc[r] * (c2[sr + g] - c2[sr])
+            acc += t
+            Rp = Rr
+        e_a = 0.0
         if transfer:
-            # F, f's side of e-f, closes the path: its delta is -d(S, F)
-            f0, f1, fc, nf = self._side(e, f)
-            dsf = cum[f0] - cum[f1]
-            if fc:
-                dsf = -cum[n] - dsf
-            acc += (P - dsf) * cbsum
-            # node a: its old term out, its new one between S, F and the
-            # rest E in; d(S, E) is -P, and d(E, F) comes from e's cache
-            ma, ca = opp[a], cnt2[a]
-            acc -= ma[0] * ca[0] + ma[1] * ca[1] + ma[2] * ca[2]
-            d_ef = mp[o] + mp[i] - dsf
+            # node a: its old term out, and in, its new one between S, F (f's
+            # side of e-f) and the rest E: d(S, F) = -M(F), d(S, E) = -M(E)
+            # and d(E, F) = cut(F) + M(F)
+            e, f = path[-2], path[-1]
+            if parent[f] == e:
+                MF = c[hi[f]] - c[lo[f]]
+                nf, cut_f = size[f], self.cut[f]
+            else:
+                MF = N - (c[hi[e]] - c[lo[e]])
+                nf, cut_f = n - size[e], self.cut[e]
             ne = n - nx - nf
-            acc += dsf * (ne * (ne - 1) // 2) - P * (nf * (nf - 1) // 2) + d_ef * (nx * (nx - 1) // 2)
-        else:
-            acc += P * cbsum
-        dl = math.ldexp(float(acc), -self.cost.k)
-        return dl, self.cost.tau + abs(dl) * _EPS * 2
-
+            old = 0.0
+            for q in self.nbr[a]:
+                old += oc[q] * c2[size[q]] if parent[q] == a else op[a] * c2[n - size[a]]
+            acc += cut_f * c2[nx] + MF * (c2[nx] - c2[ne]) - (N - c0 - MF) * c2[nf]
+            acc -= old
+            e_a = cut_f * c2[nx] + old
+        # Delta's own error bound (module docstring), in units of h
+        L = last - 1
+        mt = float(max(mx, my))
+        own = (mt * n * n * (2 * L + 48) + (abs(g) * n * cost.total_q + e_a) * (L + 6)) * _SLACK
+        k = cost.k
+        return math.ldexp(acc, -k), cost.tau + math.ldexp(own, -k)

@@ -261,6 +261,8 @@ def _parse_nexus(text: str) -> DistanceMatrix:
                         raise MatrixParseError(
                             f"expected an item count after NTAX=, got {value[0]!r}", value[1]
                         ) from None
+                    if ntax < 0:
+                        raise MatrixParseError(f"bad item count {ntax}", value[1])
             elif word == "TRIANGLE" and value:
                 triangle = value[0].upper()
             elif word in ("DIAGONAL", "NODIAGONAL"):

@@ -252,7 +252,17 @@ class _Draws:
             if high == 1:
                 return 0
             raise ValueError(f"high must be in 1..2^32, got {high}")
-        m = self._uint32() * high
+        # the first 32-bit draw inline: _uint32's steps, one call less
+        x = self._half
+        if x >= 0:
+            self._half = -1
+        else:
+            x = next(self._words, -1)
+            if x < 0:
+                x = self._refill()
+            self._half = x >> 32
+            x &= 0xFFFFFFFF
+        m = x * high
         if m & 0xFFFFFFFF < high:
             threshold = (_U32 - high) % high
             while m & 0xFFFFFFFF < threshold:

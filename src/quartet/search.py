@@ -37,8 +37,12 @@ its move from a cache of the current tree (``fastcost.TreeCache``, rebuilt
 only when a proposal is accepted) without making it: ``TreeCache.propose``
 reads the draws ``mutate.simple_mutation`` would read and names the move it
 would make. The step then draws u and computes the move's cost change Delta
-from the cache, with a bound tau on how far Delta can lie from the
-difference dc of the two full scores the acceptance test compares. It drops
+from the cache, in floats, with a bound tau on how far Delta can lie from the
+difference dc of the two full scores the acceptance test compares: tau adds
+a bound on the errors of those two scores and of the rounded matrix
+(``DeltaCost.tau``, fixed per matrix) to a bound on Delta's own rounding,
+which grows with the move's path length and the mass of the sets it moves
+(the ``fastcost`` module docstring proves both). It drops
 the move, untouched and unscored, only when lo = Delta - tau > 0 and
 u >= exp(-lo/theta) (1 + 2^-48): then dc >= lo > 0, so exp(-dc/theta) <=
 exp(-lo/theta) up to exp's rounding of under one ulp each, which the 2^-48

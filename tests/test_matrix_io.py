@@ -306,6 +306,9 @@ def test_triangle_checks_give_the_line_of_the_row_holding_the_cell(triangle, dia
      "line 4: matrix value before any taxon label"),
     ("#NEXUS\nBEGIN DISTANCES;\nMATRIX\n;\nEND;\n", "line 4: no matrix rows found"),
     ("#NEXUS\nBEGIN DISTANCES;\nDIMENSIONS NTAX=0;\nMATRIX ;\nEND;\n", "line 4: no matrix rows found"),
+    # a negative count is named at its token, as PHYLIP's is
+    ("#NEXUS\nBEGIN DISTANCES;\n\nDIMENSIONS\n NTAX=-1;\nFORMAT TRIANGLE=BOTH;\nMATRIX\na 0\n;\nEND;\n",
+     "line 5: bad item count -1"),
     # ENDBLOCK closes the block as END does
     ("#NEXUS\nBEGIN DISTANCES;\nENDBLOCK;\nBEGIN X;\nMATRIX a 0 1 b 1 0;\nEND;\n",
      "line 3: DISTANCES block has no MATRIX command"),

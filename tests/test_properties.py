@@ -148,6 +148,41 @@ def test_move_delta_matches_full_and_naive_scorers(n, seed, shape, matrix, kind,
         check_delta(before, n, d, rec)
 
 
+def exact_cost(rows, parts):
+    """C_T as an exact int, for d = sum of parts[i] * 2^(20 i): each part's
+    entries are integers below 2^20, so its full score sums integer
+    products below 2^53 and is exact."""
+    return sum(int(cost_distance_from_adj(rows, part)) << 20 * i for i, part in enumerate(parts))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("shape", ["random", "caterpillar"])
+def test_move_delta_stays_within_its_own_error_term_past_n_40(n, shape):
+    """Delta against the exact cost change, for integer d spread over 40
+    bits (small integers such as hop counts would make every float step of
+    Delta exact). The grid holds such d exactly, so Delta's float
+    evaluation is its only error, and it must lie within the part of tau
+    that Delta adds to the full scores' part (``DeltaCost.tau``)."""
+    rng = rng_for(n)
+    tree = caterpillar(n) if shape == "caterpillar" else random_tree(n, rng)
+    rows = tree.copy_adjacency()
+    e = np.triu(np.floor(2.0 ** rng.uniform(0.0, 40.0, (n, n))), 1).astype(np.int64)
+    e += e.T
+    parts = [(e >> 20 * i & (1 << 20) - 1).astype(float) for i in range(2)]
+    dcost = DeltaCost(e.astype(float))
+    for kind in (0, 1, 2):
+        for _ in range(8):  # each move from the tree the last one made
+            before = [row[:] for row in rows]
+            rec = MutationRecord(*_RAND_BY_KIND[kind](rows, n, rng))
+            parent, depth = _rooted_walk(before)[:2]
+            path = _move_path(parent, depth, rec.kind, rec.operands)
+            delta, tau = TreeCache(dcost, before).delta(rec.kind, rec.operands, path)
+            own = tau - dcost.tau
+            assert 0 < own < tau
+            exact = exact_cost(rows, parts) - exact_cost(before, parts)
+            assert abs(delta - exact) <= own, (rec, delta, exact, own)
+
+
 def cut_side(rows, a, s):
     """The nodes on s's side when the edge a-s is cut."""
     side, grow = {s}, [s]
